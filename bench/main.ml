@@ -239,7 +239,6 @@ let precond_json_path = "BENCH_precond.json"
 let precond_rungs =
   [
     ("ic0", [ Diagnostics.Cg_ic0 ]);
-    ("ssor", [ Diagnostics.Cg_ssor ]);
     ("jacobi", [ Diagnostics.Cg ]);
   ]
 

@@ -173,9 +173,8 @@ let validate path min_depth =
       if str_field lineno "type" j <> "meta" then
         fail "line %d: first line must be the meta record" lineno;
       let schema = str_field lineno "schema" j in
-      if schema <> Ttsv_obs.Sink.schema && schema <> Ttsv_obs.Sink.schema_v1 then
-        fail "line %d: schema %S, expected %S (or the older %S)" lineno schema
-          Ttsv_obs.Sink.schema Ttsv_obs.Sink.schema_v1;
+      if schema <> Ttsv_obs.Sink.schema then
+        fail "line %d: schema %S, expected %S" lineno schema Ttsv_obs.Sink.schema;
       ignore (str_field lineno "clock_unit" j)));
   let st = { spans = 0; metrics = 0; summaries = 0; convs = 0; max_depth = 0; names = [] } in
   let ids = Hashtbl.create 64 in

@@ -194,8 +194,7 @@ let precond_t =
       ("auto", None);
       ("mg", Some [ Diagnostics.Cg_mg; Diagnostics.Direct ]);
       ("ic0", Some [ Diagnostics.Cg_ic0; Diagnostics.Direct ]);
-      ("ssor", Some [ Diagnostics.Cg_ssor; Diagnostics.Direct ]);
-      ("jacobi", Some [ Diagnostics.Cg; Diagnostics.Bicgstab; Diagnostics.Direct ]);
+      ("jacobi", Some [ Diagnostics.Cg; Diagnostics.Direct ]);
     ]
   in
   Arg.(
@@ -204,9 +203,8 @@ let precond_t =
     & info [ "precond" ] ~docv:"KIND"
         ~doc:
           "preconditioner for the FV reference solve: $(b,auto) (the full multigrid -> IC(0) \
-           -> SSOR -> Jacobi escalation ladder, the default), or pin $(b,mg), $(b,ic0), \
-           $(b,ssor) or $(b,jacobi); combine with $(b,--solver-report) to see the iteration \
-           counts")
+           -> Jacobi escalation ladder, the default), or pin $(b,mg), $(b,ic0) or \
+           $(b,jacobi); combine with $(b,--solver-report) to see the iteration counts")
 
 let solver_report_t =
   Arg.(

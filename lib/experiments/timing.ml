@@ -20,7 +20,3 @@ let measure ?(repeats = 3) ?(name = "timing.repeat") f =
   let median_run = order.(repeats / 2) in
   let result = match results.(median_run) with Some r -> r | None -> assert false in
   { result; min_ms = at 0; median_ms = samples.(median_run); max_ms = at (repeats - 1) }
-
-let time_ms ?repeats f =
-  let m = measure ?repeats f in
-  (m.result, m.median_ms)

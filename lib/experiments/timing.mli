@@ -16,8 +16,3 @@ val measure : ?repeats:int -> ?name:string -> (unit -> 'a) -> 'a measurement
     min/median/max elapsed milliseconds together with the result of the
     median run — so warm-up jitter is visible instead of hidden behind a
     single number.  Raises [Invalid_argument] when [repeats < 1]. *)
-
-val time_ms : ?repeats:int -> (unit -> 'a) -> 'a * float
-(** Deprecated compatibility wrapper for {!measure}: returns the median
-    run's result and the median elapsed milliseconds.  New call sites
-    should use {!measure} and report the spread. *)

@@ -148,7 +148,7 @@ let invalid_input problems =
     best_residual = Float.nan;
   }
 
-let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?bottom_h ?on_iterate ?pool ?rungs ?budget p =
+let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?bottom_h ?pool ?rungs ?budget p =
   match check_problem p with
   | _ :: _ as problems -> Error (invalid_input problems)
   | [] -> (
@@ -161,7 +161,7 @@ let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?bottom_h ?on_iterate ?pool ?rungs ?b
     let shape = [| Grid.nr g; Grid.nz g |] in
     match
       Obs_span.with_ ~name:"solver.solve" (fun () ->
-          Robust.solve ~tol ~max_iter ?x0 ?on_iterate ?pool ?rungs ~shape ?budget matrix
+          Robust.solve ~tol ~max_iter ?x0 ?pool ?rungs ~shape ?budget matrix
             p.Problem.source)
     with
     | Error f -> Error f
@@ -175,8 +175,8 @@ let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?bottom_h ?on_iterate ?pool ?rungs ?b
           diagnostics = d;
         })
 
-let solve ?tol ?max_iter ?x0 ?bottom_h ?on_iterate ?pool ?rungs ?budget p =
-  match try_solve ?tol ?max_iter ?x0 ?bottom_h ?on_iterate ?pool ?rungs ?budget p with
+let solve ?tol ?max_iter ?x0 ?bottom_h ?pool ?rungs ?budget p =
+  match try_solve ?tol ?max_iter ?x0 ?bottom_h ?pool ?rungs ?budget p with
   | Ok r -> r
   | Error f -> raise (Robust.Solve_failed f)
 

@@ -8,10 +8,10 @@
     isothermal sink at rise 0; all other boundaries are adiabatic.
 
     The assembled conductance matrix is solved through the
-    {!Ttsv_robust.Robust} escalation ladder (CG, then BiCGStab, then a
-    direct fallback); every result carries the ladder's
-    {!Ttsv_robust.Diagnostics.t} and every failure is a typed value or
-    typed exception — never a bare [Failure]. *)
+    {!Ttsv_robust.Robust} escalation ladder (multigrid-, IC(0)- and
+    Jacobi-preconditioned CG, then a direct fallback); every result
+    carries the ladder's {!Ttsv_robust.Diagnostics.t} and every failure
+    is a typed value or typed exception — never a bare [Failure]. *)
 
 type result = {
   problem : Problem.t;
@@ -39,7 +39,6 @@ val try_solve :
   ?max_iter:int ->
   ?x0:float array ->
   ?bottom_h:float ->
-  ?on_iterate:(int -> float -> unit) ->
   ?pool:Ttsv_parallel.Pool.t ->
   ?rungs:Ttsv_robust.Diagnostics.rung list ->
   ?budget:Ttsv_parallel.Budget.t ->
@@ -50,10 +49,9 @@ val try_solve :
     [bottom_h], when given, replaces the isothermal sink with a
     convective boundary of that heat-transfer coefficient (W/(m²·K)) to
     a 0-rise coolant — the package-level boundary §II mentions; rises
-    are then above the coolant, not the die surface.  [on_iterate]
-    observes every linear iteration.  Non-finite or non-positive
-    conductivities and non-finite sources are rejected up front as
-    [Invalid_input].  [x0] warm-starts the iterative rungs from a
+    are then above the coolant, not the die surface.  Non-finite or
+    non-positive conductivities and non-finite sources are rejected up
+    front as [Invalid_input].  [x0] warm-starts the iterative rungs from a
     previous nearby solution (length-checked by the ladder); solving a
     perturbed geometry from a neighbour's field typically converges in a
     fraction of the cold-start iterations, which is what the service
@@ -71,7 +69,6 @@ val solve :
   ?max_iter:int ->
   ?x0:float array ->
   ?bottom_h:float ->
-  ?on_iterate:(int -> float -> unit) ->
   ?pool:Ttsv_parallel.Pool.t ->
   ?rungs:Ttsv_robust.Diagnostics.rung list ->
   ?budget:Ttsv_parallel.Budget.t ->

@@ -118,7 +118,7 @@ let assemble ?pool p =
   Obs_span.with_ ~name:"solver3.assemble" (fun () ->
       record_assembly (assemble_rows ?pool p))
 
-let try_solve ?(tol = 1e-9) ?max_iter ?x0 ?on_iterate ?pool ?rungs ?budget p =
+let try_solve ?(tol = 1e-9) ?max_iter ?x0 ?pool ?rungs ?budget p =
   let matrix = assemble ?pool p in
   let n = Sparse.rows matrix in
   let max_iter = match max_iter with Some m -> m | None -> Stdlib.max 4000 (10 * n) in
@@ -128,7 +128,7 @@ let try_solve ?(tol = 1e-9) ?max_iter ?x0 ?on_iterate ?pool ?rungs ?budget p =
   let shape = [| Grid3.nx g3; Grid3.ny g3; Grid3.nz g3 |] in
   match
     Obs_span.with_ ~name:"solver3.solve" (fun () ->
-        Robust.solve ~tol ~max_iter ?x0 ?on_iterate ?pool ?rungs ~shape ?budget matrix
+        Robust.solve ~tol ~max_iter ?x0 ?pool ?rungs ~shape ?budget matrix
           p.Problem3.source)
   with
   | Error f -> Error f
@@ -142,8 +142,8 @@ let try_solve ?(tol = 1e-9) ?max_iter ?x0 ?on_iterate ?pool ?rungs ?budget p =
         diagnostics = d;
       }
 
-let solve ?tol ?max_iter ?x0 ?on_iterate ?pool ?rungs ?budget p =
-  match try_solve ?tol ?max_iter ?x0 ?on_iterate ?pool ?rungs ?budget p with
+let solve ?tol ?max_iter ?x0 ?pool ?rungs ?budget p =
+  match try_solve ?tol ?max_iter ?x0 ?pool ?rungs ?budget p with
   | Ok r -> r
   | Error f -> raise (Robust.Solve_failed f)
 

@@ -23,7 +23,6 @@ val try_solve :
   ?tol:float ->
   ?max_iter:int ->
   ?x0:float array ->
-  ?on_iterate:(int -> float -> unit) ->
   ?pool:Ttsv_parallel.Pool.t ->
   ?rungs:Ttsv_robust.Diagnostics.rung list ->
   ?budget:Ttsv_parallel.Budget.t ->
@@ -41,7 +40,6 @@ val solve :
   ?tol:float ->
   ?max_iter:int ->
   ?x0:float array ->
-  ?on_iterate:(int -> float -> unit) ->
   ?pool:Ttsv_parallel.Pool.t ->
   ?rungs:Ttsv_robust.Diagnostics.rung list ->
   ?budget:Ttsv_parallel.Budget.t ->

@@ -1,12 +1,12 @@
-(** Iterative solvers for sparse linear systems.
+(** Preconditioned conjugate gradients for sparse linear systems.
 
     The finite-volume heat solver produces large symmetric positive-definite
-    conductance matrices; {!cg} (Jacobi-preconditioned conjugate gradients)
-    is the work-horse.  {!bicgstab} handles the occasional nonsymmetric
-    system, and the stationary methods ({!jacobi}, {!gauss_seidel}, {!sor})
-    exist mainly as slow-but-simple cross-checks in the test suite.
+    conductance matrices (symmetric harmonic-mean fluxes, a Dirichlet sink;
+    backward Euler and Picard keep them SPD), so {!cg} is the only
+    iterative solver: Jacobi-preconditioned by default, or with any
+    {!Precond.t} (multigrid, IC(0)) the caller supplies.
 
-    Every solver carries in-flight health guards: matrices and right-hand
+    The solver carries in-flight health guards: matrices and right-hand
     sides containing NaN/Inf are rejected up front ({!Non_finite}), a
     residual that stops improving for a window of iterations aborts the
     loop ({!Stagnated}), and a residual growing far beyond the best seen
@@ -36,14 +36,11 @@ type result = {
   conv : Ttsv_obs.History.snapshot option;
       (** bounded convergence history, recorded only while observability
           is enabled ({!Ttsv_obs.Flags.enabled}) — [None] on the
-          disabled path (no ring buffer is allocated) and for the
-          stationary methods.  When a trace file is open the same
+          disabled path (no ring buffer is allocated).  When a trace
+          file is open the same
           snapshot is emitted as a [conv] JSONL event tagged with the
           enclosing span. *)
 }
-
-exception Not_converged of result
-(** Raised by the [_exn] variants when the iteration budget is exhausted. *)
 
 val pp_status : Format.formatter -> status -> unit
 
@@ -51,7 +48,6 @@ val cg :
   ?tol:float ->
   ?max_iter:int ->
   ?x0:Vec.t ->
-  ?on_iterate:(int -> float -> unit) ->
   ?stagnation_window:int ->
   ?divergence_factor:float ->
   ?pool:Ttsv_parallel.Pool.t ->
@@ -62,11 +58,11 @@ val cg :
   result
 (** [cg a b] solves [a x = b] for symmetric positive-definite [a] with
     Jacobi (diagonal) preconditioning by default; pass [precond] to use
-    a stronger {!Precond.t} (IC(0), SSOR) instead — the Jacobi array is
-    then never built.  [tol] is the relative residual
+    a stronger {!Precond.t} (multigrid, IC(0)) instead — the Jacobi array
+    is then never built.  [tol] is the relative residual
     target (default [1e-10]); [max_iter] defaults to [10 * n];
-    [x0] defaults to the zero vector.  [on_iterate] is called with
-    [(iteration, relative residual)] after every step.
+    [x0] defaults to the zero vector.  The per-iteration residuals are
+    in [trace] (and [conv]).
     [stagnation_window] (default [max 250 (max_iter / 10)] — Krylov
     residuals legitimately plateau for long stretches before the
     superlinear phase, so the default scales with the budget) and
@@ -90,36 +86,3 @@ val cg :
     {!Budget_exhausted}, the result carrying the current iterate and its
     recomputed true residual — the overshoot past a wall-clock deadline
     is bounded by one iteration. *)
-
-val cg_exn : ?tol:float -> ?max_iter:int -> ?x0:Vec.t -> Sparse.t -> Vec.t -> Vec.t
-(** Like {!cg} but returns the solution directly and raises
-    {!Not_converged} on failure. *)
-
-val bicgstab :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?x0:Vec.t ->
-  ?on_iterate:(int -> float -> unit) ->
-  ?stagnation_window:int ->
-  ?divergence_factor:float ->
-  ?pool:Ttsv_parallel.Pool.t ->
-  ?precond:Precond.t ->
-  ?budget:Ttsv_parallel.Budget.t ->
-  Sparse.t ->
-  Vec.t ->
-  result
-(** [bicgstab a b] solves general [a x = b] with Jacobi preconditioning
-    (or the supplied [precond]).  Guards, callbacks, the [pool]
-    determinism contract, the persistent region and the [budget]
-    semantics as in {!cg}; the reported residual is always the
-    recomputed true residual. *)
-
-val jacobi : ?tol:float -> ?max_iter:int -> Sparse.t -> Vec.t -> result
-(** Pointwise Jacobi iteration; requires a nonzero diagonal. *)
-
-val gauss_seidel : ?tol:float -> ?max_iter:int -> Sparse.t -> Vec.t -> result
-(** Forward Gauss–Seidel sweep iteration.  Each sweep visits only the
-    stored row entries (O(nnz), not O(n²)). *)
-
-val sor : ?tol:float -> ?max_iter:int -> omega:float -> Sparse.t -> Vec.t -> result
-(** Successive over-relaxation with relaxation factor [omega] in (0, 2). *)

@@ -15,7 +15,7 @@
     smoothing polynomials, per-line solves, residuals, grid transfers
     (stored as sparse matrices), corrections — is an embarrassingly
     parallel map, a set of independent line solves or a {!Sparse.mul},
-    so unlike the IC(0)/SSOR triangular sweeps the whole preconditioner
+    so unlike the IC(0) triangular sweeps the whole preconditioner
     runs through {!Ttsv_parallel.Pool} and stays bitwise deterministic
     for any domain count.
 

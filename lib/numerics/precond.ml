@@ -8,7 +8,7 @@ module Fault = Ttsv_parallel.Fault
 let injected () = Fault.fire "precond"
 let injected_error = "injected construction fault"
 
-type kind = Jacobi | Ssor of float | Ic0 of float | Mg of int
+type kind = Jacobi | Ic0 of float | Mg of int
 
 type t = {
   kind : kind;
@@ -17,11 +17,10 @@ type t = {
 }
 
 let name t =
-  match t.kind with Jacobi -> "jacobi" | Ssor _ -> "ssor" | Ic0 _ -> "ic0" | Mg _ -> "mg"
+  match t.kind with Jacobi -> "jacobi" | Ic0 _ -> "ic0" | Mg _ -> "mg"
 
 let dim t = t.dim
 let ic0_shift t = match t.kind with Ic0 s -> Some s | _ -> None
-let ssor_omega t = match t.kind with Ssor w -> Some w | _ -> None
 let mg_levels t = match t.kind with Mg l -> Some l | _ -> None
 
 let apply ?pool t r =
@@ -54,55 +53,6 @@ let jacobi_of_diagonal d =
   { kind = Jacobi; dim = n; apply_fn }
 
 let jacobi a = jacobi_of_diagonal (Sparse.diagonal a)
-
-(* --------------------------------------------------------------- SSOR *)
-
-(* M = (D + wL) D^-1 (D + wU) / (w (2 - w)): matrix-free in the sense
-   that only the CSR arrays of A are referenced — no factorization is
-   stored.  Each application is two O(nnz) triangular sweeps, reusing
-   the same row walk as the Gauss-Seidel machinery.  The sweeps are
-   inherently sequential (each unknown depends on the previous ones), so
-   [?pool] is ignored: pooled and sequential applications are trivially
-   identical. *)
-let ssor ?(omega = 1.0) a =
-  if not (omega > 0. && omega < 2.) then invalid_arg "Precond.ssor: omega must be in (0, 2)";
-  let n = Sparse.rows a in
-  if injected () then Error injected_error
-  else if Sparse.cols a <> n then Error "matrix not square"
-  else begin
-    let d = Sparse.diagonal a in
-    if Array.exists (fun di -> Float.abs di < 1e-300) d then Error "zero diagonal entry"
-    else begin
-      let row_ptr, col_idx, values = Sparse.csr a in
-      let scale = omega *. (2. -. omega) in
-      let apply_fn ?pool:_ r =
-        (* forward sweep: (D + wL) u = r *)
-        let u = Array.make n 0. in
-        for i = 0 to n - 1 do
-          let acc = ref r.(i) in
-          let k = ref row_ptr.(i) in
-          let stop = row_ptr.(i + 1) in
-          while !k < stop && col_idx.(!k) < i do
-            acc := !acc -. (omega *. values.(!k) *. u.(col_idx.(!k)));
-            incr k
-          done;
-          u.(i) <- !acc /. d.(i)
-        done;
-        (* backward sweep: (D + wU) z = D u, then scale by w (2 - w) *)
-        let z = Array.make n 0. in
-        for i = n - 1 downto 0 do
-          let acc = ref (d.(i) *. u.(i)) in
-          for k = row_ptr.(i + 1) - 1 downto row_ptr.(i) do
-            let j = col_idx.(k) in
-            if j > i then acc := !acc -. (omega *. values.(k) *. z.(j))
-          done;
-          z.(i) <- scale *. !acc /. d.(i)
-        done;
-        z
-      in
-      Ok { kind = Ssor omega; dim = n; apply_fn }
-    end
-  end
 
 (* -------------------------------------------------------------- IC(0) *)
 

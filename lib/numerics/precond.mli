@@ -1,14 +1,14 @@
-(** Pluggable SPD preconditioners for the Krylov solvers.
+(** Pluggable SPD preconditioners for the Krylov solver.
 
-    One abstract interface, four constructions, in decreasing order of
+    One abstract interface, three constructions, in decreasing order of
     strength on the library's finite-volume conductance matrices:
 
     - {!mg} — one symmetric geometric-multigrid V-cycle per application
       (see {!Multigrid}).  Strongest on the structured tensor grids and
-      the only rung whose iteration counts stay near-constant as the
+      the only one whose iteration counts stay near-constant as the
       grid refines; needs the grid [shape], so it is only available
       where one is known.  Every kernel it runs is embarrassingly
-      parallel, unlike the triangular sweeps below.
+      parallel, unlike the triangular sweeps of {!ic0}.
     - {!ic0} — incomplete Cholesky with zero fill.  Strongest
       shape-oblivious option: on the
       fig5/Table I grids it cuts CG iteration counts by roughly an order
@@ -16,25 +16,20 @@
       non-positive pivot) on SPD matrices that are not H-matrices; the
       constructor retries internally with growing relative diagonal
       shifts and only then reports an error.
-    - {!ssor} — symmetric successive over-relaxation,
-      [M = (D + wL) D^-1 (D + wU) / (w (2 - w))].  Matrix-free (no
-      stored factorization, just two O(nnz) triangular sweeps over A's
-      CSR arrays), never breaks down on a nonzero diagonal, usually
-      two-to-four times fewer iterations than Jacobi.  The rung to fall
-      back on when IC(0) cannot be built.
     - {!jacobi} — diagonal scaling.  Weakest, but total: defined for
-      every matrix, zero construction cost.
+      every matrix, zero construction cost.  The rung to fall back on
+      when neither of the others can be built.
 
-    Applications are deterministic: the triangular sweeps of {!ic0} and
-    {!ssor} are sequential by data dependence (and identical under any
-    pool), and the pooled {!jacobi} scaling is elementwise — so a
-    preconditioned solve takes the same iteration path with or without a
-    domain pool. *)
+    Applications are deterministic: the triangular sweeps of {!ic0} are
+    sequential by data dependence (and identical under any pool), and
+    the pooled {!jacobi} scaling is elementwise — so a preconditioned
+    solve takes the same iteration path with or without a domain
+    pool. *)
 
 type t
 
 val name : t -> string
-(** ["mg"], ["ic0"], ["ssor"] or ["jacobi"]. *)
+(** ["mg"], ["ic0"] or ["jacobi"]. *)
 
 val dim : t -> int
 (** The order of the matrix the preconditioner was built from. *)
@@ -53,15 +48,6 @@ val jacobi_of_diagonal : Vec.t -> t
 (** {!jacobi} from an already-extracted diagonal, for callers that have
     one (avoids a second [Sparse.diagonal] pass). *)
 
-val ssor : ?omega:float -> Sparse.t -> (t, string) result
-(** SSOR preconditioner with relaxation factor [omega] (default [1.0],
-    i.e. symmetric Gauss–Seidel; must be in (0, 2), else
-    [Invalid_argument]).  [Error] when the matrix is not square or has a
-    (near-)zero diagonal entry. *)
-
-val ssor_omega : t -> float option
-(** The relaxation factor, for SSOR preconditioners. *)
-
 val default_shifts : float list
 (** The relative diagonal shifts {!ic0} tries in order:
     [[0.; 1e-3; 1e-2; 1e-1; 1.]]. *)
@@ -78,7 +64,7 @@ val ic0 :
     as [Error "budget expired (...)"], and the caller demotes exactly as
     for a breakdown.
 
-    Both fallible constructors ({!ic0}, {!ssor}) double as the
+    Both fallible constructors ({!ic0}, {!mg}) double as the
     {!Ttsv_parallel.Fault} ["precond"] chaos site: when armed and fired
     they return [Error "injected construction fault"]. *)
 
@@ -103,7 +89,7 @@ val mg :
     for the 2-D unit cell, [[|nx; ny; nz|]] for the 3-D stack.
 
     [Error] on a shape/matrix mismatch or any hierarchy failure, and the
-    constructor is a ["precond"] chaos site like {!ic0}/{!ssor}.
+    constructor is a ["precond"] chaos site like {!ic0}.
     [budget] is polled during setup {e and} captured into the returned
     preconditioner: an expiry mid-V-cycle raises
     {!Ttsv_parallel.Budget.Expired} from {!apply}, which the Robust

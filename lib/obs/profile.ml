@@ -102,7 +102,7 @@ let of_lines lines =
           match typ with
           | Some "meta" -> (
             match Option.bind (Json.member "schema" j) Json.to_string_opt with
-            | Some s when s = Sink.schema || s = Sink.schema_v1 ->
+            | Some s when s = Sink.schema ->
               go lineno (Some s) spans convs rest
             | Some s -> Error (Printf.sprintf "line %d: unsupported schema %S" lineno s)
             | None -> Error (Printf.sprintf "line %d: meta without schema" lineno))

@@ -1,5 +1,5 @@
-(** Offline trace analysis: load a JSONL trace ({!Sink.schema} v2 or the
-    older v1), rebuild the span tree, and derive the aggregates
+(** Offline trace analysis: load a JSONL trace ({!Sink.schema}), rebuild
+    the span tree, and derive the aggregates
     [bin/obs_report] renders — per-name self/total times, the critical
     path, flamegraph.pl collapsed stacks, and convergence curves. *)
 

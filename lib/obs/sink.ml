@@ -1,9 +1,5 @@
 let schema = "ttsv.trace.v2"
 
-(* v2 added the "conv" record; every v1 record kind is unchanged, so
-   consumers accept both *)
-let schema_v1 = "ttsv.trace.v1"
-
 (* Counts every JSONL line ever written, always (not guarded): the
    disabled-path regression test asserts this stays flat while
    observability is off. *)

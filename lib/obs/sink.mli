@@ -8,13 +8,8 @@
     for performance, not correctness. *)
 
 val schema : string
-(** Current schema identifier, ["ttsv.trace.v2"].  v2 added the [conv]
-    convergence-history record; all v1 record kinds are unchanged.
-    [obs_check] and {!Profile} accept {!schema_v1} files too. *)
-
-val schema_v1 : string
-(** The previous identifier, ["ttsv.trace.v1"], kept so consumers can
-    stay backward compatible. *)
+(** Current schema identifier, ["ttsv.trace.v2"] — the only one
+    [obs_check] and {!Profile} accept. *)
 
 val write_count : unit -> int
 (** Total JSONL lines written over the process lifetime (never reset).

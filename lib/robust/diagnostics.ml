@@ -1,6 +1,6 @@
 module Iterative = Ttsv_numerics.Iterative
 
-type rung = Cg_mg | Cg_ic0 | Cg_ssor | Cg | Bicgstab | Direct
+type rung = Cg_mg | Cg_ic0 | Cg | Direct
 
 type outcome =
   | Success
@@ -42,9 +42,7 @@ let empty =
 let rung_name = function
   | Cg_mg -> "cg-mg"
   | Cg_ic0 -> "cg-ic0"
-  | Cg_ssor -> "cg-ssor"
   | Cg -> "cg"
-  | Bicgstab -> "bicgstab"
   | Direct -> "direct"
 
 let pp_outcome ppf = function

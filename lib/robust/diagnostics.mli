@@ -1,7 +1,8 @@
 (** Structured solver diagnostics.
 
-    {!Robust.solve} climbs an escalation ladder of solver {e rungs}; the
-    diagnostics record every attempt — which rung, why it stopped, how
+    {!Robust.solve} climbs an escalation ladder of solver {e rungs} —
+    multigrid-CG (when a grid shape is known), IC(0)-CG, Jacobi-CG and a
+    direct LU backstop; the diagnostics record every attempt — which rung, why it stopped, how
     many iterations it spent, its final true relative residual, and its
     wall time — together with the residual trace of the last attempt.
     The record is surfaced through {!Ttsv_fem.Solver.solve},
@@ -13,9 +14,10 @@ type rung =
           (strongest; needs a structured-grid shape, so it only joins
           the ladder when one is known) *)
   | Cg_ic0  (** IC(0)-preconditioned conjugate gradients (strongest shape-oblivious rung) *)
-  | Cg_ssor  (** SSOR-preconditioned conjugate gradients *)
-  | Cg  (** Jacobi-preconditioned conjugate gradients *)
-  | Bicgstab  (** Jacobi-preconditioned BiCGStab *)
+  | Cg
+      (** Jacobi-preconditioned conjugate gradients (no construction
+          step, so it still runs when both preconditioners fail to
+          build) *)
   | Direct  (** banded or dense LU fallback *)
 
 type outcome =

@@ -13,9 +13,7 @@ let m_solve_wall = Obs_metrics.Histogram.make "solve.wall_seconds"
 
 (* one counter per rung, bumped when that rung produces the answer: the
    fleet-level view of which preconditioner actually carries the load *)
-let all_rungs =
-  [ Diagnostics.Cg_mg; Diagnostics.Cg_ic0; Diagnostics.Cg_ssor; Diagnostics.Cg;
-    Diagnostics.Bicgstab; Diagnostics.Direct ]
+let all_rungs = [ Diagnostics.Cg_mg; Diagnostics.Cg_ic0; Diagnostics.Cg; Diagnostics.Direct ]
 
 let m_rung =
   List.map
@@ -47,9 +45,7 @@ let pp_failure ppf f =
   Format.fprintf ppf "@[<v>solve failed: %a@,%a@]" pp_reason f.reason Diagnostics.pp
     f.diagnostics
 
-let default_rungs =
-  [ Diagnostics.Cg_ic0; Diagnostics.Cg_ssor; Diagnostics.Cg; Diagnostics.Bicgstab;
-    Diagnostics.Direct ]
+let default_rungs = [ Diagnostics.Cg_ic0; Diagnostics.Cg; Diagnostics.Direct ]
 
 (* the ladder used when a structured-grid [shape] is known: multigrid
    tops it, everything below is the shape-oblivious default ladder *)
@@ -116,8 +112,8 @@ let solve_direct a b =
   | Ok (`Dense d) -> (
     match Dense.solve d b with x -> Ok x | exception Dense.Singular -> Error Diagnostics.Singular)
 
-let solve ?(tol = 1e-10) ?max_iter ?x0 ?on_iterate ?stagnation_window ?divergence_factor
-    ?pool ?rungs ?shape ?budget a b =
+let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?pool ?rungs
+    ?shape ?budget a b =
   (* without an explicit [rungs] list the ladder adapts to what is
      known about the system: a structured-grid [shape] promotes the
      multigrid rung to the top, otherwise the shape-oblivious default
@@ -180,9 +176,10 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?on_iterate ?stagnation_window ?divergenc
       }
     in
     (* Build the preconditioner a rung asks for.  [Error why] means the
-       construction itself failed (IC(0) pivot breakdown at every shift,
-       zero diagonal for SSOR): the rung is recorded as Skipped and the
-       ladder demotes without spending a single iteration. *)
+       construction itself failed (no grid shape or a hierarchy failure
+       for multigrid, IC(0) pivot breakdown at every shift): the rung is
+       recorded as Skipped and the ladder demotes without spending a
+       single iteration.  Jacobi-CG ([None]) has nothing to build. *)
     let precond_for ?budget rung =
       match rung with
       | Diagnostics.Cg_mg -> (
@@ -196,11 +193,7 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?on_iterate ?stagnation_window ?divergenc
         match Precond.ic0 ?budget a with
         | Ok m -> Ok (Some m)
         | Error why -> Error ("ic0: " ^ why))
-      | Diagnostics.Cg_ssor -> (
-        match Precond.ssor a with
-        | Ok m -> Ok (Some m)
-        | Error why -> Error ("ssor: " ^ why))
-      | Diagnostics.Cg | Diagnostics.Bicgstab -> Ok None
+      | Diagnostics.Cg -> Ok None
       | Diagnostics.Direct -> assert false
     in
     let run_iterative ?budget rung =
@@ -218,14 +211,9 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?on_iterate ?stagnation_window ?divergenc
           };
         None
       | Ok precond ->
-        let solver =
-          match rung with
-          | Diagnostics.Bicgstab -> Iterative.bicgstab
-          | _ -> Iterative.cg
-        in
         let r =
-          solver ~tol ?max_iter ?x0:!best ?on_iterate ?stagnation_window ?divergence_factor
-            ?pool ?precond ?budget a b
+          Iterative.cg ~tol ?max_iter ?x0:!best ?stagnation_window ?divergence_factor ?pool
+            ?precond ?budget a b
         in
         total_iters := !total_iters + r.Iterative.iterations;
         trace := r.Iterative.trace;
@@ -356,11 +344,11 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?on_iterate ?stagnation_window ?divergenc
     in
     climb rungs
 
-let solve_exn ?tol ?max_iter ?x0 ?on_iterate ?stagnation_window ?divergence_factor ?pool
-    ?rungs ?shape ?budget a b =
+let solve_exn ?tol ?max_iter ?x0 ?stagnation_window ?divergence_factor ?pool ?rungs ?shape
+    ?budget a b =
   match
-    solve ?tol ?max_iter ?x0 ?on_iterate ?stagnation_window ?divergence_factor ?pool ?rungs
-      ?shape ?budget a b
+    solve ?tol ?max_iter ?x0 ?stagnation_window ?divergence_factor ?pool ?rungs ?shape ?budget
+      a b
   with
   | Ok r -> r
   | Error f -> raise (Solve_failed f)

@@ -2,17 +2,20 @@
 
     [solve] climbs a ladder of solver rungs — geometric-multigrid CG
     first when the structured-grid [shape] is known, then
-    IC(0)-preconditioned CG, demoting to SSOR-CG, then Jacobi-CG, then
-    BiCGStab (warm-started from the best iterate so far), then a direct
-    banded/dense LU fallback — until one of them produces a solution,
-    and returns a {!Diagnostics.t} recording which rungs fired (the
-    preconditioner rung included), why the failed ones stopped, and the
-    residual history.  A preconditioner whose {e construction} fails
-    (IC(0) pivot breakdown at every diagonal shift, SSOR on a zero
-    diagonal) costs zero iterations: the rung is recorded as [Skipped]
-    with the reason and the ladder demotes immediately.  Inputs
-    containing NaN/Inf (or with mismatched dimensions) are rejected up
-    front without spending a single iteration.
+    IC(0)-preconditioned CG, then Jacobi-CG, then a direct banded/dense
+    LU fallback — until one of them produces a solution, and returns a
+    {!Diagnostics.t} recording which rungs fired (the preconditioner
+    rung included), why the failed ones stopped, and the residual
+    history.  Every system the library builds is symmetric positive
+    definite, so every iterative rung is conjugate gradients; each later
+    rung warm-starts from the best iterate so far.  A preconditioner
+    whose {e construction} fails (no grid shape or a hierarchy failure
+    for multigrid, IC(0) pivot breakdown at every diagonal shift) costs
+    zero iterations: the rung is recorded as [Skipped] with the reason
+    and the ladder demotes immediately.  Jacobi-CG has no construction
+    step, so it runs whenever both preconditioners fail to build.
+    Inputs containing NaN/Inf (or with mismatched dimensions) are
+    rejected up front without spending a single iteration.
 
     Every failure path is a typed value: no [failwith], no silently
     non-converged result. *)
@@ -44,8 +47,8 @@ val pp_reason : Format.formatter -> reason -> unit
 val pp_failure : Format.formatter -> failure -> unit
 
 val default_rungs : Diagnostics.rung list
-(** [[Cg_ic0; Cg_ssor; Cg; Bicgstab; Direct]] — the ladder used when
-    neither [rungs] nor [shape] is supplied. *)
+(** [[Cg_ic0; Cg; Direct]] — the ladder used when neither [rungs] nor
+    [shape] is supplied. *)
 
 val mg_rungs : Diagnostics.rung list
 (** [Cg_mg :: default_rungs] — the ladder used when a structured-grid
@@ -55,7 +58,6 @@ val solve :
   ?tol:float ->
   ?max_iter:int ->
   ?x0:Ttsv_numerics.Vec.t ->
-  ?on_iterate:(int -> float -> unit) ->
   ?stagnation_window:int ->
   ?divergence_factor:float ->
   ?pool:Ttsv_parallel.Pool.t ->
@@ -75,10 +77,9 @@ val solve :
     [Skipped "mg: no structured-grid shape"] and the ladder demotes at
     zero cost.  [tol] (default [1e-10]) is the relative residual
     target; [max_iter] is the per-rung iteration budget of the iterative
-    rungs (default [10 * n] each).  [on_iterate] observes every iteration
-    of every iterative rung; [stagnation_window] and [divergence_factor]
-    are passed through to {!Ttsv_numerics.Iterative} for both iterative
-    rungs.  The direct rung builds a pivotless banded LU
+    rungs (default [10 * n] each).  [stagnation_window] and
+    [divergence_factor] are passed through to
+    {!Ttsv_numerics.Iterative.cg} for every iterative rung.  The direct rung builds a pivotless banded LU
     when the bandwidth is narrow, retries with dense partial-pivoting LU
     when the band factorization hits a zero pivot, and accepts the result
     at [max tol 1e-8] (it is the last resort).  [pool] is threaded to the
@@ -108,7 +109,6 @@ val solve_exn :
   ?tol:float ->
   ?max_iter:int ->
   ?x0:Ttsv_numerics.Vec.t ->
-  ?on_iterate:(int -> float -> unit) ->
   ?stagnation_window:int ->
   ?divergence_factor:float ->
   ?pool:Ttsv_parallel.Pool.t ->

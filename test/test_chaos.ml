@@ -362,6 +362,30 @@ let containment_tests =
             Alcotest.(check string)
               "skip reason" "mg: injected construction fault" why
           | _ -> Alcotest.fail "first attempt was not a skipped multigrid rung"));
+    test "with every preconditioner build failing, Jacobi-CG answers" (fun () ->
+        (* precond=1 fails both constructions; Jacobi-CG has none, so it
+           is the first rung that runs, and it converges *)
+        let p = Problem.of_stack ~resolution:1 (Params.fig5_stack (Units.um 1.)) in
+        let a = Solver.assemble p in
+        let g = p.Problem.grid in
+        let shape = [| Ttsv_fem.Grid.nr g; Ttsv_fem.Grid.nz g |] in
+        with_spec "precond=1:3" @@ fun () ->
+        match Robust.solve ~shape a p.Problem.source with
+        | Error f ->
+          Alcotest.fail (Format.asprintf "ladder gave up: %a" Robust.pp_failure f)
+        | Ok (_, d) ->
+          Alcotest.(check (list (pair string string)))
+            "attempts"
+            [
+              ("cg-mg", "skipped: mg: injected construction fault");
+              ("cg-ic0", "skipped: ic0: injected construction fault");
+              ("cg", "ok");
+            ]
+            (List.map
+               (fun (at : Diagnostics.attempt) ->
+                 ( Diagnostics.rung_name at.Diagnostics.rung,
+                   Format.asprintf "%a" Diagnostics.pp_outcome at.Diagnostics.outcome ))
+               d.Diagnostics.attempts));
     test "a work budget expiring mid-V-cycle is a typed Deadline_exceeded" (fun () ->
         (* 50 work units let the hierarchy build and a few CG+V-cycle
            iterations complete, then the cycle's own matvec ticks

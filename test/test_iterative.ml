@@ -1,4 +1,4 @@
-(* Tests for CG, BiCGStab and the stationary iterations. *)
+(* Tests for preconditioned CG and its health guards. *)
 
 module Sparse = Ttsv_numerics.Sparse
 module Iterative = Ttsv_numerics.Iterative
@@ -15,17 +15,6 @@ let solves_to solver (m, b) =
   && Vec.norm_inf (Vec.sub (Sparse.mat_vec m r.Iterative.solution) b)
      < 1e-6 *. Float.max 1. (Vec.norm_inf b)
 
-let small_nonsym () =
-  let b = Sparse.builder 3 3 in
-  Sparse.add b 0 0 4.;
-  Sparse.add b 0 1 1.;
-  Sparse.add b 1 0 2.;
-  Sparse.add b 1 1 5.;
-  Sparse.add b 1 2 1.;
-  Sparse.add b 2 1 (-1.);
-  Sparse.add b 2 2 3.;
-  Sparse.finalize b
-
 let unit_tests =
   [
     test "cg solves identity" (fun () ->
@@ -37,30 +26,6 @@ let unit_tests =
         let m = Sparse.of_dense (Dense.identity 3) in
         let r = Iterative.cg m [| 0.; 0.; 0. |] in
         close "norm" 0. (Vec.norm_inf r.Iterative.solution));
-    test "cg_exn raises on tiny budget" (fun () ->
-        let m, b = (small_nonsym (), [| 1.; 2.; 3. |]) in
-        let spd = Sparse.of_dense (Dense.mat_mul (Dense.transpose (Sparse.to_dense m)) (Sparse.to_dense m)) in
-        match Iterative.cg_exn ~max_iter:1 ~tol:1e-14 spd b with
-        | exception Iterative.Not_converged _ -> ()
-        | _ -> Alcotest.fail "expected Not_converged");
-    test "bicgstab solves nonsymmetric" (fun () ->
-        let m = small_nonsym () in
-        let b = [| 1.; 2.; 3. |] in
-        let r = Iterative.bicgstab ~tol:1e-12 m b in
-        Alcotest.(check bool) "converged" true r.Iterative.converged;
-        let exact = Dense.solve (Sparse.to_dense m) b in
-        Alcotest.(check bool) "matches LU" true
-          (Vec.approx_equal ~rtol:1e-6 ~atol:1e-9 r.Iterative.solution exact));
-    test "jacobi rejects zero diagonal" (fun () ->
-        let b = Sparse.builder 2 2 in
-        Sparse.add b 0 1 1.;
-        Sparse.add b 1 0 1.;
-        check_raises_invalid "zero diag" (fun () ->
-            ignore (Iterative.jacobi (Sparse.finalize b) [| 1.; 1. |])));
-    test "sor validates omega" (fun () ->
-        let m = Sparse.of_dense (Dense.identity 2) in
-        check_raises_invalid "omega" (fun () ->
-            ignore (Iterative.sor ~omega:2.5 m [| 1.; 1. |])));
     test "rhs dimension mismatch" (fun () ->
         let m = Sparse.of_dense (Dense.identity 2) in
         check_raises_invalid "dim" (fun () -> ignore (Iterative.cg m [| 1. |])));
@@ -134,44 +99,10 @@ let unit_tests =
           (r.Iterative.iterations < max_iter / 100));
   ]
 
-(* the pre-optimization O(n^2) sweep, probing every (i, j) through
-   Sparse.get: the regression reference for the O(nnz) row-iteration one *)
-let reference_sweep omega a b d x =
-  let n = Array.length x in
-  for i = 0 to n - 1 do
-    let acc = ref b.(i) in
-    for j = 0 to n - 1 do
-      acc := !acc -. (Sparse.get a i j *. x.(j))
-    done;
-    x.(i) <- x.(i) +. (omega *. !acc /. d.(i))
-  done
-
-let reference_stationary omega ~tol ~max_iter a b =
-  let n = Array.length b in
-  let d = Sparse.diagonal a in
-  let x = Vec.zeros n in
-  let nb = Float.max (Vec.norm2 b) 1e-300 in
-  let res = ref (Vec.norm2 (Vec.sub b (Sparse.mat_vec a x)) /. nb) in
-  let iter = ref 0 in
-  while !res > tol && !iter < max_iter do
-    incr iter;
-    reference_sweep omega a b d x;
-    res := Vec.norm2 (Vec.sub b (Sparse.mat_vec a x)) /. nb
-  done;
-  (x, !iter)
-
 let property_tests =
   [
     qtest ~count:40 "cg solves SPD systems" (gen_spd_system 15)
       (solves_to (fun m b -> Iterative.cg ~tol:1e-12 m b));
-    qtest ~count:30 "bicgstab solves SPD systems too" (gen_spd_system 10)
-      (solves_to (fun m b -> Iterative.bicgstab ~tol:1e-12 m b));
-    qtest ~count:20 "jacobi converges on these diagonally dominant systems" (gen_spd_system 8)
-      (solves_to (fun m b -> Iterative.jacobi ~tol:1e-10 ~max_iter:20000 m b));
-    qtest ~count:20 "gauss-seidel converges" (gen_spd_system 8)
-      (solves_to (fun m b -> Iterative.gauss_seidel ~tol:1e-10 ~max_iter:20000 m b));
-    qtest ~count:20 "sor with omega=1.3 converges" (gen_spd_system 8)
-      (solves_to (fun m b -> Iterative.sor ~omega:1.3 ~tol:1e-10 ~max_iter:20000 m b));
     qtest ~count:30 "cg matches dense LU" (gen_spd_system 12) (fun (m, b) ->
         let r = Iterative.cg ~tol:1e-13 m b in
         let exact = Dense.solve (Sparse.to_dense m) b in
@@ -193,25 +124,6 @@ let property_tests =
         let warm = Iterative.cg ~tol:1e-10 ~x0:cold.Iterative.solution m b' in
         warm.Iterative.converged
         && warm.Iterative.iterations <= cold'.Iterative.iterations);
-    qtest ~count:20 "bicgstab warm start from the solution converges immediately"
-      (gen_spd_system 10)
-      (fun (m, b) ->
-        let r1 = Iterative.bicgstab ~tol:1e-12 m b in
-        let r2 = Iterative.bicgstab ~tol:1e-8 ~x0:r1.Iterative.solution m b in
-        r2.Iterative.converged && r2.Iterative.iterations = 0);
-    (* budget 200 < the minimum guard window of 250, so both loops run the
-       same pure sweep schedule and must agree bit for bit *)
-    qtest ~count:30 "gauss-seidel sweep matches the O(n^2) reference exactly"
-      (gen_spd_system 10)
-      (fun (m, b) ->
-        let r = Iterative.gauss_seidel ~tol:1e-8 ~max_iter:200 m b in
-        let x_ref, iters_ref = reference_stationary 1. ~tol:1e-8 ~max_iter:200 m b in
-        r.Iterative.iterations = iters_ref && r.Iterative.solution = x_ref);
-    qtest ~count:30 "sor sweep matches the O(n^2) reference exactly" (gen_spd_system 10)
-      (fun (m, b) ->
-        let r = Iterative.sor ~omega:1.3 ~tol:1e-8 ~max_iter:200 m b in
-        let x_ref, iters_ref = reference_stationary 1.3 ~tol:1e-8 ~max_iter:200 m b in
-        r.Iterative.iterations = iters_ref && r.Iterative.solution = x_ref);
   ]
 
 let suite = ("iterative", unit_tests @ property_tests)

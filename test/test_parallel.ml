@@ -264,30 +264,25 @@ let fem_tests =
           domain_counts);
     test "preconditioned CG pooled matches sequential iteration-for-iteration" (fun () ->
         (* the fused kernels and persistent region must not perturb the
-           iteration path of either strong preconditioner *)
+           IC(0) iteration path (the mg path has its own test below) *)
         let p = Problem.of_stack ~resolution:2 (Params.fig5_stack (Units.um 1.)) in
         let a = Solver.assemble p in
+        let m = Result.get_ok (Precond.ic0 a) in
+        let reference = Iterative.cg ~tol:1e-10 ~precond:m a p.Problem.source in
         List.iter
-          (fun (name, m) ->
-            let reference = Iterative.cg ~tol:1e-10 ~precond:m a p.Problem.source in
-            List.iter
-              (fun d ->
-                Pool.with_pool ~domains:d @@ fun pool ->
-                let r = Iterative.cg ~tol:1e-10 ~pool ~precond:m a p.Problem.source in
-                Alcotest.(check int)
-                  (Printf.sprintf "%s iterations (domains=%d)" name d)
-                  reference.Iterative.iterations r.Iterative.iterations;
-                check_float_array
-                  (Printf.sprintf "%s trace (domains=%d)" name d)
-                  reference.Iterative.trace r.Iterative.trace;
-                check_float_array
-                  (Printf.sprintf "%s solution (domains=%d)" name d)
-                  reference.Iterative.solution r.Iterative.solution)
-              domain_counts)
-          [
-            ("ic0", Result.get_ok (Precond.ic0 a));
-            ("ssor", Result.get_ok (Precond.ssor a));
-          ]);
+          (fun d ->
+            Pool.with_pool ~domains:d @@ fun pool ->
+            let r = Iterative.cg ~tol:1e-10 ~pool ~precond:m a p.Problem.source in
+            Alcotest.(check int)
+              (Printf.sprintf "ic0 iterations (domains=%d)" d)
+              reference.Iterative.iterations r.Iterative.iterations;
+            check_float_array
+              (Printf.sprintf "ic0 trace (domains=%d)" d)
+              reference.Iterative.trace r.Iterative.trace;
+            check_float_array
+              (Printf.sprintf "ic0 solution (domains=%d)" d)
+              reference.Iterative.solution r.Iterative.solution)
+          domain_counts);
     test "multigrid setup and cycles pooled match sequential bit for bit" (fun () ->
         (* setup is sequential by construction, so a pooled build must
            yield the identical hierarchy; the cycle kernels are
@@ -362,15 +357,6 @@ let fem_tests =
             check_float_array "nested solution" reference.Iterative.solution
               r.Iterative.solution)
           sols);
-    test "pooled BiCGStab matches sequential iteration-for-iteration" (fun () ->
-        let p = Problem.of_stack ~resolution:1 (Params.fig5_stack (Units.um 1.)) in
-        let a = Solver.assemble p in
-        let reference = Iterative.bicgstab ~tol:1e-10 a p.Problem.source in
-        Pool.with_pool ~domains:4 @@ fun pool ->
-        let r = Iterative.bicgstab ~tol:1e-10 ~pool a p.Problem.source in
-        Alcotest.(check int) "iterations" reference.Iterative.iterations
-          r.Iterative.iterations;
-        check_float_array "solution" reference.Iterative.solution r.Iterative.solution);
     test "full 2-D solve pooled equals sequential" (fun () ->
         let p = Problem.of_stack ~resolution:1 (Params.fig5_stack (Units.um 1.)) in
         let reference = Solver.solve p in

@@ -1,4 +1,4 @@
-(* Preconditioner correctness: IC(0)/SSOR-preconditioned CG agrees with
+(* Preconditioner correctness: IC(0)-preconditioned CG agrees with
    the dense direct solve on the paper's Table I grids, preconditioning
    never costs iterations on random SPD systems, and IC(0) breakdown
    retries with growing diagonal shifts instead of giving up. *)
@@ -72,14 +72,11 @@ let check_matches_direct name make_precond =
 let test_ic0_matches_direct () =
   check_matches_direct "IC(0)-CG" (fun a -> get_ok "ic0" (Precond.ic0 a))
 
-let test_ssor_matches_direct () =
-  check_matches_direct "SSOR-CG" (fun a -> get_ok "ssor" (Precond.ssor a))
-
 (* --- preconditioning never costs iterations (qcheck) --------------------- *)
 
 (* random SPD tridiagonal-perturbed system (resistive chain + anchors):
-   CG with any of the three preconditioners must converge in no more
-   iterations than unpreconditioned CG (identity preconditioner) *)
+   IC(0)-CG must converge in no more iterations than unpreconditioned CG
+   (identity preconditioner) *)
 let gen_spd_system =
   let open QCheck2.Gen in
   let* n = int_range 10 60 in
@@ -98,11 +95,8 @@ let prop_preconditioned_no_worse (n, a, b) =
   let identity = Precond.jacobi_of_diagonal (Array.make n 1.) in
   let plain = solve identity in
   let ic0 = solve (get_ok "ic0" (Precond.ic0 a)) in
-  let ssor = solve (get_ok "ssor" (Precond.ssor a)) in
   if ic0 > plain then
     QCheck2.Test.fail_reportf "IC(0)-CG took %d iterations, plain CG %d" ic0 plain;
-  if ssor > plain then
-    QCheck2.Test.fail_reportf "SSOR-CG took %d iterations, plain CG %d" ssor plain;
   true
 
 (* --- IC(0) breakdown and shift retry ------------------------------------- *)
@@ -159,17 +153,6 @@ let test_jacobi_apply_scales_by_diagonal () =
   let x = Precond.apply (Precond.jacobi a) b in
   Array.iteri (fun i bi -> close ~tol:1e-15 (Printf.sprintf "x[%d]" i) (bi /. d.(i)) x.(i)) b
 
-let test_ssor_rejects_bad_omega () =
-  let a = tridiag_spd 4 in
-  check_raises_invalid "omega = 0" (fun () -> Precond.ssor ~omega:0. a);
-  check_raises_invalid "omega = 2" (fun () -> Precond.ssor ~omega:2. a)
-
-let test_ssor_zero_diagonal () =
-  let a = sparse_of_dense [| [| 0.; 1. |]; [| 1.; 3. |] |] in
-  match Precond.ssor a with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected zero-diagonal error"
-
 let test_apply_dimension_mismatch () =
   let m = get_ok "ic0" (Precond.ic0 (tridiag_spd 6)) in
   check_raises_invalid "wrong dimension" (fun () -> Precond.apply m (Array.make 5 1.))
@@ -184,7 +167,6 @@ let suite =
   ( "precond",
     [
       test "IC(0)-CG matches dense direct on Table I grids" test_ic0_matches_direct;
-      test "SSOR-CG matches dense direct on Table I grids" test_ssor_matches_direct;
       qtest ~count:50 "preconditioned CG needs no more iterations than plain CG"
         gen_spd_system prop_preconditioned_no_worse;
       test "IC(0) on SPD input uses no diagonal shift" test_ic0_spd_no_shift;
@@ -193,8 +175,6 @@ let suite =
       test "IC(0) rejects a row without a stored diagonal" test_ic0_missing_diagonal;
       test "IC(0) is exact Cholesky on a tridiagonal matrix" test_ic0_exact_on_tridiagonal;
       test "Jacobi apply divides by the diagonal" test_jacobi_apply_scales_by_diagonal;
-      test "SSOR rejects omega outside (0, 2)" test_ssor_rejects_bad_omega;
-      test "SSOR reports a zero diagonal" test_ssor_zero_diagonal;
       test "apply rejects dimension mismatch" test_apply_dimension_mismatch;
       test "cg rejects mismatched preconditioner" test_cg_precond_dimension_mismatch;
     ] )

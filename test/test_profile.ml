@@ -129,16 +129,18 @@ let test_profile_synthetic () =
   | l -> Alcotest.failf "expected one conv record, got %d" (List.length l))
 
 let test_profile_schemas () =
-  (* a v1 trace (no conv records existed, but span parsing is identical) *)
-  let t = profile_exn (synthetic Sink.schema_v1) in
-  Alcotest.(check string) "v1 accepted" Sink.schema_v1 t.Profile.schema;
-  (match Profile.of_lines (synthetic "ttsv.trace.v99") with
-  | Error e ->
-    Alcotest.(check bool)
-      (Printf.sprintf "error %S names the schema" e)
-      true
-      (contains ~sub:"v99" e)
-  | Ok _ -> Alcotest.fail "unknown schema must be rejected");
+  (* only the current schema loads: a v1 file gets the same
+     unsupported-schema error as any other version *)
+  List.iter
+    (fun schema ->
+      match Profile.of_lines (synthetic schema) with
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "error %S names the schema" e)
+          true
+          (contains ~sub:schema e)
+      | Ok _ -> Alcotest.failf "schema %s must be rejected" schema)
+    [ "ttsv.trace.v1"; "ttsv.trace.v99" ];
   match Profile.of_lines (List.tl (synthetic Sink.schema)) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a trace without a meta line must be rejected"
@@ -330,7 +332,7 @@ let suite =
     [
       Helpers.test "history ring keeps the newest window and true total" test_history_ring;
       Helpers.test "profile analysis is exact on a synthetic trace" test_profile_synthetic;
-      Helpers.test "profile accepts v1, rejects unknown schemas" test_profile_schemas;
+      Helpers.test "profile rejects v1 and unknown schemas" test_profile_schemas;
       Helpers.test "profile aggregates agree with a real traced solve"
         test_profile_real_trace;
       Helpers.test "regress discovers bench metrics, skips phases" test_regress_extract;
