@@ -202,9 +202,9 @@ let precond_t =
     & opt (enum kinds) None
     & info [ "precond" ] ~docv:"KIND"
         ~doc:
-          "preconditioner for the FV reference solve: $(b,auto) (the full multigrid -> IC(0) \
-           -> Jacobi escalation ladder, the default), or pin $(b,mg), $(b,ic0) or \
-           $(b,jacobi); combine with $(b,--solver-report) to see the iteration counts")
+          "preconditioner for the FV reference solve: $(b,auto) (the IC(0) -> Jacobi -> \
+           direct escalation ladder, the default), or pin $(b,mg), $(b,ic0) or $(b,jacobi); \
+           combine with $(b,--solver-report) to see the iteration counts")
 
 let solver_report_t =
   Arg.(

@@ -156,7 +156,7 @@ let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?bottom_h ?pool ?rungs ?budget p =
     let n = Sparse.rows matrix in
     let max_iter = match max_iter with Some m -> m | None -> Stdlib.max 2000 (40 * n) in
     (* declare the unknowns' tensor-grid layout (Grid.index: ir fastest)
-       so the ladder can top itself with the geometric multigrid rung *)
+       so a pinned multigrid rung can build its hierarchy *)
     let g = p.Problem.grid in
     let shape = [| Grid.nr g; Grid.nz g |] in
     match
@@ -216,8 +216,7 @@ let solve_transient ?(tol = 1e-10) ?bottom_h ?(power = fun _ -> 1.) ?pool ~mater
       Array.init n (fun i -> (p.Problem.source.(i) *. scale) +. (cdt.(i) *. !temps.(i)))
     in
     let x, d =
-      Robust.solve_exn ~tol ~max_iter:(Stdlib.max 2000 (40 * n)) ~x0:!temps ?pool
-        ~shape:[| nr; Grid.nz g |] system rhs
+      Robust.solve_exn ~tol ~max_iter:(Stdlib.max 2000 (40 * n)) ~x0:!temps ?pool system rhs
     in
     temps := x;
     total_iters := !total_iters + d.Diagnostics.iterations;

@@ -8,8 +8,9 @@
     isothermal sink at rise 0; all other boundaries are adiabatic.
 
     The assembled conductance matrix is solved through the
-    {!Ttsv_robust.Robust} escalation ladder (multigrid-, IC(0)- and
-    Jacobi-preconditioned CG, then a direct fallback); every result
+    {!Ttsv_robust.Robust} escalation ladder (IC(0)- then
+    Jacobi-preconditioned CG, then a direct fallback; multigrid-CG when
+    pinned through [rungs]); every result
     carries the ladder's {!Ttsv_robust.Diagnostics.t} and every failure
     is a typed value or typed exception — never a bare [Failure]. *)
 

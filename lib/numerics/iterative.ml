@@ -123,8 +123,8 @@ let rejected n x0 where =
   }
 
 (* Preconditioned conjugate gradients (Jacobi by default, or any
-   [Precond.t] the caller supplies — the Robust ladder passes multigrid
-   and IC(0) here).
+   [Precond.t] the caller supplies — the Robust ladder passes IC(0), and
+   multigrid when pinned, here).
 
    Every reduction (dots, residual norms) goes through the chunked
    [Vec.pdot]/[Vec.pnorm2], whose value does not depend on the pool, and
@@ -162,53 +162,57 @@ let cg ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window
         budget_tick budget;
         Fault.poison "matvec" ax0;
         let r = Vec.sub b ax0 in
-        let z = Precond.apply ?pool m r in
-        let p = Vec.copy z in
         let nb = norm_b_floor b in
-        let rz = ref (Vec.pdot ?pool r z) in
         let res = ref (Vec.pnorm2 ?pool r /. nb) in
         let trace = ref [ !res ] in
         let hist = history_create "cg" in
         history_record hist 0 !res;
         let iter = ref 0 in
-        let best = ref !res and best_iter = ref 0 in
         let status = ref (if !res <= tol then Some Converged else None) in
-        while !status = None && !iter < max_iter do
-          match budget_status budget with
-          | Some s -> status := Some s
-          | None ->
-          incr iter;
-          let ap = Sparse.mul ?pool a p in
-          budget_tick budget;
-          Fault.poison "matvec" ap;
-          let pap = Vec.pdot ?pool p ap in
-          if Float.abs pap < 1e-300 then status := Some (Breakdown "p.Ap underflow")
-          else begin
-            let alpha = !rz /. pap in
-            (* fused: x += alpha p and r -= alpha Ap in one pass *)
-            Vec.paxpy2 ?pool alpha p ap x r;
-            res := Vec.pnorm2 ?pool r /. nb;
-            trace := !res :: !trace;
-            history_record hist !iter !res;
-            if !res <= tol then status := Some Converged
+        (* M^-1 r0 is built only when the loop will run: a start that is
+           already converged (an exact warm start) never reads it *)
+        if !status = None then begin
+          let z = Precond.apply ?pool m r in
+          let p = Vec.copy z in
+          let rz = ref (Vec.pdot ?pool r z) in
+          let best = ref !res and best_iter = ref 0 in
+          while !status = None && !iter < max_iter do
+            match budget_status budget with
+            | Some s -> status := Some s
+            | None ->
+            incr iter;
+            let ap = Sparse.mul ?pool a p in
+            budget_tick budget;
+            Fault.poison "matvec" ap;
+            let pap = Vec.pdot ?pool p ap in
+            if Float.abs pap < 1e-300 then status := Some (Breakdown "p.Ap underflow")
             else begin
-              (match
-                 guard ~window:stagnation_window ~growth:divergence_factor best best_iter
-                   !iter !res
-               with
-              | Some s -> status := Some s
-              | None -> ());
-              if !status = None then begin
-                let z' = Precond.apply ?pool m r in
-                let rz' = Vec.pdot ?pool r z' in
-                let beta = rz' /. !rz in
-                rz := rz';
-                (* fused: p <- z' + beta p in one pass *)
-                Vec.pxpby ?pool z' beta p
+              let alpha = !rz /. pap in
+              (* fused: x += alpha p and r -= alpha Ap in one pass *)
+              Vec.paxpy2 ?pool alpha p ap x r;
+              res := Vec.pnorm2 ?pool r /. nb;
+              trace := !res :: !trace;
+              history_record hist !iter !res;
+              if !res <= tol then status := Some Converged
+              else begin
+                (match
+                   guard ~window:stagnation_window ~growth:divergence_factor best best_iter
+                     !iter !res
+                 with
+                | Some s -> status := Some s
+                | None -> ());
+                if !status = None then begin
+                  let z' = Precond.apply ?pool m r in
+                  let rz' = Vec.pdot ?pool r z' in
+                  let beta = rz' /. !rz in
+                  rz := rz';
+                  (* fused: p <- z' + beta p in one pass *)
+                  Vec.pxpby ?pool z' beta p
+                end
               end
             end
-          end
-        done;
+          done
+        end;
         let status = match !status with Some s -> s | None -> Iteration_limit in
         (* On any exit that did not just verify [res <= tol] the recurrence
            residual may have drifted from the truth (most visibly on p.Ap

@@ -61,8 +61,10 @@ val cg :
     a stronger {!Precond.t} (multigrid, IC(0)) instead — the Jacobi array
     is then never built.  [tol] is the relative residual
     target (default [1e-10]); [max_iter] defaults to [10 * n];
-    [x0] defaults to the zero vector.  The per-iteration residuals are
-    in [trace] (and [conv]).
+    [x0] defaults to the zero vector; an [x0] that already meets [tol]
+    costs one matvec and returns at iteration 0 without applying the
+    preconditioner.  The per-iteration residuals are in [trace] (and
+    [conv]).
     [stagnation_window] (default [max 250 (max_iter / 10)] — Krylov
     residuals legitimately plateau for long stretches before the
     superlinear phase, so the default scales with the budget) and

@@ -1,23 +1,25 @@
 (** Structured solver diagnostics.
 
     {!Robust.solve} climbs an escalation ladder of solver {e rungs} —
-    multigrid-CG (when a grid shape is known), IC(0)-CG, Jacobi-CG and a
-    direct LU backstop; the diagnostics record every attempt — which rung, why it stopped, how
-    many iterations it spent, its final true relative residual, and its
-    wall time — together with the residual trace of the last attempt.
+    IC(0)-CG, Jacobi-CG and a direct LU backstop by default, with
+    multigrid-CG on ladders that pin it; the diagnostics record every
+    attempt — which rung, why it stopped, how many iterations it spent,
+    its final true relative residual, and its wall time — together with
+    the residual trace of the last attempt.
     The record is surfaced through {!Ttsv_fem.Solver.solve},
     {!Ttsv_fem.Solver3.solve} and the CLI's [--solver-report] flag. *)
 
 type rung =
   | Cg_mg
       (** geometric-multigrid-preconditioned conjugate gradients
-          (strongest; needs a structured-grid shape, so it only joins
-          the ladder when one is known) *)
+          (fewest iterations, but its hierarchy setup outweighs a whole
+          IC(0)-CG solve, so it runs only when a [rungs] list pins it;
+          needs a structured-grid shape) *)
   | Cg_ic0  (** IC(0)-preconditioned conjugate gradients (strongest shape-oblivious rung) *)
   | Cg
       (** Jacobi-preconditioned conjugate gradients (no construction
-          step, so it still runs when both preconditioners fail to
-          build) *)
+          step, so it still runs when every preconditioner above it
+          fails to build) *)
   | Direct  (** banded or dense LU fallback *)
 
 type outcome =

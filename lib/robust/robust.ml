@@ -47,10 +47,6 @@ let pp_failure ppf f =
 
 let default_rungs = [ Diagnostics.Cg_ic0; Diagnostics.Cg; Diagnostics.Direct ]
 
-(* the ladder used when a structured-grid [shape] is known: multigrid
-   tops it, everything below is the shape-oblivious default ladder *)
-let mg_rungs = Diagnostics.Cg_mg :: default_rungs
-
 (* Direct solves are the last resort: accept them at a looser floor than
    the iterative target, since there is nothing left to escalate to and an
    LU residual of ~1e-12 on an ill-conditioned system is still the best
@@ -114,16 +110,7 @@ let solve_direct a b =
 
 let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?pool ?rungs
     ?shape ?budget a b =
-  (* without an explicit [rungs] list the ladder adapts to what is
-     known about the system: a structured-grid [shape] promotes the
-     multigrid rung to the top, otherwise the shape-oblivious default
-     ladder runs unchanged *)
-  let rungs =
-    match (rungs, shape) with
-    | Some r, _ -> r
-    | None, Some _ -> mg_rungs
-    | None, None -> default_rungs
-  in
+  let rungs = Option.value rungs ~default:default_rungs in
   let start = Unix.gettimeofday () in
   match preflight a b with
   | _ :: _ as problems ->

@@ -1,9 +1,9 @@
 (** Resilient linear solving: the escalation ladder.
 
-    [solve] climbs a ladder of solver rungs — geometric-multigrid CG
-    first when the structured-grid [shape] is known, then
-    IC(0)-preconditioned CG, then Jacobi-CG, then a direct banded/dense
-    LU fallback — until one of them produces a solution, and returns a
+    [solve] climbs a ladder of solver rungs — IC(0)-preconditioned CG,
+    then Jacobi-CG, then a direct banded/dense LU fallback, with
+    geometric-multigrid CG available to callers that pin it through
+    [rungs] — until one of them produces a solution, and returns a
     {!Diagnostics.t} recording which rungs fired (the preconditioner
     rung included), why the failed ones stopped, and the residual
     history.  Every system the library builds is symmetric positive
@@ -13,7 +13,8 @@
     for multigrid, IC(0) pivot breakdown at every diagonal shift) costs
     zero iterations: the rung is recorded as [Skipped] with the reason
     and the ladder demotes immediately.  Jacobi-CG has no construction
-    step, so it runs whenever both preconditioners fail to build.
+    step, so it runs whenever every preconditioner above it fails to
+    build.
     Inputs containing NaN/Inf (or with mismatched dimensions) are
     rejected up front without spending a single iteration.
 
@@ -47,12 +48,10 @@ val pp_reason : Format.formatter -> reason -> unit
 val pp_failure : Format.formatter -> failure -> unit
 
 val default_rungs : Diagnostics.rung list
-(** [[Cg_ic0; Cg; Direct]] — the ladder used when neither [rungs] nor
-    [shape] is supplied. *)
-
-val mg_rungs : Diagnostics.rung list
-(** [Cg_mg :: default_rungs] — the ladder used when a structured-grid
-    [shape] is supplied without an explicit [rungs] list. *)
+(** [[Cg_ic0; Cg; Direct]] — the ladder used when no [rungs] list is
+    supplied, with or without a [shape].  Multigrid is not on it: its
+    hierarchy setup alone costs more than a whole IC(0)-CG solve at
+    every committed 2-D and 3-D size, so it runs only when pinned. *)
 
 val solve :
   ?tol:float ->
@@ -68,12 +67,12 @@ val solve :
   Ttsv_numerics.Vec.t ->
   (Ttsv_numerics.Vec.t * Diagnostics.t, failure) result
 (** [solve a b] solves [a x = b], escalating through [rungs] (default
-    {!default_rungs}, or {!mg_rungs} when [shape] is given).  [shape]
-    declares that the unknowns live on a structured tensor grid with the
-    given extents (first dimension fastest-varying; the FEM solvers pass
-    [[|nr; nz|]] / [[|nx; ny; nz|]]), which is what the geometric
-    multigrid rung needs to build its hierarchy — a [Cg_mg] rung
-    requested without a [shape] is recorded as
+    {!default_rungs}).  [shape] declares that the unknowns live on a
+    structured tensor grid with the given extents (first dimension
+    fastest-varying; the FEM solvers pass [[|nr; nz|]] /
+    [[|nx; ny; nz|]]); it changes no ladder, but a pinned [Cg_mg] rung
+    needs it to build its hierarchy — a [Cg_mg] rung requested without
+    a [shape] is recorded as
     [Skipped "mg: no structured-grid shape"] and the ladder demotes at
     zero cost.  [tol] (default [1e-10]) is the relative residual
     target; [max_iter] is the per-rung iteration budget of the iterative

@@ -12,7 +12,6 @@ module Robust = Ttsv_robust.Robust
 module Diagnostics = Ttsv_robust.Diagnostics
 module Problem = Ttsv_fem.Problem
 module Solver = Ttsv_fem.Solver
-module Grid = Ttsv_fem.Grid
 module Chip = Ttsv_chip.Chip_model
 module Pm = Ttsv_chip.Power_map
 module Alloc = Ttsv_chip.Allocation
@@ -26,15 +25,15 @@ let m_warm_starts = Metrics.Counter.make "service.warm_starts"
 let m_iterations = Metrics.Counter.make "service.iterations"
 let m_request_wall = Metrics.Histogram.make "service.request_seconds"
 
-type operator = { matrix : Sparse.t; shape : int array; source : Vec.t }
+type operator = { matrix : Sparse.t; source : Vec.t }
 
 type t = {
   pool : Pool.t option;
   operators : operator Cache.t;
-  preconds : (string * Precond.t) option Cache.t;
-      (* [None] is a cached "no preconditioner builds for this operator":
-         the construction failure is as expensive to rediscover as the
-         setup itself *)
+  preconds : Precond.t option Cache.t;
+      (* IC(0) factors; [None] is a cached "IC(0) does not build for this
+         operator": the construction failure is as expensive to
+         rediscover as the setup itself *)
   solutions : Vec.t Cache.t;
 }
 
@@ -124,8 +123,9 @@ let ( let* ) = Result.bind
    from the operator cache, preconditioner setup from the precond cache,
    initial guess from the solution cache (exact key hit first, else the
    freshest dimension-compatible field).  The fast path runs one
-   preconditioned CG; anything unconverged falls back to the full Robust
-   ladder, warm-started from the fast attempt's iterate. *)
+   IC(0)-CG, the default ladder's first rung; anything unconverged falls
+   back to the full Robust ladder, warm-started from the fast attempt's
+   iterate. *)
 let solve_field t ?budget (s : P.solve) =
   let* () = check_solve s in
   let* stack = stack_of_geometry s.geometry in
@@ -137,9 +137,7 @@ let solve_field t ?budget (s : P.solve) =
       let op =
         Obs_span.with_ ~name:"service.assemble" (fun () ->
             let p = Problem.of_stack ~resolution:s.resolution stack in
-            let matrix = Solver.assemble ?pool:t.pool p in
-            let g = p.Problem.grid in
-            { matrix; shape = [| Grid.nr g; Grid.nz g |]; source = p.Problem.source })
+            { matrix = Solver.assemble ?pool:t.pool p; source = p.Problem.source })
       in
       Cache.add t.operators key op;
       (op, false)
@@ -150,12 +148,7 @@ let solve_field t ?budget (s : P.solve) =
     | None ->
       let pc =
         Obs_span.with_ ~name:"service.precond_setup" (fun () ->
-            match Precond.mg ?pool:t.pool ~shape:op.shape op.matrix with
-            | Ok m -> Some ("cg-mg", m)
-            | Error _ -> (
-              match Precond.ic0 op.matrix with
-              | Ok m -> Some ("cg-ic0", m)
-              | Error _ -> None))
+            Result.to_option (Precond.ic0 op.matrix))
       in
       Cache.add t.preconds key pc;
       (pc, false)
@@ -180,22 +173,25 @@ let solve_field t ?budget (s : P.solve) =
     Obs_span.with_ ~name:"service.solve" @@ fun () ->
     let fast =
       Option.map
-        (fun (_, m) ->
+        (fun m ->
           Iterative.cg ~tol:s.tol ~max_iter ?x0 ?pool:t.pool ~precond:m ?budget op.matrix
             op.source)
         precond
     in
-    match (fast, precond) with
-    | Some r, Some (rung, _) when r.Iterative.converged ->
-      Ok (r.Iterative.solution, r.Iterative.iterations, r.Iterative.residual, rung)
+    match fast with
+    | Some r when r.Iterative.converged ->
+      Ok
+        ( r.Iterative.solution,
+          r.Iterative.iterations,
+          r.Iterative.residual,
+          Diagnostics.rung_name Diagnostics.Cg_ic0 )
     | _ -> (
       (* the fast path missed (or there was no preconditioner): run the
          full escalation ladder, seeded with the best iterate so far *)
       let fast_iters = match fast with Some r -> r.Iterative.iterations | None -> 0 in
       let x0 = match fast with Some r -> Some r.Iterative.solution | None -> x0 in
       match
-        Robust.solve ~tol:s.tol ~max_iter ?x0 ?pool:t.pool ~shape:op.shape ?budget op.matrix
-          op.source
+        Robust.solve ~tol:s.tol ~max_iter ?x0 ?pool:t.pool ?budget op.matrix op.source
       with
       | Ok (x, d) ->
         let rung =

@@ -4,12 +4,10 @@
     {!Protocol.solve_key}:
 
     - {b operators}: assembled CSR conductance matrices with their
-      tensor-grid shape and source vector — skips meshing + assembly on
-      a repeated geometry;
-    - {b preconds}: preconditioner setups (the multigrid hierarchy when
-      it builds, IC(0) factors otherwise) — the single biggest
-      per-request win, since ~60 % of a multigrid solve's wall time is
-      one-time hierarchy setup;
+      source vector — skips meshing + assembly on a repeated geometry;
+    - {b preconds}: IC(0) factors for the fast path's one
+      preconditioned CG — a repeated geometry skips the O(nnz)
+      factorization;
     - {b solutions}: previous temperature fields, used to warm-start
       repeated queries (exact key hit) and nearby ones (freshest
       dimension-compatible field), which converge in a fraction of the

@@ -178,6 +178,24 @@ let unit_tests =
             true
             (String.length e >= 6 && String.sub e 0 6 = "budget")
         | Ok _ -> Alcotest.fail "build succeeded with an expired budget");
+    test "CG from an exact x0 spends one matvec and no V-cycle" (fun () ->
+        (* the initial residual already meets tol, so M^-1 r0 is never
+           built: the budget sees the initial matvec and nothing else *)
+        let nx = 16 and ny = 16 in
+        let a = model_poisson nx ny ~ax:1. ~ay:4. in
+        let x0 = pseudo (nx * ny) 3 in
+        let b = Sparse.mat_vec a x0 in
+        let budget = Budget.make () in
+        let pc =
+          match Precond.mg ~budget ~shape:[| nx; ny |] a with
+          | Ok p -> p
+          | Error e -> Alcotest.fail e
+        in
+        let before = Budget.work_spent budget in
+        let r = Iterative.cg ~x0 ~precond:pc ~budget a b in
+        Alcotest.(check bool) "converged" true r.Iterative.converged;
+        Alcotest.(check int) "iterations" 0 r.Iterative.iterations;
+        Alcotest.(check int) "work spent by the solve" 1 (Budget.work_spent budget - before));
     test "cycle rejects a residual of the wrong dimension" (fun () ->
         let a = model_poisson 8 8 ~ax:1. ~ay:1. in
         let h = build_exn ~shape:[| 8; 8 |] a in

@@ -208,7 +208,7 @@ let ladder_tests =
           && d.Diagnostics.solved_by = Some Diagnostics.Cg_ic0
           && List.length d.Diagnostics.attempts = 1
           && (List.hd d.Diagnostics.attempts).Diagnostics.outcome = Diagnostics.Success);
-    test "census: mg-CG answers the fig5 FV solve at 2-D res 1-3 in one attempt" (fun () ->
+    test "census: IC(0)-CG answers the fig5 FV solve at 2-D res 1-3 in one attempt" (fun () ->
         (* the rungs below the top one exist for failures; on the
            paper's own geometry the ladder never needs them *)
         List.iter
@@ -220,13 +220,49 @@ let ladder_tests =
               let d = r.Solver.diagnostics in
               Alcotest.(check (option string))
                 (Printf.sprintf "res %d solved by" resolution)
-                (Some "cg-mg")
+                (Some "cg-ic0")
                 (Option.map Diagnostics.rung_name d.Diagnostics.solved_by);
               Alcotest.(check int)
                 (Printf.sprintf "res %d attempts" resolution)
                 1
                 (List.length d.Diagnostics.attempts))
           [ 1; 2; 3 ]);
+    test "the default ladder keeps the mg-pinned answer on the 8 corners of the fv2d box"
+      (fun () ->
+        (* r x t_L x t_Si23 in {2, 10} x {0.5, 3} x {10, 45} um at 2-D
+           res 3: IC(0)-CG and a ladder pinned to multigrid-CG reach the
+           same max rise, and both solves conserve energy *)
+        let corners =
+          List.concat_map
+            (fun r ->
+              List.concat_map (fun tl -> List.map (fun ts -> (r, tl, ts)) [ 10.; 45. ]) [ 0.5; 3. ])
+            [ 2.; 10. ]
+        in
+        List.iter
+          (fun (r, tl, ts) ->
+            let at = Printf.sprintf "r=%g t_L=%g t_Si23=%g" r tl ts in
+            let p =
+              Problem.of_stack ~resolution:3
+                (Params.block ~r:(Units.um r) ~t_liner:(Units.um tl) ~t_si23:(Units.um ts) ())
+            in
+            let solve ?rungs expected =
+              match Solver.try_solve ?rungs p with
+              | Error f -> Alcotest.failf "%s failed: %a" at Robust.pp_failure f
+              | Ok res ->
+                Alcotest.(check (option string))
+                  (at ^ " solved by")
+                  (Some (Diagnostics.rung_name expected))
+                  (Option.map Diagnostics.rung_name res.Solver.diagnostics.Diagnostics.solved_by);
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s %s energy imbalance %.3g" at
+                     (Diagnostics.rung_name expected) (Solver.energy_imbalance res))
+                  true
+                  (Solver.energy_imbalance res <= 1e-6);
+                Solver.max_rise res
+            in
+            let mg = solve ~rungs:[ Diagnostics.Cg_mg; Diagnostics.Direct ] Diagnostics.Cg_mg in
+            close_rel ~tol:1e-8 (at ^ " max rise") mg (solve Diagnostics.Cg_ic0))
+          corners);
   ]
 
 let validate_tests =
