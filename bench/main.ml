@@ -527,7 +527,7 @@ let run_multigrid () =
    [Engine.handle_batch] call, at batch sizes 1/10/100 (and 1000 when
    not small).  Batch 1 pays the cold cost — assembly, preconditioner
    setup, zero-start solve — on every single request; larger batches
-   amortise all three cache levels across the repeats, which is the
+   amortise both cache levels across the repeats, which is the
    >= 3x batch-100-over-batch-1 throughput floor [obs_check service]
    gates on.  Hit rates are harvested from the [service.cache.*]
    counters in the metrics registry, not from the engine, so the number

@@ -537,11 +537,10 @@ let serve_cmd =
     Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)
   in
   let operators_t = cap "cache-operators" 32 "assembled-operator cache capacity (LRU)" in
-  let preconds_t = cap "cache-preconds" 32 "preconditioner-setup cache capacity (LRU)" in
   let solutions_t = cap "cache-solutions" 64 "warm-start solution cache capacity (LRU)" in
-  let run batch operators preconds solutions domains () =
+  let run batch operators solutions domains () =
     with_pool domains @@ fun pool ->
-    let engine = Engine.create ~pool ~operators ~preconds ~solutions () in
+    let engine = Engine.create ~pool ~operators ~solutions () in
     let answered = Engine.serve ~batch engine stdin stdout in
     Format.eprintf "served %d request(s), cache hit rate %.2f@." answered
       (Engine.hit_rate engine)
@@ -555,15 +554,15 @@ let serve_cmd =
           `P
             "Reads one ttsv.request.v1 JSON object per line from stdin and writes one \
              ttsv.response.v1 object per line to stdout, in input order.  Repeated or \
-             nearby geometries are served from bounded LRU caches (assembled operators, \
-             preconditioner setups, warm-start solutions); malformed lines yield typed \
+             nearby geometries are served from bounded LRU caches (assembled operators and \
+             warm-start solutions); malformed lines yield typed \
              error responses, never a crash.  Combine with $(b,--trace)/$(b,--metrics) to \
              profile a serving session with obs_report.";
         ]
   in
   Cmd.v info
     Term.(
-      const run $ batch_t $ operators_t $ preconds_t $ solutions_t $ domains_t $ obs_t)
+      const run $ batch_t $ operators_t $ solutions_t $ domains_t $ obs_t)
 
 (* ------------------------------------------------------------------ export *)
 

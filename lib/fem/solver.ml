@@ -128,7 +128,7 @@ let assemble ?pool ?bottom_h ?extra_diagonal p =
 
 (* Reject physically meaningless fields before assembling: a single NaN
    conductivity or source poisons the whole system. *)
-let check_problem (p : Problem.t) =
+let check_fields ~conductivity ~source =
   let bad name arr pred =
     match Array.exists (fun v -> not (pred v)) arr with
     | false -> []
@@ -137,21 +137,24 @@ let check_problem (p : Problem.t) =
       Array.iteri (fun j v -> if not (pred v) && !i = 0 then i := j) arr;
       [ Printf.sprintf "%s contains invalid entries (first at cell %d)" name !i ]
   in
-  bad "conductivity field" p.Problem.conductivity (fun k -> Float.is_finite k && k > 0.)
-  @ bad "source field" p.Problem.source Float.is_finite
-
-let invalid_input problems =
-  {
-    Robust.reason = Robust.Invalid_input problems;
-    diagnostics = Diagnostics.empty;
-    best = None;
-    best_residual = Float.nan;
-  }
+  match
+    bad "conductivity field" conductivity (fun k -> Float.is_finite k && k > 0.)
+    @ bad "source field" source Float.is_finite
+  with
+  | [] -> Ok ()
+  | problems ->
+    Error
+      {
+        Robust.reason = Robust.Invalid_input problems;
+        diagnostics = Diagnostics.empty;
+        best = None;
+        best_residual = Float.nan;
+      }
 
 let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?bottom_h ?pool ?rungs ?budget p =
-  match check_problem p with
-  | _ :: _ as problems -> Error (invalid_input problems)
-  | [] -> (
+  match check_fields ~conductivity:p.Problem.conductivity ~source:p.Problem.source with
+  | Error f -> Error f
+  | Ok () -> (
     let matrix = assemble ?pool ?bottom_h p in
     let n = Sparse.rows matrix in
     let max_iter = match max_iter with Some m -> m | None -> Stdlib.max 2000 (40 * n) in

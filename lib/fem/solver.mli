@@ -35,6 +35,28 @@ val assemble :
     pool; chunk boundaries and per-row evaluation order are fixed, so the
     pooled matrix is bitwise identical to the sequential one. *)
 
+val record_assembly : Ttsv_numerics.Sparse.t -> Ttsv_numerics.Sparse.t
+(** [record_assembly m] sets the [assembly.nnz] and [grid.cells] gauges
+    (and traces an [assembly.nnz] event) from [m], then returns [m]: one
+    set of instruments for the 2-D and 3-D assemblers. *)
+
+val face_conductance : float -> float -> float -> float -> float -> float
+(** [face_conductance a d1 k1 d2 k2]: series (harmonic) conductance, W/K,
+    of a face of area [a] between half cells of depth/conductivity
+    [d1]/[k1] and [d2]/[k2]. *)
+
+val find_cell : float array -> float -> int
+(** [find_cell faces x] is the index of the cell of the increasing
+    [faces] array that holds [x], clamped to the first or last cell. *)
+
+val check_fields :
+  conductivity:float array ->
+  source:float array ->
+  (unit, Ttsv_robust.Robust.failure) Stdlib.result
+(** [Ok ()] when every conductivity is finite and positive and every
+    source finite, else an [Invalid_input] failure naming each field's
+    first bad cell; {!try_solve} and {!Solver3.try_solve} run it first. *)
+
 val try_solve :
   ?tol:float ->
   ?max_iter:int ->

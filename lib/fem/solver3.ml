@@ -2,23 +2,6 @@ module Sparse = Ttsv_numerics.Sparse
 module Robust = Ttsv_robust.Robust
 module Diagnostics = Ttsv_robust.Diagnostics
 module Obs_span = Ttsv_obs.Span
-module Obs_metrics = Ttsv_obs.Metrics
-
-(* same interned instruments as the 2-D solver: "assembly.nnz" and
-   "grid.cells" describe whichever assembly ran last *)
-let m_nnz = Obs_metrics.Gauge.make "assembly.nnz"
-let m_cells = Obs_metrics.Gauge.make "grid.cells"
-
-let record_assembly matrix =
-  if Ttsv_obs.Flags.enabled () then begin
-    let nnz = Sparse.nnz matrix in
-    Obs_metrics.Gauge.set m_nnz (float_of_int nnz);
-    Obs_metrics.Gauge.set m_cells (float_of_int (Sparse.rows matrix));
-    if Ttsv_obs.Flags.trace_on () then
-      Ttsv_obs.Sink.metric ?span:(Obs_span.current ()) ~kind:"gauge" ~name:"assembly.nnz"
-        (Ttsv_obs.Json.Int nnz)
-  end;
-  matrix
 
 type result = {
   problem : Problem3.t;
@@ -27,8 +10,6 @@ type result = {
   residual : float;
   diagnostics : Diagnostics.t;
 }
-
-let face_conductance a d1 k1 d2 k2 = a /. ((d1 /. k1) +. (d2 /. k2))
 
 (* Row-direct CSR assembly, mirroring the 2-D {!Solver.assemble}: every
    row is built independently with neighbour columns in ascending order
@@ -44,21 +25,21 @@ let assemble_rows ?pool (p : Problem3.t) =
   let plane = nx * ny in
   let k ix iy iz = p.Problem3.conductivity.(Grid3.index g ix iy iz) in
   let cond_x ix iy iz =
-    face_conductance (Grid3.face_area_x g iy iz)
+    Solver.face_conductance (Grid3.face_area_x g iy iz)
       (0.5 *. Grid3.dx g ix)
       (k ix iy iz)
       (0.5 *. Grid3.dx g (ix + 1))
       (k (ix + 1) iy iz)
   in
   let cond_y ix iy iz =
-    face_conductance (Grid3.face_area_y g ix iz)
+    Solver.face_conductance (Grid3.face_area_y g ix iz)
       (0.5 *. Grid3.dy g iy)
       (k ix iy iz)
       (0.5 *. Grid3.dy g (iy + 1))
       (k ix (iy + 1) iz)
   in
   let cond_z ix iy iz =
-    face_conductance (Grid3.face_area_z g ix iy)
+    Solver.face_conductance (Grid3.face_area_z g ix iy)
       (0.5 *. Grid3.dz g iz)
       (k ix iy iz)
       (0.5 *. Grid3.dz g (iz + 1))
@@ -116,31 +97,34 @@ let assemble_rows ?pool (p : Problem3.t) =
 
 let assemble ?pool p =
   Obs_span.with_ ~name:"solver3.assemble" (fun () ->
-      record_assembly (assemble_rows ?pool p))
+      Solver.record_assembly (assemble_rows ?pool p))
 
 let try_solve ?(tol = 1e-9) ?max_iter ?x0 ?pool ?rungs ?budget p =
-  let matrix = assemble ?pool p in
-  let n = Sparse.rows matrix in
-  let max_iter = match max_iter with Some m -> m | None -> Stdlib.max 4000 (10 * n) in
-  (* Grid3.index: ix fastest, then iy, then iz — the multigrid rung's
-     tensor-grid layout *)
-  let g3 = p.Problem3.grid in
-  let shape = [| Grid3.nx g3; Grid3.ny g3; Grid3.nz g3 |] in
-  match
-    Obs_span.with_ ~name:"solver3.solve" (fun () ->
-        Robust.solve ~tol ~max_iter ?x0 ?pool ?rungs ~shape ?budget matrix
-          p.Problem3.source)
-  with
+  match Solver.check_fields ~conductivity:p.Problem3.conductivity ~source:p.Problem3.source with
   | Error f -> Error f
-  | Ok (x, d) ->
-    Ok
-      {
-        problem = p;
-        temps = x;
-        iterations = d.Diagnostics.iterations;
-        residual = d.Diagnostics.residual;
-        diagnostics = d;
-      }
+  | Ok () -> (
+    let matrix = assemble ?pool p in
+    let n = Sparse.rows matrix in
+    let max_iter = match max_iter with Some m -> m | None -> Stdlib.max 4000 (10 * n) in
+    (* Grid3.index: ix fastest, then iy, then iz — the multigrid rung's
+       tensor-grid layout *)
+    let g3 = p.Problem3.grid in
+    let shape = [| Grid3.nx g3; Grid3.ny g3; Grid3.nz g3 |] in
+    match
+      Obs_span.with_ ~name:"solver3.solve" (fun () ->
+          Robust.solve ~tol ~max_iter ?x0 ?pool ?rungs ~shape ?budget matrix
+            p.Problem3.source)
+    with
+    | Error f -> Error f
+    | Ok (x, d) ->
+      Ok
+        {
+          problem = p;
+          temps = x;
+          iterations = d.Diagnostics.iterations;
+          residual = d.Diagnostics.residual;
+          diagnostics = d;
+        })
 
 let solve ?tol ?max_iter ?x0 ?pool ?rungs ?budget p =
   match try_solve ?tol ?max_iter ?x0 ?pool ?rungs ?budget p with
@@ -149,24 +133,11 @@ let solve ?tol ?max_iter ?x0 ?pool ?rungs ?budget p =
 
 let max_rise r = Array.fold_left Float.max 0. r.temps
 
-let find_cell faces x =
-  let n = Array.length faces - 1 in
-  if x <= faces.(0) then 0
-  else if x >= faces.(n) then n - 1
-  else begin
-    let lo = ref 0 and hi = ref n in
-    while !hi - !lo > 1 do
-      let m = (!lo + !hi) / 2 in
-      if faces.(m) <= x then lo := m else hi := m
-    done;
-    !lo
-  end
-
 let rise_at res ~x ~y ~z =
   let g = res.problem.Problem3.grid in
-  let ix = find_cell g.Grid3.x_faces x in
-  let iy = find_cell g.Grid3.y_faces y in
-  let iz = find_cell g.Grid3.z_faces z in
+  let ix = Solver.find_cell g.Grid3.x_faces x in
+  let iy = Solver.find_cell g.Grid3.y_faces y in
+  let iz = Solver.find_cell g.Grid3.z_faces z in
   res.temps.(Grid3.index g ix iy iz)
 
 let sink_heat_flow res =

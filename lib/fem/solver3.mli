@@ -29,7 +29,10 @@ val try_solve :
   Problem3.t ->
   (result, Ttsv_robust.Robust.failure) Stdlib.result
 (** [try_solve p] assembles and solves ([tol] defaults to [1e-9]);
-    every failure is a typed {!Ttsv_robust.Robust.failure}.  [x0]
+    every failure is a typed {!Ttsv_robust.Robust.failure}.  Non-finite
+    or non-positive conductivities and non-finite sources are rejected
+    up front as [Invalid_input] by {!Solver.check_fields}, as in the
+    2-D solver.  [x0]
     warm-starts the iterative rungs from a nearby solution.  [pool]
     parallelizes assembly and the iterative rungs without changing any
     computed bit.  [rungs] overrides the escalation ladder.  [budget]

@@ -63,6 +63,12 @@ let pp_status ppf = function
 
 let norm_b_floor b = Float.max (Vec.norm2 b) 1e-300
 
+(* ||b - A x|| / ||b|| through the kernels of [cg]'s start test: the
+   chunked, pool-independent norm, so the value is bitwise the residual
+   [cg] would start from at [x]. *)
+let relative_residual ?pool a b x =
+  Vec.pnorm2 ?pool (Vec.sub b (Sparse.mul ?pool a x)) /. norm_b_floor b
+
 (* Budget poll, once per Krylov iteration: overshoot past a deadline is
    bounded by a single iteration (plus the final true-residual matvec). *)
 let budget_status = function
@@ -219,9 +225,7 @@ let cg ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window
            breakdown, where the loop aborts with a stale update); recompute
            the true residual so [converged] cannot lie. *)
         let residual =
-          match status with
-          | Converged -> !res
-          | _ -> Vec.pnorm2 ?pool (Vec.sub b (Sparse.mul ?pool a x)) /. nb
+          match status with Converged -> !res | _ -> relative_residual ?pool a b x
         in
         let converged = Float.is_finite residual && residual <= tol in
         record_attempt !iter residual;

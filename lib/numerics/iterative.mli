@@ -44,6 +44,11 @@ type result = {
 
 val pp_status : Format.formatter -> status -> unit
 
+val relative_residual : ?pool:Ttsv_parallel.Pool.t -> Sparse.t -> Vec.t -> Vec.t -> float
+(** [relative_residual a b x] is [||b - A x|| / ||b||] computed with the
+    kernels of {!cg}'s start test (chunked, pool-independent norm), so
+    it equals bitwise the residual {!cg} would start from at [x0 = x]. *)
+
 val cg :
   ?tol:float ->
   ?max_iter:int ->

@@ -41,7 +41,8 @@ type attempt = {
       (** this attempt's own bounded convergence history, kept even when
           the ladder escalates past a failed rung — present only when
           observability was enabled during the solve; [None] for direct
-          and skipped rungs *)
+          and skipped rungs, and for a converged start (an [x0] that
+          already met [tol], answered at 0 iterations) *)
 }
 
 type t = {
@@ -53,7 +54,8 @@ type t = {
   conv : Ttsv_obs.History.snapshot option;
       (** bounded convergence history of the deciding attempt — present
           only when observability was enabled during the solve (see
-          {!Ttsv_numerics.Iterative.result}); [None] for direct solves.
+          {!Ttsv_numerics.Iterative.result}); [None] for direct solves
+          and converged starts.
           Failed rungs keep their own history in [attempts]. *)
   wall_time : float;  (** total seconds *)
 }

@@ -76,7 +76,14 @@ val solve :
     [Skipped "mg: no structured-grid shape"] and the ladder demotes at
     zero cost.  [tol] (default [1e-10]) is the relative residual
     target; [max_iter] is the per-rung iteration budget of the iterative
-    rungs (default [10 * n] each).  [stagnation_window] and
+    rungs (default [10 * n] each).  [x0] is the first iterative rung's
+    initial guess; each later rung starts from the best iterate so far.
+    An [x0] that already meets [tol] (by
+    {!Ttsv_numerics.Iterative.relative_residual}, checked after the
+    input scan and before anything else) is the first rung's answer:
+    one [Success] attempt at 0 iterations, no preconditioner built, no
+    budget polled — an exact warm start is answered even under an
+    expired budget.  [stagnation_window] and
     [divergence_factor] are passed through to
     {!Ttsv_numerics.Iterative.cg} for every iterative rung.  The direct rung builds a pivotless banded LU
     when the bandwidth is narrow, retries with dense partial-pivoting LU

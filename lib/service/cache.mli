@@ -1,7 +1,7 @@
 (** Bounded, thread-safe LRU cache — one instance per cache level.
 
-    The engine keeps three of these (assembled operators, preconditioner
-    setups, previous solutions), all keyed by the canonical
+    The engine keeps two of these (assembled operators and previous
+    solutions), both keyed by the canonical
     {!Protocol.solve_key} string.  Capacity is a hard bound: inserting
     into a full cache evicts the least-recently-used entry.  Every
     operation takes the cache's mutex, so batch workers on different

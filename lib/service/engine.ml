@@ -1,8 +1,6 @@
 module P = Protocol
 module Sparse = Ttsv_numerics.Sparse
 module Vec = Ttsv_numerics.Vec
-module Iterative = Ttsv_numerics.Iterative
-module Precond = Ttsv_numerics.Precond
 module Pool = Ttsv_parallel.Pool
 module Budget = Ttsv_parallel.Budget
 module Units = Ttsv_physics.Units
@@ -30,29 +28,18 @@ type operator = { matrix : Sparse.t; source : Vec.t }
 type t = {
   pool : Pool.t option;
   operators : operator Cache.t;
-  preconds : Precond.t option Cache.t;
-      (* IC(0) factors; [None] is a cached "IC(0) does not build for this
-         operator": the construction failure is as expensive to
-         rediscover as the setup itself *)
   solutions : Vec.t Cache.t;
 }
 
-let create ?pool ?(operators = 32) ?(preconds = 32) ?(solutions = 64) () =
+let create ?pool ?(operators = 32) ?(solutions = 64) () =
   {
     pool;
     operators = Cache.create ~name:"operator" ~capacity:operators ();
-    preconds = Cache.create ~name:"precond" ~capacity:preconds ();
     solutions = Cache.create ~name:"solution" ~capacity:solutions ();
   }
 
-let cache_stats t =
-  List.map
-    (fun stats -> stats ())
-    [
-      (fun () -> (Cache.name t.operators, (Cache.hits t.operators, Cache.misses t.operators, Cache.evictions t.operators)));
-      (fun () -> (Cache.name t.preconds, (Cache.hits t.preconds, Cache.misses t.preconds, Cache.evictions t.preconds)));
-      (fun () -> (Cache.name t.solutions, (Cache.hits t.solutions, Cache.misses t.solutions, Cache.evictions t.solutions)));
-    ]
+let level_stats c = (Cache.name c, (Cache.hits c, Cache.misses c, Cache.evictions c))
+let cache_stats t = [ level_stats t.operators; level_stats t.solutions ]
 
 let hit_rate t =
   let hits, misses =
@@ -120,12 +107,10 @@ let error_of_failure (f : Robust.failure) =
 let ( let* ) = Result.bind
 
 (* The cached-solve core shared by solve and sweep requests: operator
-   from the operator cache, preconditioner setup from the precond cache,
-   initial guess from the solution cache (exact key hit first, else the
-   freshest dimension-compatible field).  The fast path runs one
-   IC(0)-CG, the default ladder's first rung; anything unconverged falls
-   back to the full Robust ladder, warm-started from the fast attempt's
-   iterate. *)
+   from the operator cache, initial guess from the solution cache (exact
+   key hit first, else the freshest dimension-compatible field), then
+   the Robust ladder — which answers an exact hit at 0 iterations
+   without building a preconditioner. *)
 let solve_field t ?budget (s : P.solve) =
   let* () = check_solve s in
   let* stack = stack_of_geometry s.geometry in
@@ -141,17 +126,6 @@ let solve_field t ?budget (s : P.solve) =
       in
       Cache.add t.operators key op;
       (op, false)
-  in
-  let precond, precond_hit =
-    match Cache.find t.preconds key with
-    | Some pc -> (pc, true)
-    | None ->
-      let pc =
-        Obs_span.with_ ~name:"service.precond_setup" (fun () ->
-            Result.to_option (Precond.ic0 op.matrix))
-      in
-      Cache.add t.preconds key pc;
-      (pc, false)
   in
   let n = Array.length op.source in
   let x0, warm =
@@ -169,52 +143,22 @@ let solve_field t ?budget (s : P.solve) =
     | None -> Option.map (fun d -> Budget.make ~deadline_s:d ()) s.deadline_s
   in
   let max_iter = Stdlib.max 2000 (40 * n) in
-  let outcome =
-    Obs_span.with_ ~name:"service.solve" @@ fun () ->
-    let fast =
-      Option.map
-        (fun m ->
-          Iterative.cg ~tol:s.tol ~max_iter ?x0 ?pool:t.pool ~precond:m ?budget op.matrix
-            op.source)
-        precond
-    in
-    match fast with
-    | Some r when r.Iterative.converged ->
-      Ok
-        ( r.Iterative.solution,
-          r.Iterative.iterations,
-          r.Iterative.residual,
-          Diagnostics.rung_name Diagnostics.Cg_ic0 )
-    | _ -> (
-      (* the fast path missed (or there was no preconditioner): run the
-         full escalation ladder, seeded with the best iterate so far *)
-      let fast_iters = match fast with Some r -> r.Iterative.iterations | None -> 0 in
-      let x0 = match fast with Some r -> Some r.Iterative.solution | None -> x0 in
-      match
-        Robust.solve ~tol:s.tol ~max_iter ?x0 ?pool:t.pool ?budget op.matrix op.source
-      with
-      | Ok (x, d) ->
-        let rung =
-          match d.Diagnostics.solved_by with
-          | Some r -> Diagnostics.rung_name r
-          | None -> "unknown"
-        in
-        Ok (x, fast_iters + d.Diagnostics.iterations, d.Diagnostics.residual, rung)
-      | Error f -> Error (error_of_failure f))
-  in
-  match outcome with
-  | Error e -> Error e
-  | Ok (x, iterations, residual, rung) ->
+  match
+    Obs_span.with_ ~name:"service.solve" (fun () ->
+        Robust.solve ~tol:s.tol ~max_iter ?x0 ?pool:t.pool ?budget op.matrix op.source)
+  with
+  | Error f -> Error (error_of_failure f)
+  | Ok (x, d) ->
     Cache.add t.solutions key x;
-    Metrics.Counter.add m_iterations iterations;
+    Metrics.Counter.add m_iterations d.Diagnostics.iterations;
     let max_rise_k = Array.fold_left Float.max 0. x in
     Ok
       {
         P.max_rise_k;
-        iterations;
-        residual;
-        rung;
-        cache = { P.operator_hit; precond_hit; warm };
+        iterations = d.Diagnostics.iterations;
+        residual = d.Diagnostics.residual;
+        rung = Option.fold ~none:"unknown" ~some:Diagnostics.rung_name d.Diagnostics.solved_by;
+        cache = { P.operator_hit; precond_hit = false; warm };
         wall_s = 0.;  (* stamped by the caller *)
       }
 

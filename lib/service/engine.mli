@@ -1,18 +1,19 @@
 (** The batch solve engine behind [ttsv_cli serve].
 
-    One engine owns three {!Cache} levels, all keyed by the canonical
+    One engine owns two {!Cache} levels, both keyed by the canonical
     {!Protocol.solve_key}:
 
     - {b operators}: assembled CSR conductance matrices with their
       source vector — skips meshing + assembly on a repeated geometry;
-    - {b preconds}: IC(0) factors for the fast path's one
-      preconditioned CG — a repeated geometry skips the O(nnz)
-      factorization;
     - {b solutions}: previous temperature fields, used to warm-start
       repeated queries (exact key hit) and nearby ones (freshest
       dimension-compatible field), which converge in a fraction of the
       cold-start iterations.
 
+    Every solve runs the {!Ttsv_robust.Robust} ladder on the cached
+    operator.  A warm start that already meets the request's [tol] (an
+    exact hit, as a rule) is the ladder's answer at 0 iterations, with
+    no preconditioner built.
     Every request is handled inside a [service.request] span and feeds
     [service.*] metrics; every failure path maps to a typed
     {!Protocol.error} response — an engine never lets an exception
@@ -23,14 +24,13 @@ type t
 val create :
   ?pool:Ttsv_parallel.Pool.t ->
   ?operators:int ->
-  ?preconds:int ->
   ?solutions:int ->
   unit ->
   t
 (** [create ()] builds an engine with the given per-level cache
-    capacities (defaults: 32 operators, 32 preconditioner setups, 64
-    solutions).  [pool], when given, shards batches across its domains
-    and parallelizes assembly/solve kernels. *)
+    capacities (defaults: 32 operators, 64 solutions).  [pool], when
+    given, shards batches across its domains and parallelizes
+    assembly/solve kernels. *)
 
 val handle : t -> Protocol.request -> Protocol.response
 (** Handle one request; total (never raises). *)
@@ -52,7 +52,7 @@ val serve : ?batch:int -> t -> in_channel -> out_channel -> int
 
 val cache_stats : t -> (string * (int * int * int)) list
 (** Per-level [(name, (hits, misses, evictions))], in (operator,
-    precond, solution) order. *)
+    solution) order. *)
 
 val hit_rate : t -> float
-(** Pooled hit rate over all three levels; 0 before any lookup. *)
+(** Pooled hit rate over both levels; 0 before any lookup. *)

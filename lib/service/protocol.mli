@@ -86,7 +86,13 @@ type error = {
 
 type warm = Cold | Warm_exact | Warm_neighbour
 
-type cache_info = { operator_hit : bool; precond_hit : bool; warm : warm }
+type cache_info = {
+  operator_hit : bool;
+  precond_hit : bool;
+      (** always [false]: the engine caches no preconditioner; kept
+          (wire field ["precond"]) for readers of [ttsv.response.v1] *)
+  warm : warm;
+}
 (** Which cache levels served this solve — the per-response view of the
     engine's hit counters. *)
 

@@ -1,6 +1,8 @@
 (* Tests for the 3-D Cartesian finite-volume solver. *)
 
 module Units = Ttsv_physics.Units
+module Params = Ttsv_core.Params
+module Robust = Ttsv_robust.Robust
 module Tsv = Ttsv_geometry.Tsv
 module Plane = Ttsv_geometry.Plane
 module Stack = Ttsv_geometry.Stack
@@ -113,6 +115,27 @@ let solver_tests =
           (Printf.sprintf "square %.3f vs cylinder %.3f within 6%%" a b)
           true
           (Float.abs (a -. b) /. b < 0.06));
+    test "a zero-conductivity cell is rejected up front, as in 2-D" (fun () ->
+        let p = Problem3.of_stack ~resolution:1 (Params.fig5_stack (Units.um 1.)) in
+        let n = Array.length p.Problem3.conductivity in
+        let conductivity = Array.copy p.Problem3.conductivity in
+        conductivity.(n / 2) <- 0.;
+        match Solver3.try_solve { p with Problem3.conductivity } with
+        | Ok r ->
+          Alcotest.failf "solved to %.4g K in %d iterations" (Solver3.max_rise r)
+            r.Solver3.iterations
+        | Error f -> (
+          match f.Robust.reason with
+          | Robust.Invalid_input problems ->
+            Alcotest.(check (list string))
+              "names the cell"
+              [
+                Printf.sprintf "conductivity field contains invalid entries (first at cell %d)"
+                  (n / 2);
+              ]
+              problems
+          | Robust.Exhausted | Robust.Deadline_exceeded ->
+            Alcotest.fail "expected Invalid_input"));
     test "via cluster: centers land on a grid and must fit" (fun () ->
         let stack = small_stack () in
         (match Problem3.grid_centers_for_cluster stack 4 with

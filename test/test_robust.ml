@@ -6,6 +6,8 @@ module Sparse = Ttsv_numerics.Sparse
 module Dense = Ttsv_numerics.Dense
 module Vec = Ttsv_numerics.Vec
 module Iterative = Ttsv_numerics.Iterative
+module Budget = Ttsv_parallel.Budget
+module Fault = Ttsv_parallel.Fault
 module Robust = Ttsv_robust.Robust
 module Diagnostics = Ttsv_robust.Diagnostics
 module Validate = Ttsv_robust.Validate
@@ -53,6 +55,28 @@ let hilbert n =
     done
   done;
   Sparse.finalize b
+
+(* a tridiagonal SPD system with its LU solution: a start that already
+   meets any tolerance above ~1e-15 *)
+let solved_system () =
+  let n = 40 in
+  let b = Sparse.builder n n in
+  for i = 0 to n - 1 do
+    Sparse.add b i i 4.;
+    if i > 0 then Sparse.add b i (i - 1) (-1.);
+    if i < n - 1 then Sparse.add b i (i + 1) (-1.)
+  done;
+  let m = Sparse.finalize b in
+  let rhs = Array.init n (fun i -> 1. +. float_of_int (i mod 3)) in
+  (m, rhs, Dense.solve (Sparse.to_dense m) rhs)
+
+let attempt_summary (d : Diagnostics.t) =
+  List.map
+    (fun a ->
+      ( Diagnostics.rung_name a.Diagnostics.rung,
+        a.Diagnostics.iterations,
+        Format.asprintf "%a" Diagnostics.pp_outcome a.Diagnostics.outcome ))
+    d.Diagnostics.attempts
 
 let matches_direct msg m b x =
   let exact = Dense.solve (Sparse.to_dense m) b in
@@ -121,12 +145,7 @@ let ladder_tests =
               ("cg", 1, "failed: breakdown (p.Ap underflow)");
               ("direct", 0, "ok");
             ]
-            (List.map
-               (fun a ->
-                 ( Diagnostics.rung_name a.Diagnostics.rung,
-                   a.Diagnostics.iterations,
-                   Format.asprintf "%a" Diagnostics.pp_outcome a.Diagnostics.outcome ))
-               d.Diagnostics.attempts));
+            (attempt_summary d));
     test "ill-conditioned Hilbert system ends with a usable answer" (fun () ->
         let n = 10 in
         let m = hilbert n in
@@ -198,6 +217,33 @@ let ladder_tests =
           Alcotest.(check bool) "best iterate retained" true (f.Robust.best <> None);
           Alcotest.(check bool) "its residual is finite" true
             (Float.is_finite f.Robust.best_residual));
+    test "a converged start is the first rung's answer, with no preconditioner built"
+      (fun () ->
+        (* every precond-site draw fires, so building IC(0) would skip
+           the rung and leave Jacobi-CG to answer *)
+        let m, rhs, x0 = solved_system () in
+        let injected = Fault.injected_total () in
+        (match Fault.configure "precond=1:1" with
+        | Ok () -> ()
+        | Error why -> Alcotest.fail why);
+        let outcome = Fun.protect ~finally:Fault.disarm (fun () -> Robust.solve ~x0 m rhs) in
+        match outcome with
+        | Error f -> Alcotest.failf "ladder failed: %a" Robust.pp_failure f
+        | Ok (x, d) ->
+          Alcotest.(check (list (triple string int string)))
+            "one cg-ic0 attempt at 0 iterations" [ ("cg-ic0", 0, "ok") ] (attempt_summary d);
+          Alcotest.(check int) "no fault injected" injected (Fault.injected_total ());
+          Alcotest.(check (array (float 0.))) "the start itself" x0 x);
+    test "a converged start is answered under an expired budget" (fun () ->
+        let m, rhs, x0 = solved_system () in
+        let budget = Budget.make ~deadline_s:0. () in
+        Unix.sleepf 2e-3;
+        Alcotest.(check bool) "budget spent" true (Budget.check budget <> None);
+        match Robust.solve ~x0 ~budget m rhs with
+        | Error f -> Alcotest.failf "expected an answer: %a" Robust.pp_failure f
+        | Ok (_, d) ->
+          Alcotest.(check (list (triple string int string)))
+            "one cg-ic0 attempt at 0 iterations" [ ("cg-ic0", 0, "ok") ] (attempt_summary d));
     qtest ~count:30 "SPD fast path: IC(0)-CG alone, one successful attempt" (gen_spd_system 12)
       (fun (m, b) ->
         match Robust.solve ~tol:1e-10 m b with

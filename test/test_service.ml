@@ -10,7 +10,8 @@ open Helpers
 
 (* ---------------------------------------------------------------- protocol *)
 
-let solve_request ?(id = "q") ?(radius_um = 5.) ?(resolution = 1) ?deadline_s () =
+let solve_request ?(id = "q") ?(radius_um = 5.) ?(resolution = 1) ?(tol = 1e-10) ?deadline_s
+    () =
   {
     P.id;
     kind =
@@ -18,7 +19,7 @@ let solve_request ?(id = "q") ?(radius_um = 5.) ?(resolution = 1) ?deadline_s ()
         {
           geometry = { P.default_geometry with radius_um };
           resolution;
-          tol = 1e-10;
+          tol;
           deadline_s;
         };
   }
@@ -202,10 +203,28 @@ let engine_tests =
         Alcotest.(check bool) "cold operator miss" true (not cold.P.cache.P.operator_hit);
         let warm = expect_solved (Engine.handle engine req) in
         Alcotest.(check bool) "operator hit" true warm.P.cache.P.operator_hit;
-        Alcotest.(check bool) "precond hit" true warm.P.cache.P.precond_hit;
+        Alcotest.(check bool) "precond hit" false warm.P.cache.P.precond_hit;
         Alcotest.(check bool) "exact warm start" true (warm.P.cache.P.warm = P.Warm_exact);
         Alcotest.(check int) "zero iterations" 0 warm.P.iterations;
         close "same answer" cold.P.max_rise_k warm.P.max_rise_k);
+    test "a repeat at a tighter tol iterates from the cached field to the new tol" (fun () ->
+        let engine = Engine.create () in
+        ignore (expect_solved (Engine.handle engine (solve_request ())));
+        let tight = expect_solved (Engine.handle engine (solve_request ~tol:1e-12 ())) in
+        Alcotest.(check bool) "exact warm start" true (tight.P.cache.P.warm = P.Warm_exact);
+        Alcotest.(check bool)
+          (Printf.sprintf "%d iterations" tight.P.iterations)
+          true (tight.P.iterations > 0);
+        Alcotest.(check bool)
+          (Printf.sprintf "residual %.3g meets 1e-12" tight.P.residual)
+          true (tight.P.residual <= 1e-12));
+    test "a repeat under an already-spent deadline is answered at 0 iterations" (fun () ->
+        let engine = Engine.create () in
+        let cold = expect_solved (Engine.handle engine (solve_request ())) in
+        let late = expect_solved (Engine.handle engine (solve_request ~deadline_s:1e-9 ())) in
+        Alcotest.(check bool) "exact warm start" true (late.P.cache.P.warm = P.Warm_exact);
+        Alcotest.(check int) "zero iterations" 0 late.P.iterations;
+        close "same answer" cold.P.max_rise_k late.P.max_rise_k);
     test "a nearby geometry warm-starts from the freshest solution" (fun () ->
         let engine = Engine.create () in
         let a = expect_solved (Engine.handle engine (solve_request ~radius_um:5. ())) in
