@@ -110,6 +110,21 @@ let phases_of_snapshot snap =
     snap
 
 let bench_json_path = "BENCH_parallel.json"
+
+(* a phase cannot burn more than its run's core capacity (10% slack
+   absorbs clock skew).  Phase sums are measured under scheduling noise,
+   so an overrun is a warning to look at, not a failure. *)
+let warn_phase_overruns artefact { domains; wall_s; phases; _ } =
+  let capacity = wall_s *. float_of_int domains in
+  List.iter
+    (fun (name, _, sum_s) ->
+      if sum_s > (capacity *. 1.10) +. 1e-6 then
+        Format.eprintf
+          "warning: %s domains=%d: phase %s sums to %.3fs, above the %.3fs capacity of the \
+           %.3fs run@."
+          artefact domains name sum_s capacity wall_s)
+    phases
+
 let bench_domains = [ 1; 2; 4; 8 ]
 
 let time f =
@@ -208,11 +223,12 @@ let run_parallel () =
         in
         let base = match runs with { wall_s; _ } :: _ -> wall_s | [] -> Float.nan in
         List.iter
-          (fun { domains; wall_s; iterations; _ } ->
+          (fun ({ domains; wall_s; iterations; _ } as run) ->
             Format.fprintf ppf "  domains=%d  %8.3f s  speedup %5.2fx%s@." domains wall_s
               (base /. wall_s)
               (if iterations > 0 then Printf.sprintf "  (%d solver iterations)" iterations
-               else ""))
+               else "");
+            warn_phase_overruns artefact run)
           runs;
         { artefact; runs })
       (parallel_artefacts ())
@@ -364,15 +380,11 @@ let run_precond () =
    counts under the mg and ic0 preconditioners across a resolution
    sweep of the 2-D unit cell and the 3-D chip stack.  An incomplete
    factorisation's iteration count grows with resolution; the V-cycle's
-   must stay near-constant — [obs_check multigrid] gates on the ratio
-   between the finest and coarsest sweep entries.  Iteration counts are
-   deterministic, so the gate is noise-free; wall times are
+   must stay near-constant.  The golden band test bounds that growth
+   over resolutions 3-6, and [obs_check regress] holds the small
+   sweep's iteration counts to the committed baseline; wall times are
    informational.  Writes BENCH_multigrid.json. *)
 let multigrid_json_path = "BENCH_multigrid.json"
-
-(* the finest-over-coarsest mg iteration growth the gate tolerates;
-   recorded in the JSON so the check and the artefact can't drift *)
-let multigrid_growth_limit = 1.5
 
 let multigrid_preconds =
   [ ("mg", [ Diagnostics.Cg_mg ]); ("ic0", [ Diagnostics.Cg_ic0 ]) ]
@@ -410,8 +422,6 @@ let json_of_multigrid_results results =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"bench\": \"multigrid\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"growth_limit\": %.2f,\n" multigrid_growth_limit);
   Buffer.add_string buf "  \"artefacts\": [\n";
   List.iteri
     (fun i r ->
@@ -527,14 +537,17 @@ let run_multigrid () =
    [Engine.handle_batch] call, at batch sizes 1/10/100 (and 1000 when
    not small).  Batch 1 pays the cold cost — assembly, preconditioner
    setup, zero-start solve — on every single request; larger batches
-   amortise both cache levels across the repeats, which is the
-   >= 3x batch-100-over-batch-1 throughput floor [obs_check service]
-   gates on.  Hit rates are harvested from the [service.cache.*]
-   counters in the metrics registry, not from the engine, so the number
-   gated in CI flows through the same pipe the serve trace exposes.
-   Sequential (no pool), so iteration totals are deterministic and
-   [obs_check regress] can hold them to an exact band.  Writes
-   BENCH_service.json. *)
+   amortise both cache levels across the repeats.  That is the floor
+   this bench enforces after writing BENCH_service.json: every run of
+   >= 100 requests must clear a 0.5 cache hit rate and 3x the batch-1
+   throughput, or the bench exits 1 naming the run.  Hit rates are
+   deterministic; the throughput ratio compares two runs of one
+   process, so runner speed largely cancels.  Hit rates are harvested
+   from the [service.cache.*] counters in the metrics registry, not
+   from the engine, so the gated number flows through the same pipe the
+   serve trace exposes.  Sequential (no pool), so iteration totals are
+   deterministic and [obs_check regress] can hold them to an exact
+   band. *)
 module Service_engine = Ttsv_service.Engine
 module Service_protocol = Ttsv_service.Protocol
 
@@ -664,21 +677,32 @@ let run_service () =
         })
       batches
   in
-  (match runs with
-  | { s_throughput = base; _ } :: _ ->
-    List.iter
+  let base = (List.hd runs).s_throughput in
+  let missed =
+    List.filter
       (fun r ->
+        let speedup = r.s_throughput /. base in
         if r.s_batch >= 100 then
-          Format.fprintf ppf "  batch %d vs batch 1: %.1fx throughput@." r.s_batch
-            (r.s_throughput /. base))
+          Format.fprintf ppf "  batch %d vs batch 1: %.1fx throughput@." r.s_batch speedup;
+        r.s_batch >= 100 && not (r.s_hit_rate > 0.5 && speedup >= 3.))
       runs
-  | [] -> ());
+  in
   if not metrics_were_on then Ttsv_obs.Config.disable_metrics ();
   let oc = open_out service_json_path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (json_of_service_results runs));
-  Format.fprintf ppf "@.wrote %s@." service_json_path
+  Format.fprintf ppf "@.wrote %s@." service_json_path;
+  if missed <> [] then begin
+    List.iter
+      (fun r ->
+        Format.eprintf
+          "service bench: batch%d misses the floor: hit rate %.3f (> 0.50 needed), %.1f \
+           solves/s = %.2fx batch 1 (>= 3x needed)@."
+          r.s_batch r.s_hit_rate r.s_throughput (r.s_throughput /. base))
+      missed;
+    exit 1
+  end
 
 let artefacts : (string * (unit -> unit)) list =
   [

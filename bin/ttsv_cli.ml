@@ -58,6 +58,22 @@ let stack_t =
   Term.term_result
     Term.(const build $ radius_t $ liner_t $ ild_t $ bond_t $ tsi_t $ tsi1_t $ lext_t)
 
+(* an integer flag confined to [lo, hi]: a value outside it is a usage
+   error (exit 124) naming the flag and its range, not an
+   Invalid_argument from deep inside the library *)
+let bounded ?hi lo =
+  let range =
+    match hi with
+    | Some hi -> Printf.sprintf "an integer in [%d, %d]" lo hi
+    | None -> Printf.sprintf "an integer >= %d" lo
+  in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo && n <= Option.value hi ~default:max_int -> Ok n
+    | _ -> Error (Printf.sprintf "expected %s, got %S" range s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
 let k1_t = Arg.(value & opt float 1.3 & info [ "k1" ] ~doc:"Model A vertical fitting coefficient")
 let k2_t = Arg.(value & opt float 0.55 & info [ "k2" ] ~doc:"Model A lateral fitting coefficient")
 
@@ -66,17 +82,22 @@ let coeffs_t =
   Term.(const build $ k1_t $ k2_t)
 
 let segments_t =
-  Arg.(value & opt int 100 & info [ "segments"; "n" ] ~doc:"Model B segments per upper plane")
+  Arg.(
+    value
+    & opt (bounded 1) 100
+    & info [ "segments"; "n" ] ~doc:"Model B segments per upper plane")
 
 let resolution_t =
-  Arg.(value & opt int 2 & info [ "resolution" ] ~doc:"finite-volume mesh resolution factor")
+  Arg.(
+    value & opt (bounded 1) 2 & info [ "resolution" ] ~doc:"finite-volume mesh resolution factor")
 
 module Pool = Ttsv_parallel.Pool
 
+(* [1, 64] is the range Pool.create accepts *)
 let domains_t =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (bounded 1 ~hi:64)) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "worker domains for pooled execution. Defaults to the TTSV_DOMAINS environment \
@@ -279,7 +300,9 @@ let sweep_cmd =
   in
   let from_t = Arg.(value & opt float 1. & info [ "from" ] ~doc:"sweep start [µm]") in
   let to_t = Arg.(value & opt float 20. & info [ "to" ] ~doc:"sweep end [µm]") in
-  let points_t = Arg.(value & opt int 10 & info [ "points" ] ~doc:"number of sweep points") in
+  let points_t =
+    Arg.(value & opt (bounded 2) 10 & info [ "points" ] ~doc:"number of sweep points")
+  in
   let with_fv_t = Arg.(value & flag & info [ "with-fv" ] ~doc:"include the FV reference") in
   (* one sweep row, checkpoint-encoded: [x; a; b; d] plus the FV value
      when --with-fv is on (arity distinguishes the two shapes) *)
@@ -300,7 +323,6 @@ let sweep_cmd =
   in
   let run stack coeffs segments resolution param from_ to_ points with_fv checkpoint resume
       domains () =
-    if points < 2 then invalid_arg "sweep: need at least two points";
     with_pool domains @@ fun pool ->
     with_checkpoint checkpoint resume @@ fun checkpoint ->
     let checkpoint =
@@ -410,7 +432,7 @@ let calibrate_cmd =
 
 let case_cmd =
   let segments_t =
-    Arg.(value & opt int 1000 & info [ "segments" ] ~doc:"Model B segments per upper plane")
+    Arg.(value & opt (bounded 1) 1000 & info [ "segments" ] ~doc:"Model B segments per upper plane")
   in
   let run resolution segments =
     E.Case_study.print ~resolution ~segments Format.std_formatter ()
@@ -460,7 +482,7 @@ let transient_cmd =
 (* -------------------------------------------------------------------- chip *)
 
 let chip_cmd =
-  let grid_t = Arg.(value & opt int 10 & info [ "grid" ] ~doc:"tiles per side") in
+  let grid_t = Arg.(value & opt (bounded 1) 10 & info [ "grid" ] ~doc:"tiles per side") in
   let size_t = Arg.(value & opt float 4. & info [ "size" ] ~doc:"chip edge [mm]") in
   let power_t = Arg.(value & opt float 10. & info [ "power" ] ~doc:"total power per plane [W]") in
   let hotspot_t =
@@ -471,7 +493,8 @@ let chip_cmd =
   in
   let candidates_t =
     Arg.(
-      value & opt int 1
+      value
+      & opt (bounded 1) 1
       & info [ "candidates" ]
           ~doc:"tiles trial-solved per allocation step (1 = classic greedy)")
   in
@@ -527,14 +550,15 @@ let serve_cmd =
   let module Engine = Ttsv_service.Engine in
   let batch_t =
     Arg.(
-      value & opt int 64
+      value
+      & opt (bounded 1) 64
       & info [ "batch" ] ~docv:"N"
           ~doc:
             "requests read per batch; the batch is sharded across the worker domains and \
              answered in input order before the next one is read")
   in
   let cap name default doc =
-    Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)
+    Arg.(value & opt (bounded 1) default & info [ name ] ~docv:"N" ~doc)
   in
   let operators_t = cap "cache-operators" 32 "assembled-operator cache capacity (LRU)" in
   let solutions_t = cap "cache-solutions" 64 "warm-start solution cache capacity (LRU)" in

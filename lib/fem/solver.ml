@@ -151,32 +151,33 @@ let check_fields ~conductivity ~source =
         best_residual = Float.nan;
       }
 
-let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?bottom_h ?pool ?rungs ?budget p =
-  match check_fields ~conductivity:p.Problem.conductivity ~source:p.Problem.source with
+let ladder_solve ~span ~tol ~max_iter_for ?max_iter ?x0 ?pool ?rungs ?budget ~shape
+    ~conductivity ~source assemble =
+  match check_fields ~conductivity ~source with
   | Error f -> Error f
-  | Ok () -> (
-    let matrix = assemble ?pool ?bottom_h p in
-    let n = Sparse.rows matrix in
-    let max_iter = match max_iter with Some m -> m | None -> Stdlib.max 2000 (40 * n) in
-    (* declare the unknowns' tensor-grid layout (Grid.index: ir fastest)
-       so a pinned multigrid rung can build its hierarchy *)
-    let g = p.Problem.grid in
-    let shape = [| Grid.nr g; Grid.nz g |] in
-    match
-      Obs_span.with_ ~name:"solver.solve" (fun () ->
-          Robust.solve ~tol ~max_iter ?x0 ?pool ?rungs ~shape ?budget matrix
-            p.Problem.source)
-    with
-    | Error f -> Error f
-    | Ok (x, d) ->
-      Ok
-        {
-          problem = p;
-          temps = x;
-          iterations = d.Diagnostics.iterations;
-          residual = d.Diagnostics.residual;
-          diagnostics = d;
-        })
+  | Ok () ->
+    let matrix = assemble () in
+    let max_iter = Option.value max_iter ~default:(max_iter_for (Sparse.rows matrix)) in
+    Obs_span.with_ ~name:span (fun () ->
+        Robust.solve ~tol ~max_iter ?x0 ?pool ?rungs ~shape ?budget matrix source)
+
+let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?bottom_h ?pool ?rungs ?budget p =
+  (* declare the unknowns' tensor-grid layout (Grid.index: ir fastest)
+     so a pinned multigrid rung can build its hierarchy *)
+  let g = p.Problem.grid in
+  ladder_solve ~span:"solver.solve" ~tol
+    ~max_iter_for:(fun n -> Stdlib.max 2000 (40 * n))
+    ?max_iter ?x0 ?pool ?rungs ?budget ~shape:[| Grid.nr g; Grid.nz g |]
+    ~conductivity:p.Problem.conductivity ~source:p.Problem.source
+    (fun () -> assemble ?pool ?bottom_h p)
+  |> Result.map (fun (temps, d) ->
+         {
+           problem = p;
+           temps;
+           iterations = d.Diagnostics.iterations;
+           residual = d.Diagnostics.residual;
+           diagnostics = d;
+         })
 
 let solve ?tol ?max_iter ?x0 ?bottom_h ?pool ?rungs ?budget p =
   match try_solve ?tol ?max_iter ?x0 ?bottom_h ?pool ?rungs ?budget p with

@@ -55,7 +55,27 @@ val check_fields :
   (unit, Ttsv_robust.Robust.failure) Stdlib.result
 (** [Ok ()] when every conductivity is finite and positive and every
     source finite, else an [Invalid_input] failure naming each field's
-    first bad cell; {!try_solve} and {!Solver3.try_solve} run it first. *)
+    first bad cell; {!ladder_solve} runs it first. *)
+
+val ladder_solve :
+  span:string ->
+  tol:float ->
+  max_iter_for:(int -> int) ->
+  ?max_iter:int ->
+  ?x0:float array ->
+  ?pool:Ttsv_parallel.Pool.t ->
+  ?rungs:Ttsv_robust.Diagnostics.rung list ->
+  ?budget:Ttsv_parallel.Budget.t ->
+  shape:int array ->
+  conductivity:float array ->
+  source:float array ->
+  (unit -> Ttsv_numerics.Sparse.t) ->
+  (float array * Ttsv_robust.Diagnostics.t, Ttsv_robust.Robust.failure) Stdlib.result
+(** The solve plumbing {!try_solve} and {!Solver3.try_solve} share:
+    {!check_fields}, then the assembler, then {!Ttsv_robust.Robust.solve}
+    inside a span named [span], returning the field and its diagnostics.
+    [max_iter] defaults to [max_iter_for n] for [n] unknowns; [shape] is
+    the unknowns' tensor-grid layout, for a pinned multigrid rung. *)
 
 val try_solve :
   ?tol:float ->

@@ -100,31 +100,23 @@ let assemble ?pool p =
       Solver.record_assembly (assemble_rows ?pool p))
 
 let try_solve ?(tol = 1e-9) ?max_iter ?x0 ?pool ?rungs ?budget p =
-  match Solver.check_fields ~conductivity:p.Problem3.conductivity ~source:p.Problem3.source with
-  | Error f -> Error f
-  | Ok () -> (
-    let matrix = assemble ?pool p in
-    let n = Sparse.rows matrix in
-    let max_iter = match max_iter with Some m -> m | None -> Stdlib.max 4000 (10 * n) in
-    (* Grid3.index: ix fastest, then iy, then iz — the multigrid rung's
-       tensor-grid layout *)
-    let g3 = p.Problem3.grid in
-    let shape = [| Grid3.nx g3; Grid3.ny g3; Grid3.nz g3 |] in
-    match
-      Obs_span.with_ ~name:"solver3.solve" (fun () ->
-          Robust.solve ~tol ~max_iter ?x0 ?pool ?rungs ~shape ?budget matrix
-            p.Problem3.source)
-    with
-    | Error f -> Error f
-    | Ok (x, d) ->
-      Ok
-        {
-          problem = p;
-          temps = x;
-          iterations = d.Diagnostics.iterations;
-          residual = d.Diagnostics.residual;
-          diagnostics = d;
-        })
+  (* Grid3.index: ix fastest, then iy, then iz — the multigrid rung's
+     tensor-grid layout *)
+  let g = p.Problem3.grid in
+  Solver.ladder_solve ~span:"solver3.solve" ~tol
+    ~max_iter_for:(fun n -> Stdlib.max 4000 (10 * n))
+    ?max_iter ?x0 ?pool ?rungs ?budget
+    ~shape:[| Grid3.nx g; Grid3.ny g; Grid3.nz g |]
+    ~conductivity:p.Problem3.conductivity ~source:p.Problem3.source
+    (fun () -> assemble ?pool p)
+  |> Result.map (fun (temps, d) ->
+         {
+           problem = p;
+           temps;
+           iterations = d.Diagnostics.iterations;
+           residual = d.Diagnostics.residual;
+           diagnostics = d;
+         })
 
 let solve ?tol ?max_iter ?x0 ?pool ?rungs ?budget p =
   match try_solve ?tol ?max_iter ?x0 ?pool ?rungs ?budget p with

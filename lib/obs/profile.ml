@@ -21,7 +21,13 @@ type conv = {
   residuals : float array;
 }
 
-type t = { schema : string; spans : span list; convs : conv list }
+type t = {
+  schema : string;
+  spans : span list;
+  convs : conv list;
+  metrics : int;
+  summaries : (string * float option) list;
+}
 
 type agg = {
   agg_name : string;
@@ -32,93 +38,152 @@ type agg = {
 
 (* ------------------------------------------------------------- loading *)
 
-let ( let* ) = Result.bind
+(* The one reader of the trace format: every record is checked against
+   the contract in profile.mli, and the first violation aborts the load
+   with its line number. *)
+exception Malformed of string
 
-let field_int name j =
-  match Option.bind (Json.member name j) Json.to_int_opt with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing int field %S" name)
+let bad fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
-let field_float name j =
-  match Option.bind (Json.member name j) Json.to_float_opt with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing number field %S" name)
+let field conv what name j =
+  match Option.bind (Json.member name j) conv with
+  | Some v -> v
+  | None -> bad "missing %s field %S" what name
 
-let field_str name j =
-  match Option.bind (Json.member name j) Json.to_string_opt with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing string field %S" name)
+let int_field = field Json.to_int_opt "integer"
+let num_field = field Json.to_float_opt "numeric"
+let str_field = field Json.to_string_opt "string"
 
-let opt_int name j = Option.bind (Json.member name j) Json.to_int_opt
-
-let parse_span j =
-  let* id = field_int "id" j in
-  let* domain = field_int "domain" j in
-  let* depth = field_int "depth" j in
-  let* name = field_str "name" j in
-  let* start = field_float "start" j in
-  let* dur = field_float "dur" j in
-  Ok { id; parent = opt_int "parent" j; domain; depth; name; start; dur }
-
-let num_array name j =
+(* an optional span reference: absent, or an integer *)
+let opt_int name j =
   match Json.member name j with
-  | Some (Json.List xs) -> (
-    let floats = List.filter_map Json.to_float_opt xs in
-    if List.length floats = List.length xs then Ok (Array.of_list floats)
-    else Error (Printf.sprintf "non-numeric entry in %S" name))
-  | _ -> Error (Printf.sprintf "missing list field %S" name)
+  | None -> None
+  | Some v -> (
+    match Json.to_int_opt v with Some i -> Some i | None -> bad "%S must be an integer" name)
+
+let parse_meta j =
+  if str_field "type" j <> "meta" then bad "the first record must be the meta record";
+  let schema = str_field "schema" j in
+  if schema <> Sink.schema then bad "unsupported schema %S, expected %S" schema Sink.schema;
+  ignore (str_field "clock_unit" j);
+  schema
+
+let parse_span ids j =
+  let id = int_field "id" j in
+  if Hashtbl.mem ids id then bad "duplicate span id %d" id;
+  Hashtbl.add ids id ();
+  let parent =
+    match Json.member "parent" j with
+    | None | Some Json.Null -> None
+    | Some p -> (
+      match Json.to_int_opt p with
+      | Some p -> Some p
+      | None -> bad "span \"parent\" must be an integer or null")
+  in
+  let domain = int_field "domain" j in
+  let depth = int_field "depth" j in
+  if depth < 0 then bad "negative span depth %d" depth;
+  let name = str_field "name" j in
+  let start = num_field "start" j in
+  let dur = num_field "dur" j in
+  if dur < 0. then bad "negative span duration %g" dur;
+  (match Json.member "attrs" j with
+  | None -> ()
+  | Some (Json.Obj kvs) ->
+    List.iter
+      (function _, Json.String _ -> () | k, _ -> bad "span attr %S must be a string" k)
+      kvs
+  | Some _ -> bad "span \"attrs\" must be an object");
+  { id; parent; domain; depth; name; start; dur }
+
+let check_metric j =
+  ignore (str_field "name" j);
+  let kind = str_field "kind" j in
+  if not (List.mem kind [ "counter"; "gauge"; "histogram" ]) then
+    bad "unknown metric kind %S" kind;
+  if Json.member "value" j = None then bad "metric without a \"value\"";
+  ignore (num_field "t" j);
+  ignore (opt_int "span" j)
+
+let parse_summary j =
+  let name = str_field "name" j in
+  match Json.member "data" j with
+  | None -> bad "summary without \"data\""
+  | Some data -> (name, Option.bind (Json.member "value" data) Json.to_float_opt)
 
 let parse_conv j =
-  let* meth = field_str "method" j in
-  let* total = field_int "total" j in
-  let* iters = num_array "iterations" j in
-  let* residuals = num_array "residuals" j in
-  if Array.length iters <> Array.length residuals then
-    Error "conv: iterations and residuals differ in length"
-  else
-    Ok
-      {
-        meth;
-        span = opt_int "span" j;
-        total;
-        iterations = Array.map int_of_float iters;
-        residuals;
-      }
+  let meth = str_field "method" j in
+  let total = int_field "total" j in
+  if total < 0 then bad "negative conv total %d" total;
+  let numbers what =
+    match Json.member what j with
+    | Some (Json.List l) ->
+      Array.of_list
+        (List.map
+           (fun v ->
+             match Json.to_float_opt v with Some f -> f | None -> bad "non-numeric %s entry" what)
+           l)
+    | _ -> bad "conv without %S list" what
+  in
+  let iterations = numbers "iterations" in
+  let residuals = numbers "residuals" in
+  let n = Array.length iterations in
+  if n <> Array.length residuals then
+    bad "conv iterations (%d) and residuals (%d) differ in length" n (Array.length residuals);
+  if n > total then bad "conv retains %d entries but total is %d" n total;
+  ignore (num_field "t" j);
+  let span = opt_int "span" j in
+  { meth; span; total; iterations = Array.map int_of_float iterations; residuals }
 
 let of_lines lines =
-  let rec go lineno schema spans convs = function
-    | [] -> (
-      match schema with
-      | None -> Error "no meta line found"
-      | Some schema -> Ok { schema; spans = List.rev spans; convs = List.rev convs })
-    | line :: rest -> (
-      let lineno = lineno + 1 in
-      if String.trim line = "" then go lineno schema spans convs rest
-      else begin
-        match Json.parse line with
-        | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
-        | Ok j -> (
-          let typ = Option.bind (Json.member "type" j) Json.to_string_opt in
-          match typ with
-          | Some "meta" -> (
-            match Option.bind (Json.member "schema" j) Json.to_string_opt with
-            | Some s when s = Sink.schema ->
-              go lineno (Some s) spans convs rest
-            | Some s -> Error (Printf.sprintf "line %d: unsupported schema %S" lineno s)
-            | None -> Error (Printf.sprintf "line %d: meta without schema" lineno))
-          | Some "span" -> (
-            match parse_span j with
-            | Ok s -> go lineno schema (s :: spans) convs rest
-            | Error e -> Error (Printf.sprintf "line %d: %s" lineno e))
-          | Some "conv" -> (
-            match parse_conv j with
-            | Ok c -> go lineno schema spans (c :: convs) rest
-            | Error e -> Error (Printf.sprintf "line %d: %s" lineno e))
-          | Some _ -> go lineno schema spans convs rest (* metric/summary *)
-          | None -> Error (Printf.sprintf "line %d: record without type" lineno))
-      end)
+  let ids = Hashtbl.create 256 in
+  let schema = ref None and spans = ref [] and convs = ref [] in
+  let metrics = ref 0 and summaries = ref [] in
+  let record line =
+    match Json.parse line with
+    | Error e -> bad "not valid JSON: %s" e
+    | Ok j -> (
+      match !schema with
+      | None -> schema := Some (parse_meta j)
+      | Some _ -> (
+        match str_field "type" j with
+        | "span" -> spans := parse_span ids j :: !spans
+        | "conv" -> convs := parse_conv j :: !convs
+        | "metric" ->
+          check_metric j;
+          incr metrics
+        | "summary" -> summaries := parse_summary j :: !summaries
+        | "meta" -> bad "duplicate meta record"
+        | other -> bad "unknown record type %S" other))
   in
-  go 0 None [] [] lines
+  let lineno = ref 0 in
+  match
+    List.iter
+      (fun line ->
+        incr lineno;
+        if String.trim line <> "" then record line)
+      lines
+  with
+  | exception Malformed e -> Error (Printf.sprintf "line %d: %s" !lineno e)
+  | () -> (
+    (* spans are written at completion, so a child can precede its
+       parent: resolve the references only once the whole file is read *)
+    let spans = List.rev !spans in
+    let orphan s = match s.parent with Some p -> not (Hashtbl.mem ids p) | None -> false in
+    match (!schema, List.find_opt orphan spans) with
+    | None, _ -> Error "empty trace: no meta record"
+    | Some _, Some s ->
+      Error
+        (Printf.sprintf "span %d references unknown parent %d" s.id (Option.get s.parent))
+    | Some schema, None ->
+      Ok
+        {
+          schema;
+          spans;
+          convs = List.rev !convs;
+          metrics = !metrics;
+          summaries = List.rev !summaries;
+        })
 
 let load path =
   match In_channel.with_open_text path In_channel.input_lines with

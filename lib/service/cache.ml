@@ -41,7 +41,6 @@ let create ~name ~capacity () =
   }
 
 let name t = t.cache_name
-let capacity t = t.cap
 
 let locked t f =
   Mutex.lock t.lock;
@@ -125,9 +124,3 @@ let hit_rate t =
   locked t @@ fun () ->
   let total = t.n_hits + t.n_misses in
   if total = 0 then 0. else float_of_int t.n_hits /. float_of_int total
-
-let clear t =
-  locked t @@ fun () ->
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None

@@ -20,7 +20,6 @@ val create : name:string -> capacity:int -> unit -> 'a t
 (** @raise Invalid_argument when [capacity < 1]. *)
 
 val name : 'a t -> string
-val capacity : 'a t -> int
 val length : 'a t -> int
 
 val find : 'a t -> string -> 'a option
@@ -43,6 +42,3 @@ val evictions : 'a t -> int
 
 val hit_rate : 'a t -> float
 (** [hits / (hits + misses)]; 0 before any lookup. *)
-
-val clear : 'a t -> unit
-(** Drop every entry (counters keep accumulating). *)

@@ -163,6 +163,20 @@ let test_cg_precond_dimension_mismatch () =
   check_raises_invalid "cg rejects mismatched preconditioner" (fun () ->
       Iterative.cg ~precond:m a (Array.make 6 1.))
 
+(* IC(0) earns its place as the ladder's first rung: on the fig. 5
+   stack at resolution 1 (the small precond bench's grid) it needs under
+   half the Jacobi-CG iterations.  Iteration counts are deterministic,
+   so the bound cannot flake. *)
+let test_ic0_halves_jacobi_iterations () =
+  let p = Problem.of_stack ~resolution:1 (Params.fig5_stack (Units.um 1.)) in
+  let iterations rung = (Solver.solve ~rungs:[ rung ] p).Solver.iterations in
+  let ic0 = iterations Ttsv_robust.Diagnostics.Cg_ic0
+  and jacobi = iterations Ttsv_robust.Diagnostics.Cg in
+  Alcotest.(check bool)
+    (Printf.sprintf "IC(0)-CG %d < 0.5 x Jacobi-CG %d iterations" ic0 jacobi)
+    true
+    (ic0 > 0 && 2 * ic0 < jacobi)
+
 let suite =
   ( "precond",
     [
@@ -177,4 +191,6 @@ let suite =
       test "Jacobi apply divides by the diagonal" test_jacobi_apply_scales_by_diagonal;
       test "apply rejects dimension mismatch" test_apply_dimension_mismatch;
       test "cg rejects mismatched preconditioner" test_cg_precond_dimension_mismatch;
+      test "IC(0)-CG needs under half the Jacobi-CG iterations on fig. 5"
+        test_ic0_halves_jacobi_iterations;
     ] )

@@ -53,7 +53,12 @@ let test_history_ring () =
 
 let meta_line schema =
   Json.to_string
-    (Json.Obj [ ("type", Json.String "meta"); ("schema", Json.String schema) ])
+    (Json.Obj
+       [
+         ("type", Json.String "meta");
+         ("schema", Json.String schema);
+         ("clock_unit", Json.String "s");
+       ])
 
 let span_line ~id ~parent ~name ~start ~dur =
   Json.to_string
@@ -144,6 +149,83 @@ let test_profile_schemas () =
   match Profile.of_lines (List.tl (synthetic Sink.schema)) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a trace without a meta line must be rejected"
+
+(* ------------------------------------------------------ strict reader *)
+
+let meta = meta_line Sink.schema
+
+let span ?(id = 1) ?(parent = "null") ?(depth = 0) ?(dur = "1.0") ?(attrs = "") () =
+  Printf.sprintf
+    {|{"type":"span","id":%d,"parent":%s,"domain":0,"depth":%d,"name":"a","start":0.0,"dur":%s%s}|}
+    id parent depth dur attrs
+
+let metric kind = Printf.sprintf {|{"type":"metric","name":"m","kind":"%s","value":1,"t":0.1}|} kind
+let summary = {|{"type":"summary","name":"pool.idle_seconds","data":{"kind":"gauge","value":0.25}}|}
+
+let conv ~total ~window =
+  let ints = String.concat "," (List.init window string_of_int) in
+  Printf.sprintf
+    {|{"type":"conv","method":"cg","total":%d,"iterations":[%s],"residuals":[%s],"t":0.2}|}
+    total ints ints
+
+(* each case breaks one rule of the trace contract (profile.mli) in a
+   trace that is otherwise [accepted] *)
+let accepted = [ meta; span (); metric "counter"; summary; conv ~total:3 ~window:2 ]
+
+let rejected =
+  [
+    ("the first record is a span, not the meta", [ span (); meta ]);
+    ( "a meta of another schema",
+      [ {|{"type":"meta","schema":"ttsv.trace.v99","clock_unit":"s"}|}; span () ] );
+    ("a meta without clock_unit", [ Printf.sprintf {|{"type":"meta","schema":"%s"}|} Sink.schema ]);
+    ( "a non-string clock_unit",
+      [ Printf.sprintf {|{"type":"meta","schema":"%s","clock_unit":1}|} Sink.schema ] );
+    ("a second meta", [ meta; span (); meta ]);
+    ("an unknown record type", [ meta; {|{"type":"event","name":"x"}|} ]);
+    ("a record without a type", [ meta; {|{"name":"x"}|} ]);
+    ("a duplicate span id", [ meta; span (); span () ]);
+    ("a string parent", [ meta; span (); span ~id:2 ~parent:{|"1"|} () ]);
+    ("a parent that names no span", [ meta; span ~id:2 ~parent:"7" () ]);
+    ("a negative depth", [ meta; span ~depth:(-1) () ]);
+    ("a negative dur", [ meta; span ~dur:"-0.5" () ]);
+    ("a non-string attr", [ meta; span ~attrs:{|,"attrs":{"n":3}|} () ]);
+    ("attrs that are not an object", [ meta; span ~attrs:{|,"attrs":["x"]|} () ]);
+    ("a metric kind other than counter, gauge or histogram", [ meta; metric "meter" ]);
+    ("a summary without data", [ meta; {|{"type":"summary","name":"m"}|} ]);
+    ("a negative conv total", [ meta; conv ~total:(-1) ~window:0 ]);
+    ("a conv total below its retained window", [ meta; conv ~total:1 ~window:2 ]);
+  ]
+
+let test_profile_rejects () =
+  ignore (profile_exn accepted);
+  List.iter
+    (fun (what, lines) ->
+      match Profile.of_lines lines with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "a trace with %s must be rejected" what)
+    rejected
+
+let test_profile_summaries () =
+  let histogram =
+    {|{"type":"summary","name":"span.solve","data":{"kind":"histogram","count":2,"sum":0.5}}|}
+  in
+  let t =
+    profile_exn
+      (accepted
+      @ [
+          histogram;
+          {|{"type":"summary","name":"service.cache.operator.hits","data":{"kind":"counter","value":7}}|};
+        ])
+  in
+  Alcotest.(check (list (pair string (option (float 0.)))))
+    "summaries by name, in file order"
+    [
+      ("pool.idle_seconds", Some 0.25);
+      ("span.solve", None);
+      ("service.cache.operator.hits", Some 7.);
+    ]
+    t.Profile.summaries;
+  Alcotest.(check int) "metric records counted" 1 t.Profile.metrics
 
 (* ---------------------------------------------------------- real trace *)
 
@@ -333,6 +415,9 @@ let suite =
       Helpers.test "history ring keeps the newest window and true total" test_history_ring;
       Helpers.test "profile analysis is exact on a synthetic trace" test_profile_synthetic;
       Helpers.test "profile rejects v1 and unknown schemas" test_profile_schemas;
+      Helpers.test "profile rejects every breach of the trace contract" test_profile_rejects;
+      Helpers.test "profile reads summaries back by name, in file order"
+        test_profile_summaries;
       Helpers.test "profile aggregates agree with a real traced solve"
         test_profile_real_trace;
       Helpers.test "regress discovers bench metrics, skips phases" test_regress_extract;
