@@ -47,16 +47,27 @@ let tsi1_t = um_arg ~doc:"substrate thickness of the first plane" ~default:500. 
 let lext_t = um_arg ~doc:"TSV extension into the first substrate" ~default:1. "lext"
 
 (* every geometry flag is untrusted input: run it through the accumulating
-   validator so the user sees ALL the problems at once, not just the first *)
-let stack_t =
-  let build r t_liner t_ild t_bond t_si t_si1 l_ext =
+   validator so the user sees ALL the problems at once, not just the first.
+   [geometry_t] is that check, with one knob optionally set to a sweep's x. *)
+let geometry_t =
+  let check r t_liner t_ild t_bond t_si t_si1 l_ext swept =
+    let r, t_liner, t_si =
+      match swept with
+      | None -> (r, t_liner, t_si)
+      | Some (`Radius, x) -> (x, t_liner, t_si)
+      | Some (`Liner, x) -> (r, x, t_si)
+      | Some (`Tsi, x) -> (r, t_liner, x)
+    in
     Params.block_checked ~r:(Units.um r) ~t_liner:(Units.um t_liner)
       ~t_ild:(Units.um t_ild) ~t_bond:(Units.um t_bond) ~t_si23:(Units.um t_si)
       ~t_si1:(Units.um t_si1) ~l_ext:(Units.um l_ext) ()
-    |> Result.map_error (fun violations -> `Msg (Validate.to_string violations))
+    |> Result.map_error Validate.to_string
   in
+  Term.(const check $ radius_t $ liner_t $ ild_t $ bond_t $ tsi_t $ tsi1_t $ lext_t)
+
+let stack_t =
   Term.term_result
-    Term.(const build $ radius_t $ liner_t $ ild_t $ bond_t $ tsi_t $ tsi1_t $ lext_t)
+    Term.(const (fun check -> Result.map_error (fun e -> `Msg e) (check None)) $ geometry_t)
 
 (* an integer flag confined to [lo, hi]: a value outside it is a usage
    error (exit 124) naming the flag and its range, not an
@@ -304,6 +315,18 @@ let sweep_cmd =
     Arg.(value & opt (bounded 2) 10 & info [ "points" ] ~doc:"number of sweep points")
   in
   let with_fv_t = Arg.(value & flag & info [ "with-fv" ] ~doc:"include the FV reference") in
+  (* every swept point is untrusted input too: check them all before the
+     pool starts, and reject the sweep at its first bad point *)
+  let swept_t =
+    let check block_checked param from_ to_ points =
+      let xs = Ttsv_numerics.Vec.linspace from_ to_ points in
+      let checked = Array.map (fun x -> (x, block_checked (Some (param, x)))) xs in
+      match Array.find_map (function x, Error e -> Some (x, e) | _ -> None) checked with
+      | Some (x, e) -> Error (`Msg (Printf.sprintf "sweep point x = %g um: %s" x e))
+      | None -> Ok (Array.map (fun (x, s) -> (x, Result.get_ok s)) checked)
+    in
+    Term.term_result Term.(const check $ geometry_t $ param_t $ from_t $ to_t $ points_t)
+  in
   (* one sweep row, checkpoint-encoded: [x; a; b; d] plus the FV value
      when --with-fv is on (arity distinguishes the two shapes) *)
   let encode_row (x, a, b, d, fv) =
@@ -321,8 +344,7 @@ let sweep_cmd =
       | _ -> None)
     | _ -> None
   in
-  let run stack coeffs segments resolution param from_ to_ points with_fv checkpoint resume
-      domains () =
+  let run swept coeffs segments resolution with_fv checkpoint resume domains () =
     with_pool domains @@ fun pool ->
     with_checkpoint checkpoint resume @@ fun checkpoint ->
     let checkpoint =
@@ -330,24 +352,13 @@ let sweep_cmd =
         (fun cp -> E.Sweep.stage cp ~name:"cli.sweep" ~encode:encode_row ~decode:decode_row)
         checkpoint
     in
-    let xs = Ttsv_numerics.Vec.linspace from_ to_ points in
-    let rebuild x =
-      let v = Units.um x in
-      match param with
-      | `Radius -> Stack.with_tsv stack (Ttsv_geometry.Tsv.with_radius stack.Stack.tsv v)
-      | `Liner -> Stack.with_tsv stack (Ttsv_geometry.Tsv.with_liner_thickness stack.Stack.tsv v)
-      | `Tsi ->
-        Stack.map_planes stack (fun i p ->
-            if i = 0 then p else Ttsv_geometry.Plane.with_t_substrate p v)
-    in
     Format.printf "%12s %12s %12s %12s%s@." "x [um]" "Model A" "Model B" "Model 1D"
       (if with_fv then "          FV" else "");
     (* evaluate the (independent) sweep points over the pool; the rows
        come back in sweep order, so the printout is unchanged *)
     let rows =
       E.Sweep.map_array ~pool ?checkpoint
-        (fun x ->
-          let s = rebuild x in
+        (fun (x, s) ->
           let a = Model_a.max_rise (Model_a.solve ~coeffs s) in
           let b = Model_b.max_rise (Model_b.solve_n s segments) in
           let d = Model_1d.max_rise (Model_1d.solve s) in
@@ -357,7 +368,7 @@ let sweep_cmd =
             else None
           in
           (x, a, b, d, fv))
-        xs
+        swept
     in
     Array.iter
       (fun (x, a, b, d, fv) ->
@@ -369,8 +380,8 @@ let sweep_cmd =
   let info = Cmd.info "sweep" ~doc:"sweep a geometric parameter and print the dT curve" in
   Cmd.v info
     Term.(
-      const run $ stack_t $ coeffs_t $ segments_t $ resolution_t $ param_t $ from_t $ to_t
-      $ points_t $ with_fv_t $ checkpoint_t $ resume_t $ domains_t $ obs_t)
+      const run $ swept_t $ coeffs_t $ segments_t $ resolution_t $ with_fv_t $ checkpoint_t
+      $ resume_t $ domains_t $ obs_t)
 
 (* ----------------------------------------------------------------- figures *)
 

@@ -16,16 +16,6 @@ type result = {
   segmentation : segmentation;
 }
 
-(* One π-segment: vertical bulk resistance to the node below, optional metal
-   column piece and lateral rung, heat injected at the bulk node, and the
-   vertical extent (for profiles). *)
-type segment = {
-  r_bulk : float;
-  metal : (float * float) option; (* (r_metal, r_rung) *)
-  heat : float;
-  dz : float;
-}
-
 let segmentation_for stack ~counts =
   let n = Stack.num_planes stack in
   if Array.length counts <> n then
@@ -84,23 +74,39 @@ let plane_totals ?(cluster = 1) stack i =
   in
   (r_ild, r_si, r_bond, r_metal, r_liner)
 
-(* Expand a stack + segmentation into the flat bottom-to-top segment list. *)
-let build_segments ?(cluster = 1) stack seg qs =
+(* Check a segmentation against its stack and count its ladder's nodes:
+   T0, one bulk node per segment, and one metal node per segment the TTSV
+   runs through (all but the top plane's ILD segments). *)
+let node_count ?(cluster = 1) stack seg qs =
   if cluster < 1 then invalid_arg "Model_b.solve: cluster must be >= 1";
   let n = Stack.num_planes stack in
   if Array.length seg <> n then invalid_arg "Model_b.solve: segmentation length mismatch";
   if Array.length qs <> n then invalid_arg "Model_b.solve: heat vector length mismatch";
-  let segments = ref [] in
-  let push s = segments := s :: !segments in
+  let count = ref 1 in
+  Array.iteri
+    (fun i (n_ild, n_si) ->
+      if n_ild < 1 then invalid_arg "Model_b.solve: each plane needs an ILD segment";
+      if n_si < 0 then invalid_arg "Model_b.solve: negative substrate segment count";
+      let top = i = n - 1 in
+      if top && n_si = 0 then
+        invalid_arg "Model_b.solve: the top plane needs a substrate segment";
+      count := !count + (2 * (n_ild + n_si)) - (if top then n_ild else 0))
+    seg;
+  !count
+
+(* Walk a checked ladder bottom to top in node order.  T0 is node 0; each
+   segment adds its bulk node and, where the TTSV runs, its metal node
+   right after it, which keeps the half-bandwidth at 2.  [bulk b q z] and
+   [metal m z] announce a node (heat [q] in, segment top at height [z])
+   before [resistor i j r] joins it to the nodes below. *)
+let walk ?cluster stack seg qs ~bulk ~metal ~resistor =
+  let n = Stack.num_planes stack in
+  let next = ref 1 and prev_bulk = ref 0 and prev_metal = ref 0 and z = ref 0. in
   for i = 0 to n - 1 do
     let n_ild, n_si = seg.(i) in
-    if n_ild < 1 then invalid_arg "Model_b.solve: each plane needs an ILD segment";
-    if n_si < 0 then invalid_arg "Model_b.solve: negative substrate segment count";
     let top = i = n - 1 in
-    if top && n_si = 0 then
-      invalid_arg "Model_b.solve: the top plane needs a substrate segment";
     let p = Stack.plane stack i in
-    let r_ild, r_si, r_bond, r_metal, r_liner = plane_totals ~cluster stack i in
+    let r_ild, r_si, r_bond, r_metal, r_liner = plane_totals ?cluster stack i in
     let n_total = n_ild + n_si in
     (* the top plane's metal column spans only its substrate segments *)
     let metal_segments = if top then n_si else n_total in
@@ -111,79 +117,58 @@ let build_segments ?(cluster = 1) stack seg qs =
       (p.Plane.t_bond +. t_si_part) /. float_of_int (Stdlib.max n_si 1)
     in
     let dz_ild = p.Plane.t_ild /. float_of_int n_ild in
-    (* bond + substrate part, bottom first (bond folded into the first) *)
-    for s = 0 to n_si - 1 do
-      let r_bulk = (r_si /. float_of_int n_si) +. (if s = 0 then r_bond else 0.) in
-      push { r_bulk; metal = Some (per_metal, per_rung); heat = 0.; dz = dz_si }
-    done;
-    (* ILD part; when there were no substrate segments, the substrate and
-       bond resistances fold into the first ILD segment *)
-    for s = 0 to n_ild - 1 do
-      let r_bulk =
-        (r_ild /. float_of_int n_ild) +. (if s = 0 && n_si = 0 then r_si +. r_bond else 0.)
-      in
-      let metal = if top then None else Some (per_metal, per_rung) in
-      push { r_bulk; metal; heat = qs.(i) /. float_of_int n_ild; dz = dz_ild }
+    (* bond + substrate segments first, then the ILD ones; the first segment
+       carries the bond, and the substrate too when it has no segments *)
+    for s = 0 to n_total - 1 do
+      let b = !next in
+      let on_si = s < n_si in
+      z := !z +. (if on_si then dz_si else dz_ild);
+      bulk b (if on_si then 0. else qs.(i) /. float_of_int n_ild) !z;
+      resistor !prev_bulk b
+        (if on_si then (r_si /. float_of_int n_si) +. (if s = 0 then r_bond else 0.)
+         else (r_ild /. float_of_int n_ild) +. (if s = 0 then r_si +. r_bond else 0.));
+      prev_bulk := b;
+      next := b + 1;
+      if on_si || not top then begin
+        let m = b + 1 in
+        metal m !z;
+        resistor !prev_metal m per_metal;
+        resistor b m per_rung;
+        prev_metal := m;
+        next := m + 1
+      end
     done
-  done;
-  List.rev !segments
+  done
 
-(* Assign node indices: T0 = 0; per segment the bulk node, then (if the
-   segment carries metal) the metal node.  The interleaving keeps the
-   half-bandwidth at 2. *)
-let assemble ?cluster stack seg qs =
-  let segments = build_segments ?cluster stack seg qs in
-  let count =
-    List.fold_left (fun acc s -> acc + (match s.metal with Some _ -> 2 | None -> 1)) 1 segments
-  in
+(* Conductances go straight into the flat band: with half-bandwidth 2,
+   node i's diagonal sits at 5i + 2 and (i, j) at 5i + 2 + j - i. *)
+let solve_with_heats ?cluster stack seg qs =
+  let count = node_count ?cluster stack seg qs in
   let m = Banded.create ~n:count ~bw:2 in
-  let rhs = Array.make count 0. in
-  let stamp i j r =
-    let g = 1. /. r in
-    Banded.add_to m i i g;
-    Banded.add_to m j j g;
-    Banded.add_to m i j (-.g);
-    Banded.add_to m j i (-.g)
-  in
-  let rs = Resistances.of_stack stack in
+  let a = m.Banded.band and rhs = Array.make count 0. in
   (* T0 to ground through R_s: ground is eliminated, only the diagonal term
      remains *)
-  Banded.add_to m 0 0 (1. /. rs.Resistances.r_sink);
-  let next = ref 1 in
-  let prev_bulk = ref 0 and prev_metal = ref 0 in
+  a.(2) <- 1. /. (Resistances.of_stack stack).Resistances.r_sink;
   let bulk_nodes = ref [] and metal_nodes = ref [] in
-  let z = ref 0. in
-  List.iter
-    (fun s ->
-      let b = !next in
-      incr next;
-      stamp !prev_bulk b s.r_bulk;
-      rhs.(b) <- rhs.(b) +. s.heat;
-      z := !z +. s.dz;
-      bulk_nodes := (b, !z) :: !bulk_nodes;
-      (match s.metal with
-      | Some (r_metal, r_rung) ->
-        let mnode = !next in
-        incr next;
-        stamp !prev_metal mnode r_metal;
-        stamp b mnode r_rung;
-        prev_metal := mnode;
-        metal_nodes := (mnode, !z) :: !metal_nodes
-      | None -> ());
-      prev_bulk := b)
-    segments;
-  (m, rhs, List.rev !bulk_nodes, List.rev !metal_nodes)
-
-let solve_with_heats ?cluster stack seg qs =
-  let m, rhs, bulk_nodes, metal_nodes = assemble ?cluster stack seg qs in
+  walk ?cluster stack seg qs
+    ~bulk:(fun b q z ->
+      rhs.(b) <- q;
+      bulk_nodes := (z, b) :: !bulk_nodes)
+    ~metal:(fun m z -> metal_nodes := (z, m) :: !metal_nodes)
+    ~resistor:(fun i j r ->
+      let g = 1. /. r and ii = (5 * i) + 2 and jj = (5 * j) + 2 in
+      a.(ii) <- a.(ii) +. g;
+      a.(jj) <- a.(jj) +. g;
+      a.(ii + j - i) <- a.(ii + j - i) -. g;
+      a.(jj + i - j) <- a.(jj + i - j) -. g);
   let temps = Banded.solve m rhs in
-  let profile nodes = Array.of_list (List.map (fun (i, z) -> (z, temps.(i))) nodes) in
+  let profile nodes = Array.of_list (List.rev_map (fun (z, i) -> (z, temps.(i))) nodes) in
   {
     t0 = temps.(0);
     temps;
-    bulk_profile = profile bulk_nodes;
-    tsv_profile = profile metal_nodes;
-    nodes = Array.length temps;
+    bulk_profile = profile !bulk_nodes;
+    tsv_profile = profile !metal_nodes;
+    nodes = count;
     segmentation = seg;
   }
 
@@ -208,29 +193,18 @@ let solve_adaptive ?cluster ?(rel_tol = 0.005) ?(max_segments = 2000) stack =
   in
   refine 10 None []
 
-(* Test oracle: the same network through the generic circuit solver. *)
+(* Test oracle: the same walk through the generic circuit solver. *)
 let solve_via_circuit stack seg =
   let qs = Stack.heat_inputs stack in
-  let segments = build_segments stack seg qs in
-  let rs = Resistances.of_stack stack in
   let c = Circuit.create () in
-  let ground = Circuit.ground c in
   let t0 = Circuit.add_node c "T0" in
-  Circuit.add_resistor c t0 ground rs.Resistances.r_sink;
-  let prev_bulk = ref t0 and prev_metal = ref t0 in
-  List.iteri
-    (fun i s ->
-      let b = Circuit.add_node c (Printf.sprintf "b%d" i) in
-      Circuit.add_resistor c !prev_bulk b s.r_bulk;
-      if s.heat <> 0. then Circuit.add_heat_source c b s.heat;
-      (match s.metal with
-      | Some (r_metal, r_rung) ->
-        let mnode = Circuit.add_node c (Printf.sprintf "m%d" i) in
-        Circuit.add_resistor c !prev_metal mnode r_metal;
-        Circuit.add_resistor c b mnode r_rung;
-        prev_metal := mnode
-      | None -> ());
-      prev_bulk := b)
-    segments;
-  let sol = Circuit.solve c in
-  Circuit.max_temperature sol
+  let nodes = Array.make (node_count stack seg qs) t0 in
+  Circuit.add_resistor c t0 (Circuit.ground c) (Resistances.of_stack stack).Resistances.r_sink;
+  let add i label = nodes.(i) <- Circuit.add_node c (Printf.sprintf "%s%d" label i) in
+  walk stack seg qs
+    ~bulk:(fun b q _ ->
+      add b "b";
+      if q <> 0. then Circuit.add_heat_source c nodes.(b) q)
+    ~metal:(fun m _ -> add m "m")
+    ~resistor:(fun i j r -> Circuit.add_resistor c nodes.(i) nodes.(j) r);
+  Circuit.max_temperature (Circuit.solve c)

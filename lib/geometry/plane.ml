@@ -14,13 +14,13 @@ let make ?(substrate = Ttsv_physics.Materials.silicon)
     ?(ild = Ttsv_physics.Materials.silicon_dioxide) ?(bond = Ttsv_physics.Materials.polyimide)
     ?(t_device = 2e-6) ?(device_power_density = 0.) ?(ild_power_density = 0.) ~t_substrate ~t_ild
     ~t_bond () =
-  if t_substrate <= 0. then invalid_arg "Plane.make: substrate thickness must be positive";
-  if t_ild <= 0. then invalid_arg "Plane.make: ILD thickness must be positive";
-  if t_bond < 0. then invalid_arg "Plane.make: bond thickness must be nonnegative";
-  if t_device < 0. then invalid_arg "Plane.make: device layer thickness must be nonnegative";
-  if t_device > t_substrate then
+  if not (t_substrate > 0.) then invalid_arg "Plane.make: substrate thickness must be positive";
+  if not (t_ild > 0.) then invalid_arg "Plane.make: ILD thickness must be positive";
+  if not (t_bond >= 0.) then invalid_arg "Plane.make: bond thickness must be nonnegative";
+  if not (t_device >= 0.) then invalid_arg "Plane.make: device layer thickness must be nonnegative";
+  if not (t_device <= t_substrate) then
     invalid_arg "Plane.make: device layer thicker than the substrate";
-  if device_power_density < 0. || ild_power_density < 0. then
+  if not (device_power_density >= 0. && ild_power_density >= 0.) then
     invalid_arg "Plane.make: power densities must be nonnegative";
   {
     t_substrate;
@@ -41,8 +41,8 @@ let heat_input p ~device_area ~ild_area =
   +. (p.ild_power_density *. p.t_ild *. ild_area)
 
 let with_t_substrate p t_substrate =
-  if t_substrate <= 0. then invalid_arg "Plane.with_t_substrate: thickness must be positive";
-  if p.t_device > t_substrate then
+  if not (t_substrate > 0.) then invalid_arg "Plane.with_t_substrate: thickness must be positive";
+  if not (p.t_device <= t_substrate) then
     invalid_arg "Plane.with_t_substrate: device layer thicker than the substrate";
   { p with t_substrate }
 

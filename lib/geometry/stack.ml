@@ -6,18 +6,18 @@ type t = {
 }
 
 let validate s =
-  if s.footprint <= 0. then invalid_arg "Stack.make: footprint must be positive";
+  if not (s.footprint > 0.) then invalid_arg "Stack.make: footprint must be positive";
   let n = Array.length s.planes in
   if n = 0 then invalid_arg "Stack.make: at least one plane required";
   if s.planes.(0).Plane.t_bond <> 0. then
     invalid_arg "Stack.make: the first plane must have no bonding layer below it";
   for i = 1 to n - 1 do
-    if s.planes.(i).Plane.t_bond <= 0. then
+    if not (s.planes.(i).Plane.t_bond > 0.) then
       invalid_arg "Stack.make: planes above the first need a positive bond thickness"
   done;
-  if s.tsv.Tsv.extension >= s.planes.(0).Plane.t_substrate then
+  if not (s.tsv.Tsv.extension < s.planes.(0).Plane.t_substrate) then
     invalid_arg "Stack.make: TSV extension exceeds the first substrate thickness";
-  if Tsv.occupied_area s.tsv >= s.footprint then
+  if not (Tsv.occupied_area s.tsv < s.footprint) then
     invalid_arg "Stack.make: TTSV (incl. liner) does not fit in the footprint";
   s
 

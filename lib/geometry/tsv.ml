@@ -8,9 +8,9 @@ type t = {
 
 let make ?(filler = Ttsv_physics.Materials.copper) ?(liner = Ttsv_physics.Materials.silicon_dioxide)
     ?(extension = 0.) ~radius ~liner_thickness () =
-  if radius <= 0. then invalid_arg "Tsv.make: radius must be positive";
-  if liner_thickness <= 0. then invalid_arg "Tsv.make: liner thickness must be positive";
-  if extension < 0. then invalid_arg "Tsv.make: extension must be nonnegative";
+  if not (radius > 0.) then invalid_arg "Tsv.make: radius must be positive";
+  if not (liner_thickness > 0.) then invalid_arg "Tsv.make: liner thickness must be positive";
+  if not (extension >= 0.) then invalid_arg "Tsv.make: extension must be nonnegative";
   { radius; liner_thickness; extension; filler; liner }
 
 let outer_radius t = t.radius +. t.liner_thickness
@@ -21,11 +21,11 @@ let occupied_area t =
   Float.pi *. ro *. ro
 
 let with_radius t radius =
-  if radius <= 0. then invalid_arg "Tsv.with_radius: radius must be positive";
+  if not (radius > 0.) then invalid_arg "Tsv.with_radius: radius must be positive";
   { t with radius }
 
 let with_liner_thickness t liner_thickness =
-  if liner_thickness <= 0. then
+  if not (liner_thickness > 0.) then
     invalid_arg "Tsv.with_liner_thickness: liner thickness must be positive";
   { t with liner_thickness }
 

@@ -1,23 +1,25 @@
-type t = { n : int; bw : int; band : float array array }
+type t = { n : int; bw : int; band : float array }
 
 let create ~n ~bw =
   if n < 0 || bw < 0 then invalid_arg "Banded.create: negative size";
-  { n; bw; band = Array.make_matrix n ((2 * bw) + 1) 0. }
+  { n; bw; band = Array.make (n * ((2 * bw) + 1)) 0. }
 
 let order m = m.n
 let bandwidth m = m.bw
 
 let in_band m i j = i >= 0 && i < m.n && j >= 0 && j < m.n && abs (i - j) <= m.bw
 
-let get m i j = if in_band m i j then m.band.(i).(j - i + m.bw) else 0.
+let index m i j = (i * ((2 * m.bw) + 1)) + j - i + m.bw
+
+let get m i j = if in_band m i j then m.band.(index m i j) else 0.
 
 let set m i j x =
   if not (in_band m i j) then invalid_arg "Banded.set: outside band";
-  m.band.(i).(j - i + m.bw) <- x
+  m.band.(index m i j) <- x
 
 let add_to m i j x =
   if not (in_band m i j) then invalid_arg "Banded.add_to: outside band";
-  m.band.(i).(j - i + m.bw) <- m.band.(i).(j - i + m.bw) +. x
+  m.band.(index m i j) <- m.band.(index m i j) +. x
 
 let of_dense ~bw d =
   let n = Dense.rows d in
@@ -45,22 +47,24 @@ let mat_vec m x =
       done;
       !acc)
 
-let solve m0 b =
-  if Array.length b <> m0.n then invalid_arg "Banded.solve: dimension mismatch";
-  let n = m0.n and bw = m0.bw in
-  let a = { m0 with band = Array.map Array.copy m0.band } in
-  let x = Array.copy b in
+(* Row r's slots start at r·w, its diagonal at r·w + bw, and (r, c) sits
+   at (r, r) + c − r, so a row's entries right of any slot are contiguous. *)
+let solve m b =
+  if Array.length b <> m.n then invalid_arg "Banded.solve: dimension mismatch";
+  let n = m.n and bw = m.bw and w = (2 * m.bw) + 1 in
+  let a = Array.copy m.band and x = Array.copy b in
   (* forward elimination within the band *)
   for k = 0 to n - 1 do
-    let pivot = get a k k in
-    if Float.abs pivot < 1e-300 then raise Dense.Singular;
-    let ihi = Stdlib.min (n - 1) (k + bw) in
-    for i = k + 1 to ihi do
-      let factor = get a i k /. pivot in
+    let kk = (k * w) + bw in
+    let pivot = a.(kk) in
+    if not (Float.is_finite pivot) || Float.abs pivot < 1e-300 then raise Dense.Singular;
+    let last = Stdlib.min (n - 1) (k + bw) in
+    for i = k + 1 to last do
+      let ik = (i * w) + bw + k - i in
+      let factor = a.(ik) /. pivot in
       if factor <> 0. then begin
-        let jhi = Stdlib.min (n - 1) (k + bw) in
-        for j = k to jhi do
-          add_to a i j (-.factor *. get a k j)
+        for d = 0 to last - k do
+          a.(ik + d) <- a.(ik + d) -. (factor *. a.(kk + d))
         done;
         x.(i) <- x.(i) -. (factor *. x.(k))
       end
@@ -68,11 +72,11 @@ let solve m0 b =
   done;
   (* back substitution *)
   for i = n - 1 downto 0 do
+    let ii = (i * w) + bw in
     let acc = ref x.(i) in
-    let jhi = Stdlib.min (n - 1) (i + bw) in
-    for j = i + 1 to jhi do
-      acc := !acc -. (get a i j *. x.(j))
+    for d = 1 to Stdlib.min (n - 1 - i) bw do
+      acc := !acc -. (a.(ii + d) *. x.(i + d))
     done;
-    x.(i) <- !acc /. get a i i
+    x.(i) <- !acc /. a.(ii)
   done;
   x

@@ -5,10 +5,14 @@
     numbering used by {!Ttsv_core.Model_b}); a banded LU solves them in
     O(n·bw²) instead of O(n³).
 
-    Storage is the LAPACK-style band layout: entry [(i, j)] with
-    [|i - j| <= bw] lives at [band.(i).(j - i + bw)]. *)
+    Storage is the LAPACK-style band layout, flattened row by row into
+    one float array: entry [(i, j)] with [|i - j| <= bw] lives at
+    [band.(i * (2 * bw + 1) + j - i + bw)]. *)
 
-type t
+type t = private { n : int; bw : int; band : float array }
+(** The record is readable so that an assembler can accumulate straight
+    into [band] in the layout above: called from another module, {!add_to}
+    boxes its float argument. *)
 
 val create : n:int -> bw:int -> t
 (** [create ~n ~bw] is an [n x n] zero matrix with half-bandwidth [bw]. *)
@@ -38,5 +42,6 @@ val mat_vec : t -> Vec.t -> Vec.t
 val solve : t -> Vec.t -> Vec.t
 (** [solve m b] performs an in-band Gaussian elimination *without
     pivoting* — valid for the diagonally dominant conductance matrices this
-    library builds — on a copy of [m].  Raises {!Dense.Singular} when a
-    pivot underflows. *)
+    library builds — on copies of [m]'s band and of [b], which it leaves
+    unchanged.  O(n·bw²) flops over the flat band.  Raises
+    {!Dense.Singular} when a pivot underflows or is not finite. *)

@@ -49,6 +49,12 @@ let unit_tests =
         Banded.set m 0 0 1.;
         Alcotest.check_raises "singular" Dense.Singular (fun () ->
             ignore (Banded.solve m [| 1.; 1. |])));
+    test "NaN pivot raises Singular" (fun () ->
+        let m = Banded.create ~n:2 ~bw:0 in
+        Banded.set m 0 0 Float.nan;
+        Banded.set m 1 1 1.;
+        Alcotest.check_raises "singular" Dense.Singular (fun () ->
+            ignore (Banded.solve m [| 1.; 1. |])));
     test "order and bandwidth accessors" (fun () ->
         let m = Banded.create ~n:7 ~bw:2 in
         Alcotest.(check int) "order" 7 (Banded.order m);
@@ -61,6 +67,13 @@ let property_tests =
         let x1 = Banded.solve m b in
         let x2 = Dense.solve (Banded.to_dense m) b in
         Vec.approx_equal ~rtol:1e-8 ~atol:1e-10 x1 x2);
+    qtest ~count:4 "n=400 solve matches dense LU and keeps its inputs"
+      QCheck2.Gen.(oneofl [ 2; 5 ] >>= gen_banded 400)
+      (fun (m, b) ->
+        let band = Array.copy m.Banded.band and rhs = Array.copy b in
+        let x = Banded.solve m b in
+        m.Banded.band = band && b = rhs
+        && Vec.approx_equal ~rtol:1e-8 ~atol:1e-10 x (Dense.solve (Banded.to_dense m) b));
     qtest ~count:40 "bw=1 equals tridiagonal structure" (gen_banded 10 1) (fun (m, b) ->
         let x = Banded.solve m b in
         Vec.norm_inf (Vec.sub (Banded.mat_vec m x) b) < 1e-8);

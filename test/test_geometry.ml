@@ -41,6 +41,14 @@ let tsv_tests =
             ignore (Tsv.make ~radius:1e-6 ~liner_thickness:1e-6 ~extension:(-1.) ()));
         check_raises_invalid "divide" (fun () ->
             ignore (Tsv.divide (Tsv.make ~radius:1e-6 ~liner_thickness:1e-6 ()) 0)));
+    test "NaN dimensions are rejected" (fun () ->
+        (* a [x <= 0.] guard lets NaN through to a NaN temperature *)
+        check_raises_invalid "radius" (fun () ->
+            ignore (Tsv.make ~radius:Float.nan ~liner_thickness:1e-6 ()));
+        let t = Tsv.make ~radius:1e-6 ~liner_thickness:1e-6 () in
+        check_raises_invalid "with_radius" (fun () -> ignore (Tsv.with_radius t Float.nan));
+        check_raises_invalid "with_liner_thickness" (fun () ->
+            ignore (Tsv.with_liner_thickness t Float.nan)));
   ]
 
 let plane_tests =

@@ -92,6 +92,20 @@ let unit_tests =
             ignore (Model_b.segmentation_for s ~counts:[| 0; 1; 1 |]));
         check_raises_invalid "cluster" (fun () ->
             ignore (Model_b.solve ~cluster:0 s (Model_b.paper_segmentation s 10))));
+    test "B(100) allocates at most a third of the boxed-band assembly" (fun () ->
+        (* Stamping through cross-module Banded.add_to calls boxed every
+           float: 37,422-37,719 minor words per B(100).  Stamping into the
+           flat band leaves the result's profiles, the walk's callback
+           arguments and their lists: 8,540 words. *)
+        let s = Params.block () in
+        ignore (Model_b.solve_n s 100);
+        let before = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Model_b.solve_n s 100));
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f minor words <= 37422 / 3" words)
+          true
+          (words <= 37422. /. 3.));
     test "B(1) is close to unity-coefficient Model A" (fun () ->
         (* same physics, different lumping: they should agree within ~15% *)
         let s = Params.block () in
