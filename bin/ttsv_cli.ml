@@ -85,8 +85,25 @@ let bounded ?hi lo =
   in
   Arg.conv' (parse, Format.pp_print_int)
 
-let k1_t = Arg.(value & opt float 1.3 & info [ "k1" ] ~doc:"Model A vertical fitting coefficient")
-let k2_t = Arg.(value & opt float 0.55 & info [ "k2" ] ~doc:"Model A lateral fitting coefficient")
+(* the float analogue: NaN, an infinity or a value outside the range is
+   a usage error (exit 124), not a crash or a NaN answer *)
+let bounded_float range ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && ok x -> Ok x
+    | _ -> Error (Printf.sprintf "expected %s, got %S" range s)
+  in
+  Arg.conv' (parse, Format.pp_print_float)
+
+let finite = bounded_float "a finite number" (fun _ -> true)
+let positive = bounded_float "a finite number > 0" (fun x -> x > 0.)
+let nonnegative = bounded_float "a finite number >= 0" (fun x -> x >= 0.)
+
+let k1_t =
+  Arg.(value & opt positive 1.3 & info [ "k1" ] ~doc:"Model A vertical fitting coefficient")
+
+let k2_t =
+  Arg.(value & opt positive 0.55 & info [ "k2" ] ~doc:"Model A lateral fitting coefficient")
 
 let coeffs_t =
   let build k1 k2 = Coefficients.make ~k1 ~k2 in
@@ -122,7 +139,7 @@ let with_pool domains f = Pool.with_pool ?domains f
 let deadline_t =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some nonnegative) None
     & info [ "deadline" ] ~docv:"SECONDS"
         ~doc:
           "wall-clock budget for the FV reference solve; on expiry the solve stops \
@@ -247,12 +264,12 @@ let solver_report_t =
            ran, iteration counts, residuals and wall time")
 
 let ambient_t =
-  Arg.(value & opt float 25. & info [ "ambient" ] ~doc:"ambient temperature [°C]")
+  Arg.(value & opt finite 25. & info [ "ambient" ] ~doc:"ambient temperature [°C]")
 
 let r_package_t =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some nonnegative) None
     & info [ "r-package" ] ~doc:"sink-to-ambient package resistance [K/W]")
 
 let solve_cmd =
@@ -386,37 +403,50 @@ let sweep_cmd =
 (* ----------------------------------------------------------------- figures *)
 
 let figures_cmd =
+  let artefacts =
+    [
+      ("fig4", `Fig4);
+      ("fig5", `Fig5);
+      ("fig6", `Fig6);
+      ("fig7", `Fig7);
+      ("table1", `Table1);
+      ("case", `Case);
+      ("ablation", `Ablation);
+      ("convergence", `Convergence);
+      ("shape", `Shape);
+      ("sensitivity", `Sensitivity);
+      ("nplanes", `Nplanes);
+      ("variation", `Variation);
+      ("nonlinear", `Nonlinear);
+      ("fillers", `Fillers);
+    ]
+  in
   let which_t =
     Arg.(
       value
-      & pos_all string [ "fig4"; "fig5"; "fig6"; "fig7"; "table1"; "case" ]
-      & info [] ~docv:"ARTEFACT"
-          ~doc:
-            "artefacts to run: fig4 fig5 fig6 fig7 table1 case ablation convergence shape \
-             sensitivity nplanes variation nonlinear fillers")
+      & pos_all (enum artefacts) [ `Fig4; `Fig5; `Fig6; `Fig7; `Table1; `Case ]
+      & info [] ~docv:"ARTEFACT" ~doc:("artefacts to run, each " ^ doc_alts_enum artefacts))
   in
   let run which checkpoint resume domains () =
     with_pool domains @@ fun pool ->
     with_checkpoint checkpoint resume @@ fun checkpoint ->
     let ppf = Format.std_formatter in
     List.iter
-      (fun name ->
-        match name with
-        | "fig4" -> E.Fig4.print ~pool ppf ()
-        | "fig5" -> E.Fig5.print ~pool ?checkpoint ppf ()
-        | "fig6" -> E.Fig6.print ppf ()
-        | "fig7" -> E.Fig7.print ~pool ppf ()
-        | "table1" -> E.Table1.print ppf ()
-        | "case" -> E.Case_study.print ppf ()
-        | "ablation" -> E.Ablation.print ppf ()
-        | "convergence" -> E.Convergence.print ppf ()
-        | "shape" -> E.Shape.print ppf ()
-        | "sensitivity" -> E.Sensitivity.print ~pool ?checkpoint ppf ()
-        | "nplanes" -> E.Nplanes.print ~pool ppf ()
-        | "variation" -> E.Variation.print ~pool ppf ()
-        | "nonlinear" -> E.Nonlinear_study.print ppf ()
-        | "fillers" -> E.Fillers.print ppf ()
-        | other -> Format.eprintf "unknown artefact %S (skipped)@." other)
+      (function
+        | `Fig4 -> E.Fig4.print ~pool ppf ()
+        | `Fig5 -> E.Fig5.print ~pool ?checkpoint ppf ()
+        | `Fig6 -> E.Fig6.print ppf ()
+        | `Fig7 -> E.Fig7.print ~pool ppf ()
+        | `Table1 -> E.Table1.print ppf ()
+        | `Case -> E.Case_study.print ppf ()
+        | `Ablation -> E.Ablation.print ppf ()
+        | `Convergence -> E.Convergence.print ppf ()
+        | `Shape -> E.Shape.print ppf ()
+        | `Sensitivity -> E.Sensitivity.print ~pool ?checkpoint ppf ()
+        | `Nplanes -> E.Nplanes.print ~pool ppf ()
+        | `Variation -> E.Variation.print ~pool ppf ()
+        | `Nonlinear -> E.Nonlinear_study.print ppf ()
+        | `Fillers -> E.Fillers.print ppf ())
       which
   in
   let info = Cmd.info "figures" ~doc:"regenerate the paper's figures and tables" in
@@ -454,8 +484,8 @@ let case_cmd =
 (* --------------------------------------------------------------- transient *)
 
 let transient_cmd =
-  let dt_t = Arg.(value & opt float 0.2 & info [ "dt" ] ~doc:"time step [ms]") in
-  let duration_t = Arg.(value & opt float 200. & info [ "duration" ] ~doc:"duration [ms]") in
+  let dt_t = Arg.(value & opt positive 0.2 & info [ "dt" ] ~doc:"time step [ms]") in
+  let duration_t = Arg.(value & opt positive 200. & info [ "duration" ] ~doc:"duration [ms]") in
   let trace_t =
     Arg.(
       value
@@ -494,13 +524,19 @@ let transient_cmd =
 
 let chip_cmd =
   let grid_t = Arg.(value & opt (bounded 1) 10 & info [ "grid" ] ~doc:"tiles per side") in
-  let size_t = Arg.(value & opt float 4. & info [ "size" ] ~doc:"chip edge [mm]") in
-  let power_t = Arg.(value & opt float 10. & info [ "power" ] ~doc:"total power per plane [W]") in
+  let size_t = Arg.(value & opt positive 4. & info [ "size" ] ~doc:"chip edge [mm]") in
+  let power_t =
+    Arg.(value & opt nonnegative 10. & info [ "power" ] ~doc:"total power per plane [W]")
+  in
   let hotspot_t =
-    Arg.(value & opt float 5. & info [ "hotspot" ] ~doc:"extra watts on the hottest tile block")
+    Arg.(
+      value & opt nonnegative 5. & info [ "hotspot" ] ~doc:"extra watts on the hottest tile block")
   in
   let budget_t =
-    Arg.(value & opt (some float) None & info [ "budget" ] ~doc:"allocate TTSVs for this max dT [K]")
+    Arg.(
+      value
+      & opt (some positive) None
+      & info [ "budget" ] ~doc:"allocate TTSVs for this max dT [K]")
   in
   let candidates_t =
     Arg.(

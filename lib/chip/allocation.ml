@@ -7,7 +7,7 @@ type options = {
 }
 
 let default_options ~budget =
-  if budget <= 0. then invalid_arg "Allocation.default_options: budget must be positive";
+  if not (budget > 0.) then invalid_arg "Allocation.default_options: budget must be positive";
   { budget; step = 0.002; max_density = 0.2; max_iterations = 2000; candidates = 1 }
 
 type outcome = {
@@ -27,9 +27,9 @@ let metal_area chip ds =
   Array.fold_left (fun acc d -> acc +. (d *. tile)) 0. ds
 
 let validate_options o =
-  if o.budget <= 0. then invalid_arg "Allocation.allocate: budget must be positive";
-  if o.step <= 0. then invalid_arg "Allocation.allocate: step must be positive";
-  if o.max_density <= 0. || o.max_density >= 1. then
+  if not (o.budget > 0.) then invalid_arg "Allocation.allocate: budget must be positive";
+  if not (o.step > 0.) then invalid_arg "Allocation.allocate: step must be positive";
+  if not (o.max_density > 0. && o.max_density < 1.) then
     invalid_arg "Allocation.allocate: max_density outside (0, 1)";
   if o.max_iterations < 1 then invalid_arg "Allocation.allocate: max_iterations must be >= 1";
   if o.candidates < 1 then invalid_arg "Allocation.allocate: candidates must be >= 1"

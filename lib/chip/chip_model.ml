@@ -15,7 +15,8 @@ type t = {
 }
 
 let make ?(coeffs = Coefficients.unity) ~width ~height ~nx ~ny ~planes ~tsv () =
-  if width <= 0. || height <= 0. then invalid_arg "Chip_model.make: extent must be positive";
+  if not (width > 0.) || not (height > 0.) then
+    invalid_arg "Chip_model.make: extent must be positive";
   if nx < 1 || ny < 1 then invalid_arg "Chip_model.make: grid must be positive";
   (match planes with
   | [] -> invalid_arg "Chip_model.make: at least one plane"

@@ -14,21 +14,11 @@ let zero ~nx ~ny =
 
 let uniform ~nx ~ny ~total =
   check_grid nx ny;
-  if total < 0. then invalid_arg "Power_map.uniform: negative total";
+  if not (total >= 0.) then invalid_arg "Power_map.uniform: negative total";
   { nx; ny; watts = Array.make (nx * ny) (total /. float_of_int (nx * ny)) }
 
-let of_function ~nx ~ny f =
-  check_grid nx ny;
-  let watts =
-    Array.init (nx * ny) (fun i ->
-        let w = f (i mod nx) (i / nx) in
-        if w < 0. then invalid_arg "Power_map.of_function: negative tile power";
-        w)
-  in
-  { nx; ny; watts }
-
 let add_hotspot m ~x0 ~y0 ~x1 ~y1 ~watts =
-  if watts < 0. then invalid_arg "Power_map.add_hotspot: negative watts";
+  if not (watts >= 0.) then invalid_arg "Power_map.add_hotspot: negative watts";
   let clamp v lo hi = Stdlib.max lo (Stdlib.min hi v) in
   let x0 = clamp x0 0 (m.nx - 1) and x1 = clamp x1 0 (m.nx - 1) in
   let y0 = clamp y0 0 (m.ny - 1) and y1 = clamp y1 0 (m.ny - 1) in
@@ -42,32 +32,7 @@ let add_hotspot m ~x0 ~y0 ~x1 ~y1 ~watts =
   done;
   { m with watts = w }
 
-let scale m f =
-  if f < 0. then invalid_arg "Power_map.scale: negative factor";
-  { m with watts = Array.map (fun w -> w *. f) m.watts }
-
 let nx m = m.nx
 let ny m = m.ny
 let get m x y = m.watts.(idx m x y)
 let total m = Array.fold_left ( +. ) 0. m.watts
-
-let hottest_tile m =
-  let best = ref 0 in
-  Array.iteri (fun i w -> if w > m.watts.(!best) then best := i) m.watts;
-  (!best mod m.nx, !best / m.nx)
-
-let pp ppf m =
-  let peak = Array.fold_left Float.max 0. m.watts in
-  Format.fprintf ppf "@[<v>";
-  for y = m.ny - 1 downto 0 do
-    for x = 0 to m.nx - 1 do
-      let w = m.watts.((y * m.nx) + x) in
-      let c =
-        if peak <= 0. || w <= 0. then '.'
-        else Char.chr (Char.code '0' + Stdlib.min 9 (int_of_float (w /. peak *. 9.999)))
-      in
-      Format.pp_print_char ppf c
-    done;
-    if y > 0 then Format.pp_print_cut ppf ()
-  done;
-  Format.fprintf ppf "@]"

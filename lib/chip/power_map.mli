@@ -2,8 +2,8 @@
 
     The full-chip compact model divides each plane into an nx × ny grid of
     tiles; a power map assigns the wattage each tile dissipates.  Maps are
-    immutable; builders cover the common cases (uniform floor power,
-    rectangular hotspots, arbitrary functions). *)
+    immutable; builders cover uniform floor power and rectangular
+    hotspots. *)
 
 type t
 (** A power map over a fixed tile grid, in watts per tile. *)
@@ -15,17 +15,10 @@ val uniform : nx:int -> ny:int -> total:float -> t
 val zero : nx:int -> ny:int -> t
 (** No power anywhere. *)
 
-val of_function : nx:int -> ny:int -> (int -> int -> float) -> t
-(** [of_function ~nx ~ny f] sets tile [(x, y)] to [f x y] watts
-    (nonnegative; [Invalid_argument] otherwise). *)
-
 val add_hotspot : t -> x0:int -> y0:int -> x1:int -> y1:int -> watts:float -> t
 (** [add_hotspot m ~x0 ~y0 ~x1 ~y1 ~watts] adds [watts] spread uniformly
     over the inclusive tile rectangle — a block of logic lighting up.
     Bounds are clamped to the grid; the rectangle must be nonempty. *)
-
-val scale : t -> float -> t
-(** [scale m f] multiplies every tile by the nonnegative factor [f]. *)
 
 val nx : t -> int
 
@@ -37,11 +30,3 @@ val get : t -> int -> int -> float
 
 val total : t -> float
 (** Sum over all tiles, W. *)
-
-val hottest_tile : t -> int * int
-(** Coordinates of the highest-power tile (first in row-major order on
-    ties). *)
-
-val pp : Format.formatter -> t -> unit
-(** Coarse ASCII heat map (one character per tile, '.' to '9' scaled to
-    the maximum). *)

@@ -1,7 +1,8 @@
 type t = { k1 : float; k2 : float }
 
 let make ~k1 ~k2 =
-  if k1 <= 0. || k2 <= 0. then invalid_arg "Coefficients.make: coefficients must be positive";
+  if not (k1 > 0.) || not (k2 > 0.) then
+    invalid_arg "Coefficients.make: coefficients must be positive";
   { k1; k2 }
 
 let unity = { k1 = 1.; k2 = 1. }

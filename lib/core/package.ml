@@ -1,27 +1,10 @@
 type t = { ambient : float; resistance : float }
 
 let make ?(ambient = 25.) ~resistance () =
-  if resistance < 0. then invalid_arg "Package.make: resistance must be nonnegative";
+  if not (resistance >= 0.) then invalid_arg "Package.make: resistance must be nonnegative";
   { ambient; resistance }
-
-let of_parts ?ambient ~spreader ~sink_to_air () =
-  if spreader < 0. || sink_to_air < 0. then
-    invalid_arg "Package.of_parts: resistances must be nonnegative";
-  make ?ambient ~resistance:(spreader +. sink_to_air) ()
 
 let sink_temperature pkg ~total_power = pkg.ambient +. (pkg.resistance *. total_power)
 
 let junction_temperature pkg ~total_power ~model_rise =
   sink_temperature pkg ~total_power +. model_rise
-
-let max_power_for_junction pkg ~model_rise_per_watt ~junction_limit =
-  if junction_limit <= pkg.ambient then
-    invalid_arg "Package.max_power_for_junction: junction limit below ambient";
-  if model_rise_per_watt < 0. then
-    invalid_arg "Package.max_power_for_junction: negative rise per watt";
-  (junction_limit -. pkg.ambient) /. (pkg.resistance +. model_rise_per_watt)
-
-let required_resistance pkg ~total_power ~model_rise ~junction_limit =
-  if total_power <= 0. then
-    invalid_arg "Package.required_resistance: power must be positive";
-  (junction_limit -. pkg.ambient -. model_rise) /. total_power

@@ -6,7 +6,7 @@
     thermal resistance of the package".  This module is that resistor and
     source: given a package/heat-sink resistance chain and an ambient
     temperature, it converts model rises into absolute junction
-    temperatures and inverts the relation for cooling design. *)
+    temperatures. *)
 
 type t = {
   ambient : float;  (** ambient temperature, °C *)
@@ -17,9 +17,6 @@ val make : ?ambient:float -> resistance:float -> unit -> t
 (** [make ~resistance ()] with [ambient] defaulting to 25 °C.
     [resistance] must be nonnegative. *)
 
-val of_parts : ?ambient:float -> spreader:float -> sink_to_air:float -> unit -> t
-(** Convenience: a two-element chain (heat spreader + sink-to-air). *)
-
 val sink_temperature : t -> total_power:float -> float
 (** [sink_temperature pkg ~total_power] is the absolute temperature of
     the model's reference surface: ambient + R_pkg·P, °C. *)
@@ -27,19 +24,3 @@ val sink_temperature : t -> total_power:float -> float
 val junction_temperature : t -> total_power:float -> model_rise:float -> float
 (** [junction_temperature pkg ~total_power ~model_rise] is the absolute
     hottest-node temperature: sink temperature + the model's Max ΔT. *)
-
-val max_power_for_junction :
-  t -> model_rise_per_watt:float -> junction_limit:float -> float
-(** [max_power_for_junction pkg ~model_rise_per_watt ~junction_limit] is
-    the largest total power (W) keeping the junction below
-    [junction_limit] °C, assuming the on-die rise scales linearly with
-    power (exact for these linear models):
-    P = (Tj − Ta) / (R_pkg + rise/W).  Raises [Invalid_argument] when
-    the limit is at or below ambient. *)
-
-val required_resistance :
-  t -> total_power:float -> model_rise:float -> junction_limit:float -> float
-(** [required_resistance pkg ~total_power ~model_rise ~junction_limit] is
-    the largest package resistance meeting the junction limit at that
-    power (the cooling-solution spec); negative results mean the limit
-    is unreachable even with an ideal package. *)

@@ -45,8 +45,8 @@ let capacities stack (net : Model_a.network) n_nodes =
   caps
 
 let solve ?coeffs ?(power = fun _ -> 1.) stack ~dt ~duration =
-  if dt <= 0. then invalid_arg "Transient.solve: dt must be positive";
-  if duration <= 0. then invalid_arg "Transient.solve: duration must be positive";
+  if not (dt > 0.) then invalid_arg "Transient.solve: dt must be positive";
+  if not (duration > 0.) then invalid_arg "Transient.solve: duration must be positive";
   let rs = Resistances.of_stack ?coeffs stack in
   let qs = Stack.heat_inputs stack in
   let steady = Model_a.solve_triples rs qs in

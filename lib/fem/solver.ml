@@ -42,16 +42,13 @@ let face_conductance a d1 k1 d2 k2 = a /. ((d1 /. k1) +. (d2 /. k2))
    identical to the sequential one.  Face conductances are evaluated in a
    canonical (lower-index) orientation, so the two rows sharing a face
    store exactly opposite off-diagonal values. *)
-let assemble_rows ?pool ?bottom_h ?extra_diagonal (p : Problem.t) =
+let assemble_rows ?pool ?extra_diagonal (p : Problem.t) =
   let g = p.Problem.grid in
   let nr = Grid.nr g and nz = Grid.nz g in
   let n = nr * nz in
   (match extra_diagonal with
   | Some d when Array.length d <> n ->
     invalid_arg "Solver.assemble: extra diagonal length mismatch"
-  | Some _ | None -> ());
-  (match bottom_h with
-  | Some h when h <= 0. -> invalid_arg "Solver.solve: bottom_h must be positive"
   | Some _ | None -> ());
   let k ir iz = p.Problem.conductivity.(Grid.index g ir iz) in
   let cond_r ir iz =
@@ -68,14 +65,10 @@ let assemble_rows ?pool ?bottom_h ?extra_diagonal (p : Problem.t) =
       (0.5 *. Grid.dz g (iz + 1))
       (k ir (iz + 1))
   in
-  (* bottom boundary: isothermal sink across the half cell, or a
-     convective film in series with it *)
+  (* bottom boundary: isothermal sink across the half cell *)
   let bottom_cond ir =
     let a = Grid.axial_face_area g ir in
-    let half_cell = 0.5 *. Grid.dz g 0 /. (a *. k ir 0) in
-    match bottom_h with
-    | None -> 1. /. half_cell
-    | Some h -> 1. /. (half_cell +. (1. /. (h *. a)))
+    1. /. (0.5 *. Grid.dz g 0 /. (a *. k ir 0))
   in
   let row_ptr = Array.make (n + 1) 0 in
   for idx = 0 to n - 1 do
@@ -122,9 +115,9 @@ let assemble_rows ?pool ?bottom_h ?extra_diagonal (p : Problem.t) =
   | Some pool -> Ttsv_parallel.Pool.parallel_for ~chunk:64 ~min_size:256 pool n fill_row);
   Sparse.of_csr ~nrows:n ~ncols:n ~row_ptr ~col_idx ~values
 
-let assemble ?pool ?bottom_h ?extra_diagonal p =
+let assemble ?pool ?extra_diagonal p =
   Obs_span.with_ ~name:"solver.assemble" (fun () ->
-      record_assembly (assemble_rows ?pool ?bottom_h ?extra_diagonal p))
+      record_assembly (assemble_rows ?pool ?extra_diagonal p))
 
 (* Reject physically meaningless fields before assembling: a single NaN
    conductivity or source poisons the whole system. *)
@@ -161,7 +154,7 @@ let ladder_solve ~span ~tol ~max_iter_for ?max_iter ?x0 ?pool ?rungs ?budget ~sh
     Obs_span.with_ ~name:span (fun () ->
         Robust.solve ~tol ~max_iter ?x0 ?pool ?rungs ~shape ?budget matrix source)
 
-let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?bottom_h ?pool ?rungs ?budget p =
+let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?pool ?rungs ?budget p =
   (* declare the unknowns' tensor-grid layout (Grid.index: ir fastest)
      so a pinned multigrid rung can build its hierarchy *)
   let g = p.Problem.grid in
@@ -169,7 +162,7 @@ let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?bottom_h ?pool ?rungs ?budget p =
     ~max_iter_for:(fun n -> Stdlib.max 2000 (40 * n))
     ?max_iter ?x0 ?pool ?rungs ?budget ~shape:[| Grid.nr g; Grid.nz g |]
     ~conductivity:p.Problem.conductivity ~source:p.Problem.source
-    (fun () -> assemble ?pool ?bottom_h p)
+    (fun () -> assemble ?pool p)
   |> Result.map (fun (temps, d) ->
          {
            problem = p;
@@ -179,8 +172,8 @@ let try_solve ?(tol = 1e-10) ?max_iter ?x0 ?bottom_h ?pool ?rungs ?budget p =
            diagnostics = d;
          })
 
-let solve ?tol ?max_iter ?x0 ?bottom_h ?pool ?rungs ?budget p =
-  match try_solve ?tol ?max_iter ?x0 ?bottom_h ?pool ?rungs ?budget p with
+let solve ?tol ?max_iter ?x0 ?pool ?rungs ?budget p =
+  match try_solve ?tol ?max_iter ?x0 ?pool ?rungs ?budget p with
   | Ok r -> r
   | Error f -> raise (Robust.Solve_failed f)
 
@@ -188,8 +181,7 @@ let max_rise r = Array.fold_left Float.max 0. r.temps
 
 type transient = { times : float array; max_rises : float array; final : result }
 
-let solve_transient ?(tol = 1e-10) ?bottom_h ?(power = fun _ -> 1.) ?pool ~materials ~dt
-    ~steps p =
+let solve_transient ?(tol = 1e-10) ?pool ~materials ~dt ~steps p =
   if dt <= 0. then invalid_arg "Solver.solve_transient: dt must be positive";
   if steps < 1 then invalid_arg "Solver.solve_transient: steps must be >= 1";
   let n = Array.length p.Problem.conductivity in
@@ -203,29 +195,25 @@ let solve_transient ?(tol = 1e-10) ?bottom_h ?(power = fun _ -> 1.) ?pool ~mater
         Grid.volume g (i mod nr) (i / nr)
         *. materials.(i).Material.volumetric_heat_capacity)
   in
-  (* backward Euler: (G + C/dt) T_next = q(t_next) + (C/dt) T_now; the
+  (* backward Euler: (G + C/dt) T_next = q + (C/dt) T_now; the
      system matrix is assembled once and every step warm-starts CG from the
      previous instant *)
   let cdt = Array.map (fun c -> c /. dt) caps in
-  let system = assemble ?pool ?bottom_h ~extra_diagonal:cdt p in
+  let system = assemble ?pool ~extra_diagonal:cdt p in
   let times = Array.make (steps + 1) 0. in
   let maxes = Array.make (steps + 1) 0. in
   let temps = ref (Array.make n 0.) in
   let total_iters = ref 0 in
   let last_diag = ref Diagnostics.empty in
   for m = 1 to steps do
-    let time = float_of_int m *. dt in
-    let scale = power time in
-    let rhs =
-      Array.init n (fun i -> (p.Problem.source.(i) *. scale) +. (cdt.(i) *. !temps.(i)))
-    in
+    let rhs = Array.init n (fun i -> p.Problem.source.(i) +. (cdt.(i) *. !temps.(i))) in
     let x, d =
       Robust.solve_exn ~tol ~max_iter:(Stdlib.max 2000 (40 * n)) ~x0:!temps ?pool system rhs
     in
     temps := x;
     total_iters := !total_iters + d.Diagnostics.iterations;
     last_diag := d;
-    times.(m) <- time;
+    times.(m) <- float_of_int m *. dt;
     maxes.(m) <- Array.fold_left Float.max 0. !temps
   done;
   {

@@ -24,7 +24,6 @@ type result = {
 
 val assemble :
   ?pool:Ttsv_parallel.Pool.t ->
-  ?bottom_h:float ->
   ?extra_diagonal:float array ->
   Problem.t ->
   Ttsv_numerics.Sparse.t
@@ -81,7 +80,6 @@ val try_solve :
   ?tol:float ->
   ?max_iter:int ->
   ?x0:float array ->
-  ?bottom_h:float ->
   ?pool:Ttsv_parallel.Pool.t ->
   ?rungs:Ttsv_robust.Diagnostics.rung list ->
   ?budget:Ttsv_parallel.Budget.t ->
@@ -89,12 +87,8 @@ val try_solve :
   (result, Ttsv_robust.Robust.failure) Stdlib.result
 (** [try_solve p] assembles and solves, escalating through the
     {!Ttsv_robust.Robust} ladder.  [tol] defaults to [1e-10].
-    [bottom_h], when given, replaces the isothermal sink with a
-    convective boundary of that heat-transfer coefficient (W/(m²·K)) to
-    a 0-rise coolant — the package-level boundary §II mentions; rises
-    are then above the coolant, not the die surface.  Non-finite or
-    non-positive conductivities and non-finite sources are rejected up
-    front as [Invalid_input].  [x0] warm-starts the iterative rungs from a
+    Non-finite or non-positive conductivities and non-finite sources are
+    rejected up front as [Invalid_input].  [x0] warm-starts the iterative rungs from a
     previous nearby solution (length-checked by the ladder); solving a
     perturbed geometry from a neighbour's field typically converges in a
     fraction of the cold-start iterations, which is what the service
@@ -111,7 +105,6 @@ val solve :
   ?tol:float ->
   ?max_iter:int ->
   ?x0:float array ->
-  ?bottom_h:float ->
   ?pool:Ttsv_parallel.Pool.t ->
   ?rungs:Ttsv_robust.Diagnostics.rung list ->
   ?budget:Ttsv_parallel.Budget.t ->
@@ -128,8 +121,6 @@ type transient = {
 
 val solve_transient :
   ?tol:float ->
-  ?bottom_h:float ->
-  ?power:(float -> float) ->
   ?pool:Ttsv_parallel.Pool.t ->
   materials:Ttsv_physics.Material.t array ->
   dt:float ->
@@ -137,14 +128,14 @@ val solve_transient :
   Problem.t ->
   transient
 (** [solve_transient ~materials ~dt ~steps p] integrates
-    C·dT/dt + G·T = q(t) by backward Euler from a uniform 0-rise start:
-    the field-solver counterpart of {!Ttsv_core.Transient}, used to
-    validate its lumped capacitances.  Cell capacities are volume ×
-    the material's volumetric heat capacity ([materials] from
-    {!Problem.materials_of_stack}).  [power] scales the source over
-    time (default constant 1).  Each step solves (G + C/Δt) through the
-    escalation ladder, warm-started from the previous instant.  Raises
-    {!Ttsv_robust.Robust.Solve_failed} when a step cannot be solved. *)
+    C·dT/dt + G·T = q (the problem's constant sources) by backward Euler
+    from a uniform 0-rise start: the field-solver counterpart of
+    {!Ttsv_core.Transient}, used to validate its lumped capacitances.
+    Cell capacities are volume × the material's volumetric heat capacity
+    ([materials] from {!Problem.materials_of_stack}).  Each step solves
+    (G + C/Δt) through the escalation ladder, warm-started from the
+    previous instant.  Raises {!Ttsv_robust.Robust.Solve_failed} when a
+    step cannot be solved. *)
 
 type picard_failure = {
   sweeps : int;  (** sweeps spent in the last (most damped) attempt *)
@@ -206,11 +197,9 @@ val axis_profile : result -> (float * float) array
 (** (z, ΔT) along the innermost (axis) column of cells. *)
 
 val sink_heat_flow : result -> float
-(** Heat leaving through the bottom boundary, W (isothermal-boundary
-    formula; results obtained with [bottom_h] report the half-cell
-    conduction only).  Energy conservation demands this equal
-    {!Problem.total_source} for isothermal solves; the tests assert the
-    relative imbalance is below 1e-6. *)
+(** Heat leaving through the isothermal bottom boundary, W.  Energy
+    conservation demands this equal {!Problem.total_source}; the tests
+    assert the relative imbalance is below 1e-6. *)
 
 val energy_imbalance : result -> float
 (** |sink flow − total source| / total source (0 when there is no

@@ -33,8 +33,6 @@ let divide t n =
   if n < 1 then invalid_arg "Tsv.divide: need n >= 1";
   { t with radius = t.radius /. sqrt (float_of_int n) }
 
-let aspect_ratio t length = length /. (2. *. t.radius)
-
 let pp ppf t =
   Format.fprintf ppf "TTSV r=%a, liner %a (%s in %s), l_ext=%a" Ttsv_physics.Units.pp_length_um
     t.radius Ttsv_physics.Units.pp_length_um t.liner_thickness t.filler.Ttsv_physics.Material.name

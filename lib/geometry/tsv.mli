@@ -48,8 +48,4 @@ val divide : t -> int -> t
     radius r₀ becomes [n] TTSVs of radius r₀/√n, same liner thickness.
     Requires [n >= 1]. *)
 
-val aspect_ratio : t -> float -> float
-(** [aspect_ratio t length] is [length / (2·radius)], the via aspect
-    ratio the paper bounds by fabrication (typically ≤ 10). *)
-
 val pp : Format.formatter -> t -> unit

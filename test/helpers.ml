@@ -29,6 +29,21 @@ let test name f = Alcotest.test_case name `Quick f
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
+(* Adaptive Simpson quadrature: an oracle for closed forms stated as
+   integrals (eq. 9).  Local tolerance 1e-12 of the running estimate,
+   at most 40 bisection levels. *)
+let adaptive_simpson f a b =
+  let simpson_3 a b = (b -. a) /. 6. *. (f a +. (4. *. f (0.5 *. (a +. b))) +. f b) in
+  let rec refine a b whole depth tol =
+    let m = 0.5 *. (a +. b) in
+    let left = simpson_3 a m and right = simpson_3 m b in
+    let delta = left +. right -. whole in
+    if Float.abs delta <= 15. *. tol || depth >= 40 then left +. right +. (delta /. 15.)
+    else refine a m left (depth + 1) (tol /. 2.) +. refine m b right (depth + 1) (tol /. 2.)
+  in
+  let whole = simpson_3 a b in
+  refine a b whole 0 (1e-12 *. Float.max 1. (Float.abs whole))
+
 (* --- geometry generators ------------------------------------------------- *)
 
 (* A physically sensible random block: radius 1-15 um, liner 0.2-2 um,

@@ -28,15 +28,10 @@ let power_map_tests =
             ~watts:3.
         in
         close_rel "clamped" 3. (Power_map.get m 0 0));
-    test "hottest tile" (fun () ->
-        let m = Power_map.of_function ~nx:3 ~ny:3 (fun x y -> float_of_int (x + (3 * y))) in
-        Alcotest.(check (pair int int)) "corner" (2, 2) (Power_map.hottest_tile m));
     test "validation" (fun () ->
         check_raises_invalid "grid" (fun () -> ignore (Power_map.uniform ~nx:0 ~ny:1 ~total:1.));
         check_raises_invalid "negative" (fun () ->
-            ignore (Power_map.of_function ~nx:1 ~ny:1 (fun _ _ -> -1.)));
-        check_raises_invalid "scale" (fun () ->
-            ignore (Power_map.scale (Power_map.zero ~nx:1 ~ny:1) (-1.))));
+            ignore (Power_map.uniform ~nx:1 ~ny:1 ~total:(-1.))));
   ]
 
 (* a chip whose single tile matches the paper block exactly *)
@@ -68,9 +63,7 @@ let chip_tests =
         close_rel "one via" 1. (Chip_model.vias_per_tile chip ds 0 0);
         let stack = Ttsv_core.Params.block () in
         let qs = Stack.heat_inputs stack in
-        let power =
-          List.init 3 (fun j -> Power_map.of_function ~nx:1 ~ny:1 (fun _ _ -> qs.(j)))
-        in
+        let power = List.init 3 (fun j -> Power_map.uniform ~nx:1 ~ny:1 ~total:qs.(j)) in
         let r = Chip_model.solve chip ds power in
         let a = Model_a.solve_with_heats ~coeffs stack qs in
         close_rel ~tol:1e-9 "same max" (Model_a.max_rise a) r.Chip_model.max_rise;

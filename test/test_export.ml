@@ -1,11 +1,7 @@
-(* Tests for CSV figure export and VTK field export. *)
+(* Tests for CSV figure export. *)
 
 module Report = Ttsv_experiments.Report
 module Export = Ttsv_experiments.Export
-module Problem = Ttsv_fem.Problem
-module Solver = Ttsv_fem.Solver
-module Vtk = Ttsv_fem.Vtk
-module Grid = Ttsv_fem.Grid
 open Helpers
 
 let sample_figure () =
@@ -65,37 +61,4 @@ let csv_tests =
             Alcotest.(check string) "data" "B (1),23%,19%" (List.nth lines 1)));
   ]
 
-let vtk_tests =
-  [
-    test "VTK structure: header, dimensions, point and cell counts" (fun () ->
-        let res =
-          Solver.solve
-            (Problem.uniform_column ~layers:[ (1e-5, 10.) ] ~radius:1e-5 ~cells_per_layer:4
-               ~top_flux:0.1)
-        in
-        let g = res.Solver.problem.Problem.grid in
-        let path = Filename.temp_file "ttsv_test" ".vtk" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            Vtk.write res path;
-            let body = read_file path in
-            let contains s =
-              let n = String.length body and m = String.length s in
-              let rec scan i = i + m <= n && (String.sub body i m = s || scan (i + 1)) in
-              scan 0
-            in
-            Alcotest.(check bool) "header" true (contains "# vtk DataFile Version 2.0");
-            Alcotest.(check bool) "dataset" true (contains "DATASET STRUCTURED_GRID");
-            Alcotest.(check bool) "dims" true
-              (contains
-                 (Printf.sprintf "DIMENSIONS %d %d 1" (Grid.nr g + 1) (Grid.nz g + 1)));
-            Alcotest.(check bool) "cell data" true
-              (contains (Printf.sprintf "CELL_DATA %d" (Grid.nr g * Grid.nz g)));
-            Alcotest.(check bool) "temperature field" true
-              (contains "SCALARS temperature_rise double 1");
-            Alcotest.(check bool) "conductivity field" true
-              (contains "SCALARS conductivity double 1")));
-  ]
-
-let suite = ("export", csv_tests @ vtk_tests)
+let suite = ("export", csv_tests)

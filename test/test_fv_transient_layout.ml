@@ -1,13 +1,10 @@
-(* Tests for the FV transient solver, the convective bottom boundary, via
-   layouts, and adaptive Model B refinement. *)
+(* Tests for the FV transient solver and adaptive Model B refinement. *)
 
-module Units = Ttsv_physics.Units
 module Params = Ttsv_core.Params
 module Model_b = Ttsv_core.Model_b
 module Transient = Ttsv_core.Transient
 module Problem = Ttsv_fem.Problem
 module Solver = Ttsv_fem.Solver
-module Layout = Ttsv_geometry.Layout
 open Helpers
 
 let fv_transient_tests =
@@ -66,74 +63,6 @@ let fv_transient_tests =
                  ~dt:1e-3 ~steps:5 problem)));
   ]
 
-let convective_tests =
-  [
-    test "a finite film coefficient raises every temperature" (fun () ->
-        let stack = Params.block () in
-        let problem = Problem.of_stack stack in
-        let iso = Solver.max_rise (Solver.solve problem) in
-        let conv = Solver.max_rise (Solver.solve ~bottom_h:5e4 problem) in
-        Alcotest.(check bool) "hotter above a film" true (conv > iso));
-    test "a huge film coefficient recovers the isothermal answer" (fun () ->
-        let stack = Params.block () in
-        let problem = Problem.of_stack stack in
-        let iso = Solver.max_rise (Solver.solve problem) in
-        let nearly = Solver.max_rise (Solver.solve ~bottom_h:1e12 problem) in
-        close_rel ~tol:1e-4 "limit" iso nearly);
-    test "film resistance adds about 1/(h A) for a uniform slab" (fun () ->
-        let p =
-          Problem.uniform_column ~layers:[ (1e-4, 150.) ] ~radius:1e-4 ~cells_per_layer:10
-            ~top_flux:0.5
-        in
-        let h = 1e4 in
-        let area = Float.pi *. 1e-8 in
-        let iso = Solver.max_rise (Solver.solve p) in
-        let conv = Solver.max_rise (Solver.solve ~bottom_h:h p) in
-        close_rel ~tol:1e-6 "series film" (0.5 /. (h *. area)) (conv -. iso));
-    test "nonpositive h rejected" (fun () ->
-        let p = Problem.of_stack (Params.block ()) in
-        check_raises_invalid "h" (fun () -> ignore (Solver.solve ~bottom_h:0. p)));
-  ]
-
-let layout_tests =
-  [
-    test "square grid count and containment" (fun () ->
-        let side = 1e-4 in
-        let centers = Layout.square_grid ~side ~rows:3 ~cols:4 in
-        Alcotest.(check int) "count" 12 (List.length centers);
-        Alcotest.(check bool) "fits" true (Layout.fits ~side ~margin:1e-5 centers));
-    test "square grid pitch" (fun () ->
-        let centers = Layout.square_grid ~side:1e-4 ~rows:2 ~cols:2 in
-        close_rel "pitch is half the side" 5e-5 (Layout.min_pitch centers));
-    test "hexagonal respects its pitch" (fun () ->
-        let centers = Layout.hexagonal ~side:1e-4 ~pitch:2e-5 in
-        Alcotest.(check bool) "nonempty" true (List.length centers > 10);
-        Alcotest.(check bool) "drc" true
-          (Layout.spacing_ok ~min_spacing:(2e-5 *. 0.999) centers);
-        Alcotest.(check bool) "fits" true (Layout.fits ~side:1e-4 ~margin:(1e-5 *. 0.999) centers));
-    test "hexagonal packs denser than square at equal spacing" (fun () ->
-        let side = 2e-4 and pitch = 2e-5 in
-        let hex = List.length (Layout.hexagonal ~side ~pitch) in
-        let per_row = int_of_float (side /. pitch) in
-        let square = per_row * per_row in
-        Alcotest.(check bool)
-          (Printf.sprintf "hex %d > square %d" hex square)
-          true (hex > square));
-    test "ring geometry" (fun () ->
-        let side = 1e-4 in
-        let centers = Layout.ring ~side ~count:8 ~radius:3e-5 in
-        Alcotest.(check int) "count" 8 (List.length centers);
-        List.iter
-          (fun (x, y) ->
-            close_rel ~tol:1e-9 "on circle" 3e-5
-              (Float.hypot (x -. (side /. 2.)) (y -. (side /. 2.))))
-          centers;
-        check_raises_invalid "too large" (fun () ->
-            ignore (Layout.ring ~side ~count:4 ~radius:6e-5)));
-    test "min_pitch of a singleton is infinite" (fun () ->
-        Alcotest.(check bool) "inf" true (Layout.min_pitch [ (0., 0.) ] = Float.infinity));
-  ]
-
 let adaptive_tests =
   [
     test "adaptive Model B converges and reports its ladder" (fun () ->
@@ -154,5 +83,4 @@ let adaptive_tests =
             ignore (Model_b.solve_adaptive ~rel_tol:0. (Params.block ()))));
   ]
 
-let suite =
-  ("fv-transient+layout", fv_transient_tests @ convective_tests @ layout_tests @ adaptive_tests)
+let suite = ("fv-transient+layout", fv_transient_tests @ adaptive_tests)

@@ -29,9 +29,6 @@ let tsv_tests =
         let perimeter n = float_of_int n *. 2. *. Float.pi *. (Tsv.divide t n).Tsv.radius in
         Alcotest.(check bool) "grows" true (perimeter 4 > perimeter 1);
         close_rel "sqrt law" (2. *. perimeter 1) (perimeter 4));
-    test "aspect ratio" (fun () ->
-        let t = Tsv.make ~radius:(Units.um 5.) ~liner_thickness:(Units.um 1.) () in
-        close_rel "ar" 10. (Tsv.aspect_ratio t (Units.um 100.)));
     test "validation" (fun () ->
         check_raises_invalid "radius" (fun () ->
             ignore (Tsv.make ~radius:0. ~liner_thickness:1e-6 ()));

@@ -13,7 +13,6 @@ module Package = Ttsv_core.Package
 module Stack = Ttsv_geometry.Stack
 module Problem = Ttsv_fem.Problem
 module Solver = Ttsv_fem.Solver
-module Joule = Ttsv_electrical.Joule
 module Report = Ttsv_experiments.Report
 module Export = Ttsv_experiments.Export
 open Helpers
@@ -58,12 +57,6 @@ let integration_tests =
             let b2 = Model_b.max_rise (Model_b.solve_n ~cluster:n2 stack 100) in
             Alcotest.(check bool) "same ordering" true ((a1 > a2) = (b1 > b2)))
           [ (1, 4); (4, 9); (9, 16) ]);
-    test "Joule baseline equals Model A" (fun () ->
-        let stack = Params.block () in
-        let r =
-          Joule.solve ~sink_temperature_k:(Units.kelvin_of_celsius 27.) ~current_rms:0. stack
-        in
-        close_rel ~tol:1e-9 "baseline" (Model_a.max_rise (Model_a.solve stack)) r.Joule.rise);
     test "package junction commutes with the model rise" (fun () ->
         let stack = Params.block () in
         let rise = Model_a.max_rise (Model_a.solve stack) in

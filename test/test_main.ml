@@ -10,7 +10,6 @@ let all_suites =
   [
     Test_vec.suite;
     Test_dense.suite;
-    Test_tridiag.suite;
     Test_banded.suite;
     Test_sparse.suite;
     Test_iterative.suite;
@@ -39,7 +38,6 @@ let all_suites =
     Test_package_spreading.suite;
     Test_extensions.suite;
     Test_nonlinear.suite;
-    Test_electrical.suite;
     Test_quadrature.suite;
     Test_fv_transient_layout.suite;
     Test_trace.suite;

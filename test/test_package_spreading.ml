@@ -1,8 +1,6 @@
-(* Tests for the package/ambient boundary and the spreading-resistance
-   primitive. *)
+(* Tests for the package/ambient boundary. *)
 
 module Package = Ttsv_core.Package
-module Spreading = Ttsv_core.Spreading
 open Helpers
 
 let package_tests =
@@ -12,89 +10,9 @@ let package_tests =
         close_rel "sink" 35. (Package.sink_temperature pkg ~total_power:20.);
         close_rel "junction" 47.8
           (Package.junction_temperature pkg ~total_power:20. ~model_rise:12.8));
-    test "of_parts sums the chain" (fun () ->
-        let pkg = Package.of_parts ~spreader:0.1 ~sink_to_air:0.4 () in
-        close_rel "sum" 0.5 pkg.Package.resistance;
-        close "default ambient" 25. pkg.Package.ambient);
-    test "max power inverts the junction relation" (fun () ->
-        let pkg = Package.make ~ambient:25. ~resistance:0.5 () in
-        let rise_per_watt = 0.15 in
-        let p = Package.max_power_for_junction pkg ~model_rise_per_watt:rise_per_watt
-            ~junction_limit:85.
-        in
-        (* check the fixed point: junction at the limit for that power *)
-        close_rel "fixed point" 85.
-          (Package.junction_temperature pkg ~total_power:p ~model_rise:(rise_per_watt *. p)));
-    test "required resistance closes the loop" (fun () ->
-        let pkg = Package.make ~ambient:25. ~resistance:0. () in
-        let r =
-          Package.required_resistance pkg ~total_power:84. ~model_rise:12.8 ~junction_limit:85.
-        in
-        let pkg' = Package.make ~ambient:25. ~resistance:r () in
-        close_rel "meets the limit" 85.
-          (Package.junction_temperature pkg' ~total_power:84. ~model_rise:12.8));
     test "validation" (fun () ->
         check_raises_invalid "resistance" (fun () ->
-            ignore (Package.make ~resistance:(-1.) ()));
-        let pkg = Package.make ~resistance:0.5 () in
-        check_raises_invalid "limit below ambient" (fun () ->
-            ignore (Package.max_power_for_junction pkg ~model_rise_per_watt:0.1 ~junction_limit:20.)));
+            ignore (Package.make ~resistance:(-1.) ())));
   ]
 
-let spreading_tests =
-  [
-    test "full-coverage source recovers the exact 1-D slab" (fun () ->
-        let b = 1e-3 and t = 5e-4 and k = 150. in
-        close_rel ~tol:1e-9 "1-D limit"
-          (Spreading.one_d_resistance ~cell_radius:b ~thickness:t ~conductivity:k)
-          (Spreading.resistance ~source_radius:b ~cell_radius:b ~thickness:t ~conductivity:k ()));
-    test "small sources constrict: factor > 1 and grows as the source shrinks" (fun () ->
-        let factor a =
-          Spreading.spreading_factor ~source_radius:a ~cell_radius:1e-3 ~thickness:5e-4
-            ~conductivity:150.
-        in
-        Alcotest.(check bool) "f(0.5b) > 1" true (factor 5e-4 > 1.);
-        Alcotest.(check bool) "monotone" true (factor 1e-4 > factor 5e-4);
-        Alcotest.(check bool) "f(0.1b) substantial" true (factor 1e-4 > 2.));
-    test "convective base adds resistance relative to isothermal" (fun () ->
-        let iso =
-          Spreading.resistance ~source_radius:2e-4 ~cell_radius:1e-3 ~thickness:5e-4
-            ~conductivity:150. ()
-        in
-        let convective =
-          Spreading.resistance ~source_radius:2e-4 ~cell_radius:1e-3 ~thickness:5e-4
-            ~conductivity:150. ~heat_transfer_coeff:1e4 ()
-        in
-        Alcotest.(check bool) "higher with finite h" true (convective > iso));
-    test "psi validation" (fun () ->
-        check_raises_invalid "epsilon" (fun () ->
-            ignore (Spreading.psi ~epsilon:1.5 ~tau:0.5 ~biot:Float.infinity));
-        check_raises_invalid "tau" (fun () ->
-            ignore (Spreading.psi ~epsilon:0.5 ~tau:0. ~biot:Float.infinity));
-        check_raises_invalid "source size" (fun () ->
-            ignore
-              (Spreading.resistance ~source_radius:2e-3 ~cell_radius:1e-3 ~thickness:1e-4
-                 ~conductivity:1. ())));
-  ]
-
-let property_tests =
-  [
-    qtest ~count:60 "spreading factor is always >= 1"
-      QCheck2.Gen.(pair (float_range 0.05 1.) (float_range 0.05 2.))
-      (fun (eps, tau) ->
-        let b = 1e-3 in
-        Spreading.spreading_factor ~source_radius:(eps *. b) ~cell_radius:b
-          ~thickness:(tau *. b) ~conductivity:100.
-        >= 1. -. 1e-9);
-    qtest ~count:60 "resistance decreases with conductivity"
-      QCheck2.Gen.(float_range 0.1 0.9)
-      (fun eps ->
-        let b = 1e-3 in
-        let r k =
-          Spreading.resistance ~source_radius:(eps *. b) ~cell_radius:b ~thickness:5e-4
-            ~conductivity:k ()
-        in
-        r 300. < r 100.);
-  ]
-
-let suite = ("package+spreading", package_tests @ spreading_tests @ property_tests)
+let suite = ("package+spreading", package_tests)

@@ -1,9 +1,8 @@
-(* Tests for units, materials and conductivity mixing. *)
+(* Tests for units and materials. *)
 
 module Units = Ttsv_physics.Units
 module Material = Ttsv_physics.Material
 module Materials = Ttsv_physics.Materials
-module Mixing = Ttsv_physics.Mixing
 open Helpers
 
 let units_tests =
@@ -55,40 +54,4 @@ let material_tests =
           (List.length (List.sort_uniq compare names)));
   ]
 
-let mixing_tests =
-  [
-    test "parallel rule hand computed" (fun () ->
-        close ~tol:1e-12 "parallel" 21.33 (Mixing.parallel [ (1.4, 0.95); (400., 0.05) ]));
-    test "series of equal phases is that phase" (fun () ->
-        close ~tol:1e-12 "series" 5. (Mixing.series [ (5., 0.5); (5., 0.5) ]));
-    test "fractions must sum to one" (fun () ->
-        check_raises_invalid "sum" (fun () -> ignore (Mixing.parallel [ (1., 0.5) ])));
-    test "maxwell_garnett limits" (fun () ->
-        close ~tol:1e-9 "f=0" 1.4
-          (Mixing.maxwell_garnett ~k_matrix:1.4 ~k_inclusion:400. ~fraction:0.);
-        let f1 = Mixing.maxwell_garnett ~k_matrix:1.4 ~k_inclusion:400. ~fraction:1. in
-        Alcotest.(check bool) "f=1 near inclusion" true (Float.abs (f1 -. 400.) /. 400. < 0.05));
-    test "ild_with_metal equals two-phase parallel" (fun () ->
-        close ~tol:1e-12 "ild"
-          (Mixing.parallel [ (1.4, 0.9); (400., 0.1) ])
-          (Mixing.ild_with_metal ~k_dielectric:1.4 ~k_metal:400. ~metal_fraction:0.1));
-  ]
-
-let property_tests =
-  [
-    qtest ~count:60 "wiener bounds: series <= maxwell-garnett <= parallel"
-      QCheck2.Gen.(triple (float_range 0.5 5.) (float_range 10. 500.) (float_range 0.05 0.6))
-      (fun (k1, k2, f) ->
-        let s = Mixing.series [ (k1, 1. -. f); (k2, f) ] in
-        let p = Mixing.parallel [ (k1, 1. -. f); (k2, f) ] in
-        let mg = Mixing.maxwell_garnett ~k_matrix:k1 ~k_inclusion:k2 ~fraction:f in
-        s <= mg +. 1e-9 && mg <= p +. 1e-9);
-    qtest ~count:60 "mixing results are bracketed by the phases"
-      QCheck2.Gen.(triple (float_range 0.5 5.) (float_range 10. 500.) (float_range 0.01 0.99))
-      (fun (k1, k2, f) ->
-        let p = Mixing.parallel [ (k1, 1. -. f); (k2, f) ] in
-        let lo = Float.min k1 k2 and hi = Float.max k1 k2 in
-        lo -. 1e-9 <= p && p <= hi +. 1e-9);
-  ]
-
-let suite = ("physics", units_tests @ material_tests @ mixing_tests @ property_tests)
+let suite = ("physics", units_tests @ material_tests)

@@ -1,36 +1,12 @@
-(* Tests for numerical integration, including the cross-validation of the
-   paper's eq. 9 closed form against its defining integral. *)
+(* Cross-validation of the paper's eq. 9 closed form against its defining
+   integral. *)
 
-module Quadrature = Ttsv_numerics.Quadrature
 module Resistances = Ttsv_core.Resistances
 module Params = Ttsv_core.Params
 open Helpers
 
 let unit_tests =
   [
-    test "simpson exact on cubics" (fun () ->
-        let f x = (2. *. (x ** 3.)) -. (x ** 2.) +. 4. in
-        (* integral over [0,2]: 2*4 - 8/3 + 8 *)
-        close_rel ~tol:1e-12 "cubic" (8. -. (8. /. 3.) +. 8.)
-          (Quadrature.simpson ~intervals:2 f 0. 2.));
-    test "simpson on sin over [0, pi]" (fun () ->
-        close_rel ~tol:1e-8 "area 2" 2. (Quadrature.simpson sin 0. Float.pi));
-    test "adaptive on a sharp exponential" (fun () ->
-        (* integral of e^(-50x) over [0,1] = (1 - e^-50)/50 *)
-        let f x = exp (-50. *. x) in
-        close_rel ~tol:1e-9 "sharp" ((1. -. exp (-50.)) /. 50.) (Quadrature.adaptive f 0. 1.));
-    test "adaptive handles reversed orientation via sign" (fun () ->
-        close_rel ~tol:1e-9 "reversed" (-2.) (Quadrature.adaptive sin Float.pi 0.));
-    test "trapezoid converges at second order" (fun () ->
-        let exact = 2. in
-        let err n = Float.abs (Quadrature.trapezoid ~intervals:n sin 0. Float.pi -. exact) in
-        let e1 = err 16 and e2 = err 32 in
-        close_rel ~tol:0.05 "order 2" 4. (e1 /. e2));
-    test "validation" (fun () ->
-        check_raises_invalid "nan bound" (fun () ->
-            ignore (Quadrature.simpson sin 0. Float.nan));
-        check_raises_invalid "intervals" (fun () ->
-            ignore (Quadrature.simpson ~intervals:1 sin 0. 1.)));
     test "eq. 9: closed-form liner resistance equals its integral" (fun () ->
         (* R3 = int_0^tL dx / (2 pi kL (tD + lext) (r + x)) *)
         let stack = Params.block () in
@@ -38,29 +14,8 @@ let unit_tests =
         let r = 5e-6 and t_l = 1e-6 and k_l = 1.4 in
         let span = 5e-6 (* tD + lext *) in
         let integrand x = 1. /. (2. *. Float.pi *. k_l *. span *. (r +. x)) in
-        let numeric = Quadrature.adaptive integrand 0. t_l in
+        let numeric = adaptive_simpson integrand 0. t_l in
         close_rel ~tol:1e-9 "eq. 9" numeric rs.Resistances.triples.(0).Resistances.liner);
   ]
 
-let property_tests =
-  [
-    qtest ~count:50 "adaptive matches simpson on random polynomials"
-      QCheck2.Gen.(triple (float_range (-3.) 3.) (float_range (-3.) 3.) (float_range (-3.) 3.))
-      (fun (a, b, c) ->
-        let f x = (a *. x *. x) +. (b *. x) +. c in
-        let s = Quadrature.simpson ~intervals:64 f (-1.) 2. in
-        let ad = Quadrature.adaptive f (-1.) 2. in
-        Float.abs (s -. ad) < 1e-9 *. Float.max 1. (Float.abs s));
-    qtest ~count:50 "linearity of the integral"
-      QCheck2.Gen.(pair (float_range 0.1 5.) (float_range 0.1 5.))
-      (fun (alpha, beta) ->
-        let f x = sin x and g x = cos (2. *. x) in
-        let combo x = (alpha *. f x) +. (beta *. g x) in
-        let lhs = Quadrature.adaptive combo 0. 1.5 in
-        let rhs =
-          (alpha *. Quadrature.adaptive f 0. 1.5) +. (beta *. Quadrature.adaptive g 0. 1.5)
-        in
-        Float.abs (lhs -. rhs) < 1e-9);
-  ]
-
-let suite = ("quadrature", unit_tests @ property_tests)
+let suite = ("quadrature", unit_tests)

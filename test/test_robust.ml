@@ -16,6 +16,13 @@ module Materials = Ttsv_physics.Materials
 module Material = Ttsv_physics.Material
 module Problem = Ttsv_fem.Problem
 module Solver = Ttsv_fem.Solver
+module Coefficients = Ttsv_core.Coefficients
+module Package = Ttsv_core.Package
+module Transient = Ttsv_core.Transient
+module Stack = Ttsv_geometry.Stack
+module Chip_model = Ttsv_chip.Chip_model
+module Power_map = Ttsv_chip.Power_map
+module Allocation = Ttsv_chip.Allocation
 open Helpers
 
 let gen_spd_system n = QCheck2.Gen.(gen_spd n >>= fun m -> gen_vec n >|= fun b -> (m, b))
@@ -352,6 +359,37 @@ let validate_tests =
         let vs = Validate.tsv ~radius:(-1.) ~liner_thickness:1e-6 ~extension:1e-6 () in
         let s = Validate.to_string vs in
         Alcotest.(check bool) "mentions the field" true (contains s "radius"));
+    test "NaN fails every positive or nonnegative guard" (fun () ->
+        (* a [x <= 0.] guard lets NaN through *)
+        let nan = Float.nan in
+        let stack = Params.block () in
+        let planes = Array.to_list stack.Stack.planes and tsv = stack.Stack.tsv in
+        let chip ~width ~height = Chip_model.make ~width ~height ~nx:1 ~ny:1 ~planes ~tsv () in
+        let tile = Power_map.zero ~nx:1 ~ny:1 in
+        let allocate o =
+          let maps = List.map (fun _ -> tile) planes in
+          ignore (Allocation.allocate (chip ~width:1e-4 ~height:1e-4) maps o)
+        in
+        let opts = Allocation.default_options ~budget:1. in
+        List.iter
+          (fun (name, f) -> check_raises_invalid name f)
+          [
+            ("Coefficients.make k1", fun () -> ignore (Coefficients.make ~k1:nan ~k2:1.));
+            ("Coefficients.make k2", fun () -> ignore (Coefficients.make ~k1:1. ~k2:nan));
+            ("Package.make", fun () -> ignore (Package.make ~resistance:nan ()));
+            ("Transient.solve dt", fun () -> ignore (Transient.solve stack ~dt:nan ~duration:1e-3));
+            ( "Transient.solve duration",
+              fun () -> ignore (Transient.solve stack ~dt:1e-4 ~duration:nan) );
+            ("Chip_model.make width", fun () -> ignore (chip ~width:nan ~height:1e-4));
+            ("Chip_model.make height", fun () -> ignore (chip ~width:1e-4 ~height:nan));
+            ("Power_map.uniform", fun () -> ignore (Power_map.uniform ~nx:1 ~ny:1 ~total:nan));
+            ( "Power_map.add_hotspot",
+              fun () -> ignore (Power_map.add_hotspot tile ~x0:0 ~y0:0 ~x1:0 ~y1:0 ~watts:nan) );
+            ("Allocation.default_options", fun () -> ignore (Allocation.default_options ~budget:nan));
+            ("Allocation.allocate budget", fun () -> allocate { opts with budget = nan });
+            ("Allocation.allocate step", fun () -> allocate { opts with step = nan });
+            ("Allocation.allocate max_density", fun () -> allocate { opts with max_density = nan });
+          ]);
   ]
 
 let fem_failure_tests =
