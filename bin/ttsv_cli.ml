@@ -216,23 +216,32 @@ let obs_t =
 
 let print_rise label dt = Format.printf "%-14s max dT = %6.3f K@." label dt
 
+(* prints one model's answer; false when the model has none to give
+   (only the FV reference can fail: a spent deadline, or every rung) *)
 let run_model ~solver_report ~pool ~rungs ~deadline stack coeffs segments resolution = function
-  | `A -> print_rise "Model A" (Model_a.max_rise (Model_a.solve ~coeffs stack))
+  | `A ->
+    print_rise "Model A" (Model_a.max_rise (Model_a.solve ~coeffs stack));
+    true
   | `B ->
     print_rise
       (Printf.sprintf "Model B(%d)" segments)
-      (Model_b.max_rise (Model_b.solve_n stack segments))
-  | `One_d -> print_rise "Model 1D" (Model_1d.max_rise (Model_1d.solve stack))
+      (Model_b.max_rise (Model_b.solve_n stack segments));
+    true
+  | `One_d ->
+    print_rise "Model 1D" (Model_1d.max_rise (Model_1d.solve stack));
+    true
   | `Fv -> (
     let budget = budget_of_deadline deadline in
     match Solver.try_solve ~pool ?rungs ?budget (Problem.of_stack ~resolution stack) with
     | Ok res ->
       print_rise "FV reference" (Solver.max_rise res);
       if solver_report then
-        Format.printf "@[<v 2>solver report:@,%a@]@." Diagnostics.pp res.Solver.diagnostics
+        Format.printf "@[<v 2>solver report:@,%a@]@." Diagnostics.pp res.Solver.diagnostics;
+      true
     | Error failure ->
       Format.printf "@[<v 2>FV reference: no converged solution@,%a@]@." Robust.pp_failure
-        failure)
+        failure;
+      false)
 
 (* pin the FV solve to one preconditioner (the direct fallback stays as
    the backstop so a pinned run still terminates); "auto" keeps the full
@@ -275,40 +284,48 @@ let r_package_t =
 let solve_cmd =
   let run stack coeffs segments resolution model ambient r_package solver_report rungs
       deadline domains () =
-    with_pool domains @@ fun pool ->
-    let qs = Stack.heat_inputs stack in
-    Format.printf "unit cell: %a@." Stack.pp stack;
-    Array.iteri (fun i q -> Format.printf "q%d = %.4g W@." (i + 1) q) qs;
-    (match model with
-    | `All ->
-      List.iter
-        (run_model ~solver_report ~pool ~rungs ~deadline stack coeffs segments resolution)
-        [ `A; `B; `One_d; `Fv ]
-    | (`A | `B | `One_d | `Fv) as m ->
-      run_model ~solver_report ~pool ~rungs ~deadline stack coeffs segments resolution m);
-    let detail = Model_a.solve ~coeffs stack in
-    Format.printf "@.Model A nodal rises:@.";
-    Format.printf "  T0 (TSV foot) = %6.3f K@." detail.Model_a.t0;
-    Array.iteri
-      (fun i t -> Format.printf "  plane %d bulk  = %6.3f K@." (i + 1) t)
-      detail.Model_a.bulk;
-    Array.iteri
-      (fun i t -> Format.printf "  plane %d TTSV  = %6.3f K@." (i + 1) t)
-      detail.Model_a.tsv;
-    Format.printf "  heat down the TTSV at its foot = %.4g W (%.1f%% of total)@."
-      detail.Model_a.tsv_heat
-      (100. *. detail.Model_a.tsv_heat /. Stack.total_heat stack);
-    match r_package with
-    | None -> ()
-    | Some resistance ->
-      let pkg = Ttsv_core.Package.make ~ambient ~resistance () in
-      let total_power = Stack.total_heat stack in
-      Format.printf "@.with the package (R=%.3g K/W, ambient %.1f C):@." resistance ambient;
-      Format.printf "  sink surface   = %.2f C@."
-        (Ttsv_core.Package.sink_temperature pkg ~total_power);
-      Format.printf "  junction (max) = %.2f C@."
-        (Ttsv_core.Package.junction_temperature pkg ~total_power
-           ~model_rise:(Model_a.max_rise detail))
+    let answered =
+      with_pool domains @@ fun pool ->
+      let qs = Stack.heat_inputs stack in
+      Format.printf "unit cell: %a@." Stack.pp stack;
+      Array.iteri (fun i q -> Format.printf "q%d = %.4g W@." (i + 1) q) qs;
+      let run_model =
+        run_model ~solver_report ~pool ~rungs ~deadline stack coeffs segments resolution
+      in
+      let answered =
+        match model with
+        | `All -> List.fold_left (fun ok m -> run_model m && ok) true [ `A; `B; `One_d; `Fv ]
+        | (`A | `B | `One_d | `Fv) as m -> run_model m
+      in
+      let detail = Model_a.solve ~coeffs stack in
+      Format.printf "@.Model A nodal rises:@.";
+      Format.printf "  T0 (TSV foot) = %6.3f K@." detail.Model_a.t0;
+      Array.iteri
+        (fun i t -> Format.printf "  plane %d bulk  = %6.3f K@." (i + 1) t)
+        detail.Model_a.bulk;
+      Array.iteri
+        (fun i t -> Format.printf "  plane %d TTSV  = %6.3f K@." (i + 1) t)
+        detail.Model_a.tsv;
+      Format.printf "  heat down the TTSV at its foot = %.4g W (%.1f%% of total)@."
+        detail.Model_a.tsv_heat
+        (100. *. detail.Model_a.tsv_heat /. Stack.total_heat stack);
+      (match r_package with
+      | None -> ()
+      | Some resistance ->
+        let pkg = Ttsv_core.Package.make ~ambient ~resistance () in
+        let total_power = Stack.total_heat stack in
+        Format.printf "@.with the package (R=%.3g K/W, ambient %.1f C):@." resistance ambient;
+        Format.printf "  sink surface   = %.2f C@."
+          (Ttsv_core.Package.sink_temperature pkg ~total_power);
+        Format.printf "  junction (max) = %.2f C@."
+          (Ttsv_core.Package.junction_temperature pkg ~total_power
+             ~model_rise:(Model_a.max_rise detail)));
+      answered
+    in
+    (* exit only once the whole report is out and the pool is shut
+       down: a model with no answer (an FV reference past its deadline,
+       or with every rung failed) fails the command *)
+    if not answered then exit 1
   in
   let info = Cmd.info "solve" ~doc:"analyze one unit cell with the chosen model(s)" in
   Cmd.v info
@@ -486,18 +503,31 @@ let case_cmd =
 let transient_cmd =
   let dt_t = Arg.(value & opt positive 0.2 & info [ "dt" ] ~doc:"time step [ms]") in
   let duration_t = Arg.(value & opt positive 200. & info [ "duration" ] ~doc:"duration [ms]") in
+  (* the trace file is input from outside the program: it is loaded
+     while the command line is parsed, so a missing file, a malformed
+     row, no data rows or a non-finite sample is a usage error (exit
+     124) naming the flag, never an uncaught exception *)
+  let trace_file =
+    let parse path =
+      match E.Trace.load path with
+      | t -> Ok (path, t)
+      | exception (Failure msg | Invalid_argument msg) -> Error (path ^ ": " ^ msg)
+      | exception Sys_error msg -> Error msg
+    in
+    Arg.conv' (parse, fun ppf (path, _) -> Format.pp_print_string ppf path)
+  in
   let trace_t =
     Arg.(
       value
-      & opt (some file) None
-      & info [ "trace" ] ~doc:"CSV power trace (time_s,scale) scaling the heat over time")
+      & opt (some trace_file) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:"CSV power trace (time_s,scale) scaling the heat over time")
   in
   let run stack coeffs dt duration trace =
     let power =
       match trace with
       | None -> fun _ -> 1.
-      | Some path ->
-        let t = E.Trace.load path in
+      | Some (path, t) ->
         Format.printf "trace: %s (peak %.2fx, average %.2fx over %.3f s)@." path (E.Trace.peak t)
           (E.Trace.average t) (E.Trace.duration t);
         E.Trace.scale t
@@ -514,7 +544,10 @@ let transient_cmd =
       i := !i + stride
     done;
     Format.printf "@.steady max dT   = %.4f K@." (Model_a.max_rise r.Transient.steady);
-    Format.printf "thermal time constant = %.4f ms@." (Transient.time_constant r *. 1000.);
+    (match Transient.time_constant r with
+    | Some tau -> Format.printf "thermal time constant = %.4f ms@." (tau *. 1000.)
+    | None ->
+      Format.printf "thermal time constant: not reached within the simulated %g ms@." duration);
     Format.printf "settled within 1%%: %b@." (Transient.settled r)
   in
   let info = Cmd.info "transient" ~doc:"step response of the unit cell (RC extension)" in

@@ -30,8 +30,9 @@ let () =
       (bar 40 step.Transient.max_rise.(!i) steady);
     i := !i + stride
   done;
-  Format.printf "@.thermal time constant (63%% of steady): %.3f ms@.@."
-    (Transient.time_constant step *. 1000.);
+  (match Transient.time_constant step with
+  | Some tau -> Format.printf "@.thermal time constant (63%% of steady): %.3f ms@.@." (tau *. 1000.)
+  | None -> Format.printf "@.thermal time constant not reached within 40 ms@.@.");
 
   (* 2. duty-cycled workload: 8 ms on, 8 ms at 20% *)
   let period = 16e-3 in

@@ -178,21 +178,6 @@ let solve_n ?cluster stack n = solve ?cluster stack (paper_segmentation stack n)
 
 let max_rise r = Array.fold_left Float.max 0. r.temps
 
-let solve_adaptive ?cluster ?(rel_tol = 0.005) ?(max_segments = 2000) stack =
-  if rel_tol <= 0. then invalid_arg "Model_b.solve_adaptive: rel_tol must be positive";
-  let rec refine n prev tried =
-    let r = solve_n ?cluster stack n in
-    let tried = n :: tried in
-    let converged =
-      match prev with
-      | Some p -> Float.abs (max_rise r -. p) <= rel_tol *. Float.max (max_rise r) 1e-12
-      | None -> false
-    in
-    if converged || 2 * n > max_segments then (r, List.rev tried)
-    else refine (2 * n) (Some (max_rise r)) tried
-  in
-  refine 10 None []
-
 (* Test oracle: the same walk through the generic circuit solver. *)
 let solve_via_circuit stack seg =
   let qs = Stack.heat_inputs stack in

@@ -64,15 +64,6 @@ val solve_with_heats :
 val solve_n : ?cluster:int -> Ttsv_geometry.Stack.t -> int -> result
 (** [solve_n stack n] is [solve stack (paper_segmentation stack n)]. *)
 
-val solve_adaptive :
-  ?cluster:int -> ?rel_tol:float -> ?max_segments:int -> Ttsv_geometry.Stack.t -> result * int list
-(** [solve_adaptive stack] chooses the segment count automatically:
-    solves at n = 10 and keeps doubling until the Max ΔT changes by less
-    than [rel_tol] (default 0.5 %) between consecutive levels or
-    [max_segments] (default 2000) is reached, returning the finest
-    result and the ladder of counts tried.  Table I's accuracy/runtime
-    trade-off, resolved without the user picking n. *)
-
 val max_rise : result -> float
 (** The paper's Max ΔT: the largest nodal rise. *)
 

@@ -39,8 +39,3 @@ let solve ?coeffs ?(picard_tol = 1e-6) ?(max_picard = 50) ~sink_temperature_k st
     else picard (sweep + 1) (refreeze stack ~sink_temperature_k r) m
   in
   picard 1 stack Float.neg_infinity
-
-let self_heating_penalty ?coeffs ~sink_temperature_k stack =
-  let linear = Model_a.max_rise (Model_a.solve ?coeffs stack) in
-  let nonlinear, _ = solve ?coeffs ~sink_temperature_k stack in
-  (Model_a.max_rise nonlinear -. linear) /. linear

@@ -22,9 +22,3 @@ val solve :
     by less than [picard_tol] (default 1e-6 relative) between sweeps,
     up to [max_picard] (default 50; [Failure] beyond).  Returns the
     converged result and the sweep count. *)
-
-val self_heating_penalty :
-  ?coeffs:Coefficients.t -> sink_temperature_k:float -> Ttsv_geometry.Stack.t -> float
-(** [(nonlinear − linear) / linear] Max ΔT: how much the constant-k
-    model underestimates the rise for this stack (0 for constant-k
-    materials). *)

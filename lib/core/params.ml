@@ -80,5 +80,3 @@ let case_study () =
       ~tsv ()
   in
   (stack, count)
-
-let case_study_coeffs = Coefficients.paper_case_study

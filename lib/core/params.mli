@@ -78,8 +78,5 @@ val case_study : unit -> Ttsv_geometry.Stack.t * int
     processor plane (plane 1, next to the sink) and 7 W in each DRAM
     plane, split evenly across unit cells. *)
 
-val case_study_coeffs : Coefficients.t
-(** k1 = 1.6, k2 = 0.8 — the paper's fit for the case study. *)
-
 val case_study_powers : float array
 (** Total per-plane power of the case study in watts: [[|70.; 7.; 7.|]]. *)

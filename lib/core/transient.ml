@@ -85,14 +85,14 @@ let time_constant r =
   let target = (1. -. exp (-1.)) *. Model_a.max_rise r.steady in
   let n = Array.length r.times in
   let rec find i =
-    if i >= n then failwith "Transient.time_constant: simulation too short"
+    if i >= n then None
     else if r.max_rise.(i) >= target then
-      if i = 0 then r.times.(0)
+      if i = 0 then Some r.times.(0)
       else begin
         (* linear interpolation inside the step *)
         let t0 = r.times.(i - 1) and t1 = r.times.(i) in
         let y0 = r.max_rise.(i - 1) and y1 = r.max_rise.(i) in
-        t0 +. ((target -. y0) /. (y1 -. y0) *. (t1 -. t0))
+        Some (t0 +. ((target -. y0) /. (y1 -. y0) *. (t1 -. t0)))
       end
     else find (i + 1)
   in

@@ -34,10 +34,12 @@ val solve :
     workloads.  Raises [Invalid_argument] for nonpositive [dt] or
     [duration]. *)
 
-val time_constant : result -> float
+val time_constant : result -> float option
 (** [time_constant r] is the first instant at which Max ΔT reaches
-    1 − 1/e of its steady value (linear interpolation between samples);
-    raises [Failure] if the simulation did not run long enough. *)
+    1 − 1/e of its steady value (linear interpolation between samples),
+    or [None] when the run ends before it gets there (a duration
+    shorter than the time constant, or a power trace that never drives
+    the rise that high). *)
 
 val settled : ?tol:float -> result -> bool
 (** [settled r] is true when the final sample is within [tol] (default

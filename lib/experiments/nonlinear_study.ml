@@ -39,15 +39,6 @@ let model_a_pair stack =
 
 let power_scales = [ 1.; 2. ]
 
-let penalties ?resolution () =
-  List.map
-    (fun scale ->
-      let stack = stack_at scale in
-      let la, na, _ = model_a_pair stack in
-      let lf, nf, _ = fv_pair ?resolution stack in
-      (scale, (na -. la) /. la, (nf -. lf) /. lf))
-    power_scales
-
 let run ?resolution () =
   let rows =
     List.concat_map

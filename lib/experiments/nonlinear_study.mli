@@ -17,8 +17,4 @@
 
 val run : ?resolution:int -> unit -> Report.table
 
-val penalties : ?resolution:int -> unit -> (float * float * float) list
-(** [(power_scale, model_a_penalty, fv_penalty)] rows, penalties as
-    fractions (e.g. 0.04 = the nonlinear rise is 4 % above linear). *)
-
 val print : ?resolution:int -> Format.formatter -> unit -> unit

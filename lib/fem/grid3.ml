@@ -32,8 +32,3 @@ let volume g ix iy iz = dx g ix *. dy g iy *. dz g iz
 let face_area_x g iy iz = dy g iy *. dz g iz
 let face_area_y g ix iz = dx g ix *. dz g iz
 let face_area_z g ix iy = dx g ix *. dy g iy
-
-let extent g =
-  ( g.x_faces.(Array.length g.x_faces - 1),
-    g.y_faces.(Array.length g.y_faces - 1),
-    g.z_faces.(Array.length g.z_faces - 1) )

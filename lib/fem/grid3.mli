@@ -49,6 +49,3 @@ val face_area_y : t -> int -> int -> float
 
 val face_area_z : t -> int -> int -> float
 (** [face_area_z g ix iy] — Δx·Δy. *)
-
-val extent : t -> float * float * float
-(** Total (width, depth, height). *)

@@ -17,8 +17,6 @@ let make ~grid ~conductivity ~source =
   { grid; conductivity = Array.copy conductivity; source = Array.copy source }
 
 let total_source p = Array.fold_left ( +. ) 0. p.source
-let cell_count p = Grid3.cells p.grid
-
 
 (* Lateral faces: coarse background spacing away from the vias and fine
    spacing (about one liner thickness) in a band around every via, so the

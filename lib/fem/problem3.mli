@@ -47,5 +47,3 @@ val grid_centers_for_cluster : Ttsv_geometry.Stack.t -> int -> (float * float) l
     square; raises [Invalid_argument] otherwise). *)
 
 val total_source : t -> float
-
-val cell_count : t -> int

@@ -29,8 +29,6 @@ let add_node c name =
   c.names <- name :: c.names;
   { cid = c.id; idx }
 
-let node_count c = c.n
-
 let check_node fn c nd =
   if nd.cid <> c.id then invalid_arg ("Circuit." ^ fn ^ ": node from another circuit");
   if nd.idx < -1 || nd.idx >= c.n then invalid_arg ("Circuit." ^ fn ^ ": invalid node")

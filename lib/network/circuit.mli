@@ -29,9 +29,6 @@ val add_node : t -> string -> node
 (** [add_node c name] creates a fresh node.  Names are labels for
     debugging and reporting; duplicates are allowed. *)
 
-val node_count : t -> int
-(** Number of non-ground nodes created so far. *)
-
 val node_name : t -> node -> string
 (** [node_name c n] is the label given at creation ("ground" for the
     ground node). *)

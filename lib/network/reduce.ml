@@ -1,10 +1,3 @@
-let series rs =
-  List.fold_left
-    (fun acc r ->
-      if r < 0. then invalid_arg "Reduce.series: negative resistance";
-      acc +. r)
-    0. rs
-
 let parallel rs =
   if rs = [] then invalid_arg "Reduce.parallel: empty list";
   let g =
@@ -16,23 +9,8 @@ let parallel rs =
   in
   1. /. g
 
-let slab ~thickness ~conductivity ~area =
-  if conductivity <= 0. || area <= 0. then
-    invalid_arg "Reduce.slab: conductivity and area must be positive";
-  if thickness < 0. then invalid_arg "Reduce.slab: negative thickness";
-  thickness /. (conductivity *. area)
-
 let cylinder_axial ~length ~conductivity ~radius =
   if conductivity <= 0. || radius <= 0. then
     invalid_arg "Reduce.cylinder_axial: conductivity and radius must be positive";
   if length < 0. then invalid_arg "Reduce.cylinder_axial: negative length";
   length /. (conductivity *. Float.pi *. radius *. radius)
-
-let cylindrical_shell_radial ~inner_radius ~thickness ~conductivity ~length =
-  if inner_radius <= 0. || thickness <= 0. || conductivity <= 0. || length <= 0. then
-    invalid_arg "Reduce.cylindrical_shell_radial: arguments must be positive";
-  log ((inner_radius +. thickness) /. inner_radius) /. (2. *. Float.pi *. conductivity *. length)
-
-let conductance r =
-  if r <= 0. then invalid_arg "Reduce.conductance: resistance must be positive";
-  1. /. r

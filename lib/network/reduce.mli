@@ -1,31 +1,13 @@
 (** Resistance algebra.
 
-    Small helpers for combining thermal resistances; used both by the
-    models (e.g. the series [R8 + R9] branch of eq. 1, the parallel
-    reduction of the traditional 1-D model) and the test oracles. *)
-
-val series : float list -> float
-(** [series rs] is Σ rs.  All entries must be nonnegative. *)
+    The two closed forms the traditional 1-D model is built from: the
+    axial resistance of the TSV filler, and the parallel reduction of
+    that path with the bulk. *)
 
 val parallel : float list -> float
 (** [parallel rs] is (Σ 1/rs)⁻¹.  All entries must be positive;
     the empty list raises [Invalid_argument]. *)
 
-val slab : thickness:float -> conductivity:float -> area:float -> float
-(** [slab ~thickness ~conductivity ~area] is t/(k·A), the 1-D conduction
-    resistance of a slab. *)
-
 val cylinder_axial : length:float -> conductivity:float -> radius:float -> float
 (** [cylinder_axial ~length ~conductivity ~radius] is L/(k·πr²), the
     axial resistance of a solid cylinder (TSV filler). *)
-
-val cylindrical_shell_radial :
-  inner_radius:float -> thickness:float -> conductivity:float -> length:float -> float
-(** [cylindrical_shell_radial ~inner_radius ~thickness ~conductivity
-    ~length] is ln((r+t)/r)/(2πkL) — the radial resistance of a
-    cylindrical shell, the paper's eq. 9 integral evaluated in closed
-    form. *)
-
-val conductance : float -> float
-(** [conductance r] is 1/r; raises [Invalid_argument] for nonpositive
-    resistances. *)

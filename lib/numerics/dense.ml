@@ -35,8 +35,6 @@ let of_arrays a =
     m
   end
 
-let to_arrays m = Array.init m.nrows (fun i -> Array.init m.ncols (fun j -> get m i j))
-
 let init nrows ncols f =
   let m = create nrows ncols in
   for i = 0 to nrows - 1 do
@@ -51,8 +49,6 @@ let cols m = m.ncols
 
 let copy m = { m with data = Array.copy m.data }
 
-let transpose m = init m.ncols m.nrows (fun i j -> get m j i)
-
 let mat_vec m x =
   if Array.length x <> m.ncols then invalid_arg "Dense.mat_vec: dimension mismatch";
   Array.init m.nrows (fun i ->
@@ -62,31 +58,7 @@ let mat_vec m x =
       done;
       !acc)
 
-let mat_mul a b =
-  if a.ncols <> b.nrows then invalid_arg "Dense.mat_mul: dimension mismatch";
-  let m = create a.nrows b.ncols in
-  for i = 0 to a.nrows - 1 do
-    for k = 0 to a.ncols - 1 do
-      let aik = get a i k in
-      if aik <> 0. then
-        for j = 0 to b.ncols - 1 do
-          add_to m i j (aik *. get b k j)
-        done
-    done
-  done;
-  m
-
-let scale a m = { m with data = Array.map (fun x -> a *. x) m.data }
-
-let elementwise name f a b =
-  if a.nrows <> b.nrows || a.ncols <> b.ncols then
-    invalid_arg ("Dense." ^ name ^ ": dimension mismatch");
-  { a with data = Array.mapi (fun i x -> f x b.data.(i)) a.data }
-
-let add a b = elementwise "add" ( +. ) a b
-let sub a b = elementwise "sub" ( -. ) a b
-
-type lu = { lu : t; perm : int array; sign : float }
+type lu = { lu : t; perm : int array }
 
 (* Crout-style LU with partial pivoting; the factored matrix stores L (unit
    diagonal, below) and U (on and above the diagonal) in place. *)
@@ -95,7 +67,6 @@ let lu_factor m0 =
   let n = m0.nrows in
   let a = copy m0 in
   let perm = Array.init n (fun i -> i) in
-  let sign = ref 1. in
   for k = 0 to n - 1 do
     (* find pivot *)
     let p = ref k in
@@ -110,8 +81,7 @@ let lu_factor m0 =
       done;
       let tmp = perm.(k) in
       perm.(k) <- perm.(!p);
-      perm.(!p) <- tmp;
-      sign := -. !sign
+      perm.(!p) <- tmp
     end;
     let pivot = get a k k in
     if Float.abs pivot < 1e-300 then raise Singular;
@@ -124,9 +94,9 @@ let lu_factor m0 =
         done
     done
   done;
-  { lu = a; perm; sign = !sign }
+  { lu = a; perm }
 
-let lu_solve { lu = a; perm; sign = _ } b =
+let lu_solve { lu = a; perm } b =
   let n = a.nrows in
   if Array.length b <> n then invalid_arg "Dense.lu_solve: dimension mismatch";
   let x = Array.init n (fun i -> b.(perm.(i))) in
@@ -150,34 +120,6 @@ let lu_solve { lu = a; perm; sign = _ } b =
 
 let solve a b = lu_solve (lu_factor a) b
 
-let solve_many a bs =
-  let f = lu_factor a in
-  List.map (lu_solve f) bs
-
-let det m =
-  match lu_factor m with
-  | exception Singular -> 0.
-  | { lu = a; sign; _ } ->
-    let acc = ref sign in
-    for i = 0 to a.nrows - 1 do
-      acc := !acc *. get a i i
-    done;
-    !acc
-
-let inverse m =
-  let n = m.nrows in
-  let f = lu_factor m in
-  let inv = create n n in
-  for j = 0 to n - 1 do
-    let e = Array.make n 0. in
-    e.(j) <- 1.;
-    let col = lu_solve f e in
-    for i = 0 to n - 1 do
-      set inv i j col.(i)
-    done
-  done;
-  inv
-
 let approx_equal ?(rtol = 1e-9) ?(atol = 1e-12) a b =
   a.nrows = b.nrows && a.ncols = b.ncols
   &&
@@ -200,16 +142,3 @@ let is_symmetric ?(tol = 1e-10) m =
     done
   done;
   !ok
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.nrows - 1 do
-    Format.fprintf ppf "[@[";
-    for j = 0 to m.ncols - 1 do
-      if j > 0 then Format.fprintf ppf ";@ ";
-      Format.fprintf ppf "%.6g" (get m i j)
-    done;
-    Format.fprintf ppf "@]]";
-    if i < m.nrows - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

@@ -4,7 +4,7 @@
     with partial pivoting, which is robust for the small, well-conditioned
     conductance matrices produced by the lumped thermal models.  Matrices of
     order up to a few thousand are practical; larger systems should use
-    {!Sparse} with {!Cg}. *)
+    {!Sparse} with {!Iterative.cg}. *)
 
 type t
 (** A mutable [rows x cols] matrix of floats. *)
@@ -22,9 +22,6 @@ val identity : int -> t
 val of_arrays : float array array -> t
 (** [of_arrays a] copies a row-major array-of-rows.  All rows must have the
     same length. *)
-
-val to_arrays : t -> float array array
-(** [to_arrays m] is a fresh row-major copy. *)
 
 val init : int -> int -> (int -> int -> float) -> t
 (** [init rows cols f] fills entry [(i, j)] with [f i j]. *)
@@ -44,19 +41,8 @@ val add_to : t -> int -> int -> float -> unit
 
 val copy : t -> t
 
-val transpose : t -> t
-
 val mat_vec : t -> Vec.t -> Vec.t
 (** [mat_vec m x] is the product [m * x]. *)
-
-val mat_mul : t -> t -> t
-(** [mat_mul a b] is the product [a * b]. *)
-
-val scale : float -> t -> t
-
-val add : t -> t -> t
-
-val sub : t -> t -> t
 
 type lu
 (** An LU factorization with its pivot permutation, reusable across multiple
@@ -72,22 +58,9 @@ val lu_solve : lu -> Vec.t -> Vec.t
 val solve : t -> Vec.t -> Vec.t
 (** [solve a b] factors and solves in one call. *)
 
-val solve_many : t -> Vec.t list -> Vec.t list
-(** [solve_many a bs] solves against several right-hand sides reusing one
-    factorization. *)
-
-val det : t -> float
-(** [det m] is the determinant (via LU; 0. if singular). *)
-
-val inverse : t -> t
-(** [inverse m] is the matrix inverse.  Raises {!Singular}. *)
-
 val approx_equal : ?rtol:float -> ?atol:float -> t -> t -> bool
 (** Elementwise closeness with the same semantics as {!Vec.approx_equal}. *)
 
 val is_symmetric : ?tol:float -> t -> bool
 (** [is_symmetric ?tol m] checks [|m(i,j) - m(j,i)| <= tol * max_abs m].
     Default [tol = 1e-10]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints the matrix row by row with 6 significant digits. *)

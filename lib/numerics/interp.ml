@@ -15,32 +15,18 @@ let of_points pts =
   let ys = Array.of_list (List.map snd pts) in
   create ~xs ~ys
 
-(* index of the segment [xs.(i), xs.(i+1)] containing x, clamped *)
-let segment t x =
+let eval t x =
   let n = Array.length t.xs in
-  if x <= t.xs.(0) then 0
-  else if x >= t.xs.(n - 1) then n - 2
+  if x <= t.xs.(0) then t.ys.(0)
+  else if x >= t.xs.(n - 1) then t.ys.(n - 1)
   else begin
+    (* binary search for the segment [xs.(i), xs.(i+1)] containing x *)
     let lo = ref 0 and hi = ref (n - 1) in
     while !hi - !lo > 1 do
       let m = (!lo + !hi) / 2 in
       if t.xs.(m) <= x then lo := m else hi := m
     done;
-    !lo
+    let i = !lo in
+    let slope = (t.ys.(i + 1) -. t.ys.(i)) /. (t.xs.(i + 1) -. t.xs.(i)) in
+    t.ys.(i) +. (slope *. (x -. t.xs.(i)))
   end
-
-let slope t i = (t.ys.(i + 1) -. t.ys.(i)) /. (t.xs.(i + 1) -. t.xs.(i))
-
-let eval_extrapolate t x =
-  let i = segment t x in
-  t.ys.(i) +. (slope t i *. (x -. t.xs.(i)))
-
-let eval t x =
-  let n = Array.length t.xs in
-  if x <= t.xs.(0) then t.ys.(0)
-  else if x >= t.xs.(n - 1) then t.ys.(n - 1)
-  else eval_extrapolate t x
-
-let domain t = (t.xs.(0), t.xs.(Array.length t.xs - 1))
-
-let derivative t x = slope t (segment t x)

@@ -18,14 +18,3 @@ val of_points : (float * float) list -> t
 
 val eval : t -> float -> float
 (** [eval t x] evaluates with constant extrapolation outside the table. *)
-
-val eval_extrapolate : t -> float -> float
-(** [eval_extrapolate t x] evaluates with linear extrapolation from the
-    terminal segments. *)
-
-val domain : t -> float * float
-(** [domain t] is [(min_x, max_x)]. *)
-
-val derivative : t -> float -> float
-(** [derivative t x] is the slope of the segment containing [x] (the right
-    segment at knots; terminal slopes outside the domain). *)

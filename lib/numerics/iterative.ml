@@ -109,25 +109,6 @@ let guard ~window ~growth best best_iter iter res =
   else if iter - !best_iter >= window then Some (Stagnated (iter - !best_iter))
   else None
 
-(* Pre-flight scan: a single NaN in the matrix or the right-hand side
-   poisons every inner product, so reject it before spending iterations. *)
-let check_inputs a b =
-  if not (Sparse.all_finite a) then Some "matrix"
-  else if not (Array.for_all Float.is_finite b) then Some "rhs"
-  else None
-
-let rejected n x0 where =
-  let x = match x0 with Some v -> Vec.copy v | None -> Vec.zeros n in
-  {
-    solution = x;
-    iterations = 0;
-    residual = Float.nan;
-    converged = false;
-    status = Non_finite where;
-    trace = [||];
-    conv = None;
-  }
-
 (* Preconditioned conjugate gradients (Jacobi by default, or any
    [Precond.t] the caller supplies — the Robust ladder passes IC(0), and
    multigrid when pinned, here).
@@ -147,94 +128,91 @@ let cg ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window
   let n = Sparse.rows a in
   if Sparse.cols a <> n then invalid_arg "Iterative.cg: matrix not square";
   if Array.length b <> n then invalid_arg "Iterative.cg: rhs dimension mismatch";
-  match check_inputs a b with
-  | Some where -> rejected n x0 where
-  | None ->
-    let max_iter = default_max_iter n max_iter in
-    let stagnation_window = resolve_window max_iter stagnation_window in
-    (* the Jacobi fallback is built only when no preconditioner was
-       supplied: one Sparse.diagonal pass, not a wasted one per call *)
-    let m =
-      match precond with
-      | Some m -> m
-      | None -> Precond.jacobi_of_diagonal (Sparse.diagonal a)
-    in
-    if Precond.dim m <> n then invalid_arg "Iterative.cg: preconditioner dimension mismatch";
-    Ttsv_parallel.Pool.with_region
-      (Option.value pool ~default:Ttsv_parallel.Pool.seq)
-      (fun () ->
-        let x = match x0 with Some v -> Vec.copy v | None -> Vec.zeros n in
-        let ax0 = Sparse.mul ?pool a x in
-        budget_tick budget;
-        Fault.poison "matvec" ax0;
-        let r = Vec.sub b ax0 in
-        let nb = norm_b_floor b in
-        let res = ref (Vec.pnorm2 ?pool r /. nb) in
-        let trace = ref [ !res ] in
-        let hist = history_create "cg" in
-        history_record hist 0 !res;
-        let iter = ref 0 in
-        let status = ref (if !res <= tol then Some Converged else None) in
-        (* M^-1 r0 is built only when the loop will run: a start that is
-           already converged (an exact warm start) never reads it *)
-        if !status = None then begin
-          let z = Precond.apply ?pool m r in
-          let p = Vec.copy z in
-          let rz = ref (Vec.pdot ?pool r z) in
-          let best = ref !res and best_iter = ref 0 in
-          while !status = None && !iter < max_iter do
-            match budget_status budget with
-            | Some s -> status := Some s
-            | None ->
-            incr iter;
-            let ap = Sparse.mul ?pool a p in
-            budget_tick budget;
-            Fault.poison "matvec" ap;
-            let pap = Vec.pdot ?pool p ap in
-            if Float.abs pap < 1e-300 then status := Some (Breakdown "p.Ap underflow")
+  let max_iter = default_max_iter n max_iter in
+  let stagnation_window = resolve_window max_iter stagnation_window in
+  (* the Jacobi fallback is built only when no preconditioner was
+     supplied: one Sparse.diagonal pass, not a wasted one per call *)
+  let m =
+    match precond with
+    | Some m -> m
+    | None -> Precond.jacobi_of_diagonal (Sparse.diagonal a)
+  in
+  if Precond.dim m <> n then invalid_arg "Iterative.cg: preconditioner dimension mismatch";
+  Ttsv_parallel.Pool.with_region
+    (Option.value pool ~default:Ttsv_parallel.Pool.seq)
+    (fun () ->
+      let x = match x0 with Some v -> Vec.copy v | None -> Vec.zeros n in
+      let ax0 = Sparse.mul ?pool a x in
+      budget_tick budget;
+      Fault.poison "matvec" ax0;
+      let r = Vec.sub b ax0 in
+      let nb = norm_b_floor b in
+      let res = ref (Vec.pnorm2 ?pool r /. nb) in
+      let trace = ref [ !res ] in
+      let hist = history_create "cg" in
+      history_record hist 0 !res;
+      let iter = ref 0 in
+      let status = ref (if !res <= tol then Some Converged else None) in
+      (* M^-1 r0 is built only when the loop will run: a start that is
+         already converged (an exact warm start) never reads it *)
+      if !status = None then begin
+        let z = Precond.apply ?pool m r in
+        let p = Vec.copy z in
+        let rz = ref (Vec.pdot ?pool r z) in
+        let best = ref !res and best_iter = ref 0 in
+        while !status = None && !iter < max_iter do
+          match budget_status budget with
+          | Some s -> status := Some s
+          | None ->
+          incr iter;
+          let ap = Sparse.mul ?pool a p in
+          budget_tick budget;
+          Fault.poison "matvec" ap;
+          let pap = Vec.pdot ?pool p ap in
+          if Float.abs pap < 1e-300 then status := Some (Breakdown "p.Ap underflow")
+          else begin
+            let alpha = !rz /. pap in
+            (* fused: x += alpha p and r -= alpha Ap in one pass *)
+            Vec.paxpy2 ?pool alpha p ap x r;
+            res := Vec.pnorm2 ?pool r /. nb;
+            trace := !res :: !trace;
+            history_record hist !iter !res;
+            if !res <= tol then status := Some Converged
             else begin
-              let alpha = !rz /. pap in
-              (* fused: x += alpha p and r -= alpha Ap in one pass *)
-              Vec.paxpy2 ?pool alpha p ap x r;
-              res := Vec.pnorm2 ?pool r /. nb;
-              trace := !res :: !trace;
-              history_record hist !iter !res;
-              if !res <= tol then status := Some Converged
-              else begin
-                (match
-                   guard ~window:stagnation_window ~growth:divergence_factor best best_iter
-                     !iter !res
-                 with
-                | Some s -> status := Some s
-                | None -> ());
-                if !status = None then begin
-                  let z' = Precond.apply ?pool m r in
-                  let rz' = Vec.pdot ?pool r z' in
-                  let beta = rz' /. !rz in
-                  rz := rz';
-                  (* fused: p <- z' + beta p in one pass *)
-                  Vec.pxpby ?pool z' beta p
-                end
+              (match
+                 guard ~window:stagnation_window ~growth:divergence_factor best best_iter
+                   !iter !res
+               with
+              | Some s -> status := Some s
+              | None -> ());
+              if !status = None then begin
+                let z' = Precond.apply ?pool m r in
+                let rz' = Vec.pdot ?pool r z' in
+                let beta = rz' /. !rz in
+                rz := rz';
+                (* fused: p <- z' + beta p in one pass *)
+                Vec.pxpby ?pool z' beta p
               end
             end
-          done
-        end;
-        let status = match !status with Some s -> s | None -> Iteration_limit in
-        (* On any exit that did not just verify [res <= tol] the recurrence
-           residual may have drifted from the truth (most visibly on p.Ap
-           breakdown, where the loop aborts with a stale update); recompute
-           the true residual so [converged] cannot lie. *)
-        let residual =
-          match status with Converged -> !res | _ -> relative_residual ?pool a b x
-        in
-        let converged = Float.is_finite residual && residual <= tol in
-        record_attempt !iter residual;
-        {
-          solution = x;
-          iterations = !iter;
-          residual;
-          converged;
-          status = (if converged then Converged else status);
-          trace = Array.of_list (List.rev !trace);
-          conv = history_finish hist;
-        })
+          end
+        done
+      end;
+      let status = match !status with Some s -> s | None -> Iteration_limit in
+      (* On any exit that did not just verify [res <= tol] the recurrence
+         residual may have drifted from the truth (most visibly on p.Ap
+         breakdown, where the loop aborts with a stale update); recompute
+         the true residual so [converged] cannot lie. *)
+      let residual =
+        match status with Converged -> !res | _ -> relative_residual ?pool a b x
+      in
+      let converged = Float.is_finite residual && residual <= tol in
+      record_attempt !iter residual;
+      {
+        solution = x;
+        iterations = !iter;
+        residual;
+        converged;
+        status = (if converged then Converged else status);
+        trace = Array.of_list (List.rev !trace);
+        conv = history_finish hist;
+      })

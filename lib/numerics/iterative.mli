@@ -6,12 +6,16 @@
     iterative solver: Jacobi-preconditioned by default, or with any
     {!Precond.t} (multigrid, IC(0)) the caller supplies.
 
-    The solver carries in-flight health guards: matrices and right-hand
-    sides containing NaN/Inf are rejected up front ({!Non_finite}), a
-    residual that stops improving for a window of iterations aborts the
-    loop ({!Stagnated}), and a residual growing far beyond the best seen
-    aborts it too ({!Diverged}) — so a hopeless solve stops after tens of
-    iterations instead of burning the full [10 * n] budget.  The
+    The solver carries in-flight health guards: a NaN/Inf residual stops
+    the loop ({!Non_finite}), a residual that stops improving for a
+    window of iterations aborts it ({!Stagnated}), and a residual growing
+    far beyond the best seen aborts it too ({!Diverged}) — so a hopeless
+    solve stops after tens of iterations instead of burning the full
+    [10 * n] budget.  {!cg} does not scan its inputs:
+    {!Ttsv_robust.Robust.solve} rejects a NaN/Inf matrix or right-hand
+    side before any rung runs, so each ladder solve scans them once.  A
+    bare {!cg} on such a system returns [Non_finite "iterates"] with
+    [converged = false] after one iteration, and never raises.  The
     {!Ttsv_robust.Robust} escalation ladder builds on these statuses. *)
 
 type status =
@@ -21,7 +25,9 @@ type status =
   | Stagnated of int
       (** no meaningful residual improvement for that many iterations *)
   | Diverged of float  (** the residual grew by that factor over the best seen *)
-  | Non_finite of string  (** NaN/Inf detected in the matrix, rhs or iterates *)
+  | Non_finite of string
+      (** NaN/Inf detected in the iterates (where a non-finite matrix or
+          rhs surfaces too) *)
   | Budget_exhausted of Ttsv_parallel.Budget.verdict
       (** the {!Ttsv_parallel.Budget} handed to the solver expired; the
           result carries the iterate reached so far *)

@@ -88,40 +88,9 @@ let nelder_mead ?(tol = 1e-10) ?(max_iter = 2000) ?step f x0 =
   let xbest, fbest = vertices.(0) in
   { xmin = xbest; fmin = fbest; iterations = !iter; converged = converged () }
 
-let phi = (sqrt 5. -. 1.) /. 2.
-
-let golden_section ?(tol = 1e-9) ?(max_iter = 500) f a b =
-  let a = ref (Float.min a b) and b = ref (Float.max a b) in
-  let x1 = ref (!b -. (phi *. (!b -. !a))) in
-  let x2 = ref (!a +. (phi *. (!b -. !a))) in
-  let f1 = ref (f !x1) and f2 = ref (f !x2) in
-  let iter = ref 0 in
-  while !b -. !a > tol && !iter < max_iter do
-    incr iter;
-    if !f1 < !f2 then begin
-      b := !x2;
-      x2 := !x1;
-      f2 := !f1;
-      x1 := !b -. (phi *. (!b -. !a));
-      f1 := f !x1
-    end
-    else begin
-      a := !x1;
-      x1 := !x2;
-      f1 := !f2;
-      x2 := !a +. (phi *. (!b -. !a));
-      f2 := f !x2
-    end
-  done;
-  let xm = 0.5 *. (!a +. !b) in
-  { xmin = [| xm |]; fmin = f xm; iterations = !iter; converged = !b -. !a <= tol }
-
-let check_bracket name fa fb =
-  if fa *. fb > 0. then invalid_arg ("Optimize." ^ name ^ ": interval does not bracket a root")
-
 let bisect ?(tol = 1e-12) ?(max_iter = 200) f a b =
   let fa = f a and fb = f b in
-  check_bracket "bisect" fa fb;
+  if fa *. fb > 0. then invalid_arg "Optimize.bisect: interval does not bracket a root";
   let a = ref a and b = ref b and fa = ref fa in
   let iter = ref 0 in
   while !b -. !a > tol && !iter < max_iter do
@@ -135,70 +104,3 @@ let bisect ?(tol = 1e-12) ?(max_iter = 200) f a b =
     end
   done;
   0.5 *. (!a +. !b)
-
-(* Brent's method, following the classic Numerical Recipes formulation. *)
-let brent_root ?(tol = 1e-12) ?(max_iter = 200) f a b =
-  let fa = f a and fb = f b in
-  check_bracket "brent_root" fa fb;
-  let a = ref a and b = ref b and fa = ref fa and fb = ref fb in
-  let c = ref !a and fc = ref !fa in
-  let d = ref (!b -. !a) and e = ref (!b -. !a) in
-  let result = ref None in
-  let iter = ref 0 in
-  while !result = None && !iter < max_iter do
-    incr iter;
-    if Float.abs !fc < Float.abs !fb then begin
-      a := !b;
-      b := !c;
-      c := !a;
-      fa := !fb;
-      fb := !fc;
-      fc := !fa
-    end;
-    let tol1 = (2. *. epsilon_float *. Float.abs !b) +. (0.5 *. tol) in
-    let xm = 0.5 *. (!c -. !b) in
-    if Float.abs xm <= tol1 || !fb = 0. then result := Some !b
-    else begin
-      if Float.abs !e >= tol1 && Float.abs !fa > Float.abs !fb then begin
-        (* attempt inverse quadratic interpolation / secant *)
-        let s = !fb /. !fa in
-        let p, q =
-          if !a = !c then
-            let p = 2. *. xm *. s in
-            (p, 1. -. s)
-          else begin
-            let q = !fa /. !fc and r = !fb /. !fc in
-            let p = s *. ((2. *. xm *. q *. (q -. r)) -. ((!b -. !a) *. (r -. 1.))) in
-            (p, (q -. 1.) *. (r -. 1.) *. (s -. 1.))
-          end
-        in
-        let p, q = if p > 0. then (p, -.q) else (-.p, q) in
-        let min1 = (3. *. xm *. q) -. Float.abs (tol1 *. q) in
-        let min2 = Float.abs (!e *. q) in
-        if 2. *. p < Float.min min1 min2 then begin
-          e := !d;
-          d := p /. q
-        end
-        else begin
-          d := xm;
-          e := xm
-        end
-      end
-      else begin
-        d := xm;
-        e := xm
-      end;
-      a := !b;
-      fa := !fb;
-      if Float.abs !d > tol1 then b := !b +. !d
-      else b := !b +. (if xm > 0. then tol1 else -.tol1);
-      fb := f !b;
-      if (!fb > 0. && !fc > 0.) || (!fb < 0. && !fc < 0.) then begin
-        c := !a;
-        fc := !fa;
-        d := !b -. !a;
-        e := !d
-      end
-    end
-  done;
-  match !result with Some r -> r | None -> !b

@@ -1,13 +1,13 @@
 (** Derivative-free optimization and root finding.
 
     Used by {!Ttsv_core.Calibrate} to fit the Model A coefficients (k1, k2)
-    against the finite-volume reference, and by the planner example to
-    invert monotone temperature-vs-parameter curves. *)
+    against the finite-volume reference, and by the fillers experiment to
+    invert a monotone temperature-vs-radius curve by bisection. *)
 
 type minimum = {
   xmin : Vec.t;     (** location of the best point found *)
   fmin : float;     (** objective value at [xmin] *)
-  iterations : int; (** simplex/section steps performed *)
+  iterations : int; (** simplex steps performed *)
   converged : bool; (** whether the spread criterion was met *)
 }
 
@@ -24,19 +24,10 @@ val nelder_mead :
     [step] (default [0.1 * (1 + |x0_i|)]) along each axis.  Convergence:
     the simplex function spread falls below [tol] (default [1e-10]). *)
 
-val golden_section :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> minimum
-(** [golden_section f a b] minimizes a unimodal [f] on [[a, b]].
-    [tol] is the final interval width (default [1e-9]). *)
-
-val brent_root :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float
-(** [brent_root f a b] finds a root of [f] in the bracketing interval
-    [[a, b]] (requires [f a *. f b <= 0.], otherwise raises
-    [Invalid_argument]) by Brent's method (bisection/secant/inverse
-    quadratic).  [tol] is the x-tolerance (default [1e-12]). *)
-
 val bisect :
   ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float
-(** Plain bisection with the same contract as {!brent_root}; kept as an
-    always-converges fallback and as a test oracle for {!brent_root}. *)
+(** [bisect f a b] finds a root of [f] in the bracketing interval
+    [[a, b]] by plain bisection; it always converges.  Requires
+    [f a *. f b <= 0.], otherwise raises [Invalid_argument].  [tol] is
+    the final interval width (default [1e-12]); [max_iter] caps the
+    halvings (default 200). *)

@@ -15,10 +15,6 @@ let uniform g =
   let bits = Int64.shift_right_logical (next_int64 g) 11 in
   Int64.to_float bits /. 9007199254740992.
 
-let uniform_range g a b =
-  if a > b then invalid_arg "Rng.uniform_range: a > b";
-  a +. ((b -. a) *. uniform g)
-
 let normal g ~mean ~sigma =
   if sigma < 0. then invalid_arg "Rng.normal: negative sigma";
   match g.spare with
@@ -35,8 +31,3 @@ let normal g ~mean ~sigma =
     mean +. (sigma *. r *. cos theta)
 
 let lognormal_factor g ~sigma = exp (normal g ~mean:0. ~sigma)
-
-let int_below g n =
-  if n <= 0 then invalid_arg "Rng.int_below: n must be positive";
-  let u = uniform g in
-  Stdlib.min (n - 1) (int_of_float (u *. float_of_int n))

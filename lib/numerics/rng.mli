@@ -13,9 +13,6 @@ val create : int -> t
 val uniform : t -> float
 (** [uniform g] is the next double in [[0, 1)]. *)
 
-val uniform_range : t -> float -> float -> float
-(** [uniform_range g a b] is uniform in [[a, b)]; [a <= b] required. *)
-
 val normal : t -> mean:float -> sigma:float -> float
 (** [normal g ~mean ~sigma] draws from N(mean, sigma²) (Box–Muller).
     [sigma >= 0] required. *)
@@ -23,6 +20,3 @@ val normal : t -> mean:float -> sigma:float -> float
 val lognormal_factor : t -> sigma:float -> float
 (** [lognormal_factor g ~sigma] is exp(N(0, sigma²)) — a multiplicative
     process-variation factor with median 1. *)
-
-val int_below : t -> int -> int
-(** [int_below g n] is uniform in [[0, n)]; [n > 0] required. *)

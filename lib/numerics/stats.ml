@@ -1,21 +1,11 @@
-let check name xs ref_ =
-  if Array.length xs <> Array.length ref_ then invalid_arg ("Stats." ^ name ^ ": length mismatch");
-  if Array.length xs = 0 then invalid_arg ("Stats." ^ name ^ ": empty input")
-
 let fold2 name f init xs ref_ =
-  check name xs ref_;
+  if Array.length xs <> Array.length ref_ then invalid_arg ("Stats." ^ name ^ ": length mismatch");
+  if Array.length xs = 0 then invalid_arg ("Stats." ^ name ^ ": empty input");
   let acc = ref init in
   for i = 0 to Array.length xs - 1 do
     acc := f !acc xs.(i) ref_.(i)
   done;
   !acc
-
-let max_abs_error xs ref_ =
-  fold2 "max_abs_error" (fun acc x r -> Float.max acc (Float.abs (x -. r))) 0. xs ref_
-
-let mean_abs_error xs ref_ =
-  fold2 "mean_abs_error" (fun acc x r -> acc +. Float.abs (x -. r)) 0. xs ref_
-  /. float_of_int (Array.length xs)
 
 let rel_err name x r =
   if Float.abs r < 1e-300 then invalid_arg ("Stats." ^ name ^ ": reference entry is zero");
@@ -27,10 +17,6 @@ let max_rel_error xs ref_ =
 let mean_rel_error xs ref_ =
   fold2 "mean_rel_error" (fun acc x r -> acc +. rel_err "mean_rel_error" x r) 0. xs ref_
   /. float_of_int (Array.length xs)
-
-let rmse xs ref_ =
-  let ss = fold2 "rmse" (fun acc x r -> acc +. ((x -. r) ** 2.)) 0. xs ref_ in
-  sqrt (ss /. float_of_int (Array.length xs))
 
 let variance v =
   if Array.length v = 0 then invalid_arg "Stats.variance: empty input";
@@ -64,16 +50,3 @@ let percentile p v =
     let frac = rank -. float_of_int lo in
     s.(lo) +. (frac *. (s.(hi) -. s.(lo)))
   end
-
-let linear_regression xs ys =
-  check "linear_regression" xs ys;
-  let n = float_of_int (Array.length xs) in
-  if Array.length xs < 2 then invalid_arg "Stats.linear_regression: need at least two points";
-  let sx = Vec.sum xs and sy = Vec.sum ys in
-  let sxx = Vec.dot xs xs and sxy = Vec.dot xs ys in
-  let denom = (n *. sxx) -. (sx *. sx) in
-  if Float.abs denom < 1e-300 then
-    invalid_arg "Stats.linear_regression: degenerate abscissae";
-  let slope = ((n *. sxy) -. (sx *. sy)) /. denom in
-  let intercept = (sy -. (slope *. sx)) /. n in
-  (slope, intercept)

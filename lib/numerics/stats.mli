@@ -5,12 +5,6 @@
     this module implements exactly those metrics plus the usual summary
     statistics used in the benchmark reports. *)
 
-val max_abs_error : Vec.t -> Vec.t -> float
-(** [max_abs_error xs ref_] is [max_i |xs.(i) - ref_.(i)|]. *)
-
-val mean_abs_error : Vec.t -> Vec.t -> float
-(** Mean of the absolute deviations. *)
-
 val max_rel_error : Vec.t -> Vec.t -> float
 (** [max_rel_error xs ref_] is [max_i |xs.(i) - ref_.(i)| / |ref_.(i)|];
     the paper's "maximum error".  Reference entries of magnitude below
@@ -18,9 +12,6 @@ val max_rel_error : Vec.t -> Vec.t -> float
 
 val mean_rel_error : Vec.t -> Vec.t -> float
 (** The paper's "average error": mean of the pointwise relative errors. *)
-
-val rmse : Vec.t -> Vec.t -> float
-(** Root-mean-square deviation. *)
 
 val variance : Vec.t -> float
 (** Population variance.  Raises [Invalid_argument] on empty input. *)
@@ -34,7 +25,3 @@ val median : Vec.t -> float
 val percentile : float -> Vec.t -> float
 (** [percentile p v] for [p] in [[0, 100]], linear interpolation between
     order statistics. *)
-
-val linear_regression : Vec.t -> Vec.t -> float * float
-(** [linear_regression xs ys] is the least-squares [(slope, intercept)].
-    Requires at least two distinct abscissae. *)

@@ -190,8 +190,6 @@ type hist_snapshot = {
 type sample = C of int | G of float | H of hist_snapshot
 type snapshot = (string * sample) list
 
-let empty_snapshot = []
-
 let snapshot ?(registry = default) () =
   let rows =
     locked registry (fun () ->
@@ -215,36 +213,6 @@ let snapshot ?(registry = default) () =
           registry.table [])
   in
   List.sort (fun (a, _) (b, _) -> compare a b) rows
-
-(* Merge is associative and commutative with [empty_snapshot] as the
-   identity: counters and histogram contents add, gauges keep the max
-   (a sum of last-seen levels from different domains means nothing). *)
-let merge_sample a b =
-  match (a, b) with
-  | C x, C y -> C (x + y)
-  | G x, G y -> G (Float.max x y)
-  | H x, H y ->
-    H
-      {
-        buckets = Array.init nbuckets (fun i -> x.buckets.(i) + y.buckets.(i));
-        count = x.count + y.count;
-        sum = x.sum +. y.sum;
-        min = Float.min x.min y.min;
-        max = Float.max x.max y.max;
-      }
-  | _ -> invalid_arg "Metrics.merge: kind mismatch for the same name"
-
-let merge a b =
-  let rec go a b =
-    match (a, b) with
-    | [], rest | rest, [] -> rest
-    | (ka, va) :: ta, (kb, vb) :: tb ->
-      let c = compare ka kb in
-      if c < 0 then (ka, va) :: go ta b
-      else if c > 0 then (kb, vb) :: go a tb
-      else (ka, merge_sample va vb) :: go ta tb
-  in
-  go a b
 
 (* Percentile estimate from the log2 buckets: walk the cumulative
    counts to the bucket holding rank [q * count], then interpolate
@@ -297,9 +265,6 @@ let sample_to_json = function
                  Json.Obj [ ("ge", Json.Float (bucket_lower i)); ("n", Json.Int n) ])
                nonzero) );
       ]
-
-let snapshot_to_json s =
-  Json.Obj (List.map (fun (name, sample) -> (name, sample_to_json sample)) s)
 
 let pp_summary ppf s =
   let open Format in

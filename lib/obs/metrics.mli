@@ -1,5 +1,5 @@
 (** The metrics registry: named counters, gauges and histograms with
-    atomic updates, plus an immutable snapshot/merge API.
+    atomic updates, plus immutable snapshots.
 
     Handles are interned by name (creating twice returns the same
     instrument; re-using a name with a different kind raises
@@ -88,16 +88,9 @@ type hist_snapshot = {
 type sample = C of int | G of float | H of hist_snapshot
 
 type snapshot = (string * sample) list
-(** Sorted by name — the canonical form {!merge} relies on. *)
-
-val empty_snapshot : snapshot
+(** Sorted by name. *)
 
 val snapshot : ?registry:t -> unit -> snapshot
-
-val merge : snapshot -> snapshot -> snapshot
-(** Associative and commutative, with {!empty_snapshot} as identity:
-    counters and histograms add, gauges keep the max.  Raises
-    [Invalid_argument] if the same name carries different kinds. *)
 
 val percentile : hist_snapshot -> float -> float
 (** [percentile h q] estimates the [q]-quantile ([0. <= q <= 1.]) from
@@ -109,5 +102,4 @@ val sample_to_json : sample -> Json.t
 (** Histogram samples carry [p50]/[p95]/[p99] estimates (null when the
     histogram is empty, like [min]/[max]). *)
 
-val snapshot_to_json : snapshot -> Json.t
 val pp_summary : Format.formatter -> snapshot -> unit

@@ -6,10 +6,9 @@ let schema = "ttsv.trace.v2"
 let writes = Atomic.make 0
 let write_count () = Atomic.get writes
 
-type sink = { oc : out_channel; mutex : Mutex.t; path : string }
+type sink = { oc : out_channel; mutex : Mutex.t }
 
 let current : sink option Atomic.t = Atomic.make None
-let trace_path () = Option.map (fun s -> s.path) (Atomic.get current)
 
 let emit_json j =
   match Atomic.get current with
@@ -41,7 +40,7 @@ let open_trace path =
     close_out_noerr s.oc
   | None -> ());
   let oc = open_out path in
-  Atomic.set current (Some { oc; mutex = Mutex.create (); path });
+  Atomic.set current (Some { oc; mutex = Mutex.create () });
   emit_json (meta ())
 
 let close_trace () =
@@ -51,13 +50,6 @@ let close_trace () =
     Atomic.set current None;
     (try flush s.oc with Sys_error _ -> ());
     close_out_noerr s.oc
-
-let flush_trace () =
-  match Atomic.get current with
-  | None -> ()
-  | Some s ->
-    Mutex.lock s.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock s.mutex) (fun () -> flush s.oc)
 
 let attrs_json attrs =
   Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) attrs)

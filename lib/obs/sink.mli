@@ -21,8 +21,6 @@ val open_trace : string -> unit
     trace is closed first. *)
 
 val close_trace : unit -> unit
-val flush_trace : unit -> unit
-val trace_path : unit -> string option
 
 val span :
   id:int ->

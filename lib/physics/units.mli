@@ -37,9 +37,5 @@ val celsius_of_kelvin : float -> float
 val kelvin_of_celsius : float -> float
 (** [kelvin_of_celsius t] adds 273.15. *)
 
-val pp_temperature_rise : Format.formatter -> float -> unit
-(** Prints a temperature difference as e.g. ["12.84 °C"] (a rise is the
-    same in kelvin and Celsius). *)
-
 val pp_length_um : Format.formatter -> float -> unit
 (** Prints a length in metres as e.g. ["5.0 µm"]. *)

@@ -29,33 +29,6 @@ let unit_tests =
         let a = Dense.of_arrays [| [| 1.; 2. |]; [| 2.; 4. |] |] in
         Alcotest.check_raises "singular" Dense.Singular (fun () ->
             ignore (Dense.solve a [| 1.; 1. |])));
-    test "det identity" (fun () -> close "det" 1. (Dense.det (Dense.identity 4)));
-    test "det of permutation is -1" (fun () ->
-        let a = Dense.of_arrays [| [| 0.; 1. |]; [| 1.; 0. |] |] in
-        close "det" (-1.) (Dense.det a));
-    test "det triangular is diagonal product" (fun () ->
-        let a = Dense.of_arrays [| [| 2.; 5.; 1. |]; [| 0.; 3.; 7. |]; [| 0.; 0.; 4. |] |] in
-        close ~tol:1e-12 "det" 24. (Dense.det a));
-    test "det singular is zero" (fun () ->
-        let a = Dense.of_arrays [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-        close "det" 0. (Dense.det a));
-    test "inverse of 2x2" (fun () ->
-        let a = Dense.of_arrays [| [| 4.; 7. |]; [| 2.; 6. |] |] in
-        let inv = Dense.inverse a in
-        let id = Dense.mat_mul a inv in
-        Alcotest.(check bool) "a*inv = I" true
-          (Dense.approx_equal ~atol:1e-12 id (Dense.identity 2)));
-    test "mat_mul hand computed" (fun () ->
-        let a = Dense.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-        let b = Dense.of_arrays [| [| 5.; 6. |]; [| 7.; 8. |] |] in
-        let c = Dense.mat_mul a b in
-        close "c00" 19. (Dense.get c 0 0);
-        close "c11" 50. (Dense.get c 1 1));
-    test "transpose" (fun () ->
-        let a = Dense.of_arrays [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |] in
-        let at = Dense.transpose a in
-        Alcotest.(check int) "rows" 3 (Dense.rows at);
-        close "entry" 6. (Dense.get at 2 1));
     test "add_to accumulates" (fun () ->
         let m = Dense.create 2 2 in
         Dense.add_to m 0 0 1.5;
@@ -72,14 +45,6 @@ let unit_tests =
         let ns = Dense.of_arrays [| [| 1.; 2. |]; [| 3.; 5. |] |] in
         Alcotest.(check bool) "sym" true (Dense.is_symmetric s);
         Alcotest.(check bool) "nonsym" false (Dense.is_symmetric ns));
-    test "solve_many shares factorization" (fun () ->
-        let a = Dense.of_arrays [| [| 2.; 0. |]; [| 0.; 4. |] |] in
-        match Dense.solve_many a [ [| 2.; 4. |]; [| 4.; 8. |] ] with
-        | [ x1; x2 ] ->
-          close "x1" 1. x1.(0);
-          close "x2" 2. x2.(0);
-          close "y2" 2. x2.(1)
-        | _ -> Alcotest.fail "wrong result count");
   ]
 
 let property_tests =
@@ -87,21 +52,6 @@ let property_tests =
     qtest ~count:50 "LU solve has small residual"
       QCheck2.Gen.(gen_diag_dominant 8 >>= fun a -> gen_vec 8 >|= fun b -> (a, b))
       (fun (a, b) -> residual a (Dense.solve a b) b < 1e-8);
-    qtest ~count:30 "inverse times matrix is identity" (gen_diag_dominant 6) (fun a ->
-        Dense.approx_equal ~rtol:1e-7 ~atol:1e-8 (Dense.mat_mul a (Dense.inverse a))
-          (Dense.identity 6));
-    qtest ~count:30 "det of product is product of dets"
-      QCheck2.Gen.(pair (gen_diag_dominant 4) (gen_diag_dominant 4))
-      (fun (a, b) ->
-        let lhs = Dense.det (Dense.mat_mul a b) and rhs = Dense.det a *. Dense.det b in
-        Float.abs (lhs -. rhs) <= 1e-6 *. Float.max 1. (Float.abs rhs));
-    qtest ~count:30 "transpose is involutive" (gen_diag_dominant 5) (fun a ->
-        Dense.approx_equal (Dense.transpose (Dense.transpose a)) a);
-    qtest ~count:30 "solve matches inverse application"
-      QCheck2.Gen.(gen_diag_dominant 5 >>= fun a -> gen_vec 5 >|= fun b -> (a, b))
-      (fun (a, b) ->
-        let x1 = Dense.solve a b and x2 = Dense.mat_vec (Dense.inverse a) b in
-        Vec.approx_equal ~rtol:1e-6 ~atol:1e-8 x1 x2);
   ]
 
 let suite = ("dense", unit_tests @ property_tests)

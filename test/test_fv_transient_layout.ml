@@ -1,7 +1,6 @@
-(* Tests for the FV transient solver and adaptive Model B refinement. *)
+(* Tests for the FV transient solver. *)
 
 module Params = Ttsv_core.Params
-module Model_b = Ttsv_core.Model_b
 module Transient = Ttsv_core.Transient
 module Problem = Ttsv_fem.Problem
 module Solver = Ttsv_fem.Solver
@@ -33,7 +32,7 @@ let fv_transient_tests =
            63% of their own steady states within a factor ~2 of each other *)
         let stack = Params.block () in
         let lumped = Transient.solve stack ~dt:2e-4 ~duration:0.05 in
-        let tau_lumped = Transient.time_constant lumped in
+        let tau_lumped = Option.get (Transient.time_constant lumped) in
         let problem = Problem.of_stack stack in
         let materials = Problem.materials_of_stack stack in
         let tr = Solver.solve_transient ~materials ~dt:5e-4 ~steps:100 problem in
@@ -63,24 +62,4 @@ let fv_transient_tests =
                  ~dt:1e-3 ~steps:5 problem)));
   ]
 
-let adaptive_tests =
-  [
-    test "adaptive Model B converges and reports its ladder" (fun () ->
-        let stack = Params.block () in
-        let r, ladder = Model_b.solve_adaptive ~rel_tol:0.005 stack in
-        (match ladder with
-        | 10 :: _ :: _ -> ()
-        | _ -> Alcotest.fail "expected a doubling ladder from 10");
-        let reference = Model_b.max_rise (Model_b.solve_n stack 1000) in
-        close_rel ~tol:0.01 "near converged" reference (Model_b.max_rise r));
-    test "tighter tolerance climbs further" (fun () ->
-        let stack = Params.block () in
-        let _, loose = Model_b.solve_adaptive ~rel_tol:0.05 stack in
-        let _, tight = Model_b.solve_adaptive ~rel_tol:0.001 stack in
-        Alcotest.(check bool) "more levels" true (List.length tight >= List.length loose));
-    test "validation" (fun () ->
-        check_raises_invalid "tol" (fun () ->
-            ignore (Model_b.solve_adaptive ~rel_tol:0. (Params.block ()))));
-  ]
-
-let suite = ("fv-transient+layout", fv_transient_tests @ adaptive_tests)
+let suite = ("fv-transient+layout", fv_transient_tests)

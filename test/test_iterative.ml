@@ -29,6 +29,24 @@ let unit_tests =
     test "rhs dimension mismatch" (fun () ->
         let m = Sparse.of_dense (Dense.identity 2) in
         check_raises_invalid "dim" (fun () -> ignore (Iterative.cg m [| 1. |])));
+    test "bare cg on a NaN rhs or an Inf matrix stops typed after one iteration" (fun () ->
+        (* cg leaves the input scan to Robust.solve's preflight; on its
+           own it must still stop at the first non-finite residual *)
+        let expect what r =
+          (match r.Iterative.status with
+          | Iterative.Non_finite "iterates" -> ()
+          | s ->
+            Alcotest.failf "%s: expected Non_finite iterates, got %a" what Iterative.pp_status s);
+          Alcotest.(check bool) (what ^ ": not converged") false r.Iterative.converged;
+          Alcotest.(check int) (what ^ ": iterations") 1 r.Iterative.iterations
+        in
+        let id = Sparse.of_dense (Dense.identity 3) in
+        expect "NaN rhs" (Iterative.cg id [| 1.; Float.nan; 3. |]);
+        let b = Sparse.builder 3 3 in
+        Sparse.add b 0 0 Float.infinity;
+        Sparse.add b 1 1 1.;
+        Sparse.add b 2 2 1.;
+        expect "Inf matrix" (Iterative.cg (Sparse.finalize b) [| 1.; 2.; 3. |]));
     test "cg breakdown reports the true residual" (fun () ->
         (* diag(1, -1) is indefinite: p.Ap = 0 on the very first step, so
            the loop aborts before updating x.  The reported residual must

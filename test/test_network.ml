@@ -6,30 +6,15 @@ open Helpers
 
 let reduce_tests =
   [
-    test "series" (fun () -> close "s" 6. (Reduce.series [ 1.; 2.; 3. ]));
-    test "series of empty list is zero" (fun () -> close "s0" 0. (Reduce.series []));
     test "parallel of equal pair halves" (fun () -> close "p" 5. (Reduce.parallel [ 10.; 10. ]));
     test "parallel hand computed" (fun () ->
         close ~tol:1e-12 "p" 2. (Reduce.parallel [ 3.; 6. ]));
     test "parallel rejects empty and nonpositive" (fun () ->
         check_raises_invalid "empty" (fun () -> ignore (Reduce.parallel []));
         check_raises_invalid "neg" (fun () -> ignore (Reduce.parallel [ -1. ])));
-    test "slab formula" (fun () ->
-        (* 100 um of silicon over 0.01 mm^2: 1e-4 / (150 * 1e-8) *)
-        close_rel "slab" (1e-4 /. 1.5e-6)
-          (Reduce.slab ~thickness:1e-4 ~conductivity:150. ~area:1e-8));
     test "cylinder axial formula" (fun () ->
         close_rel "cyl" (1e-4 /. (400. *. Float.pi *. 1e-10))
           (Reduce.cylinder_axial ~length:1e-4 ~conductivity:400. ~radius:1e-5));
-    test "cylindrical shell (eq. 9 closed form)" (fun () ->
-        let r = 5e-6 and t = 1e-6 and k = 1.4 and len = 5e-5 in
-        close_rel "shell"
-          (log ((r +. t) /. r) /. (2. *. Float.pi *. k *. len))
-          (Reduce.cylindrical_shell_radial ~inner_radius:r ~thickness:t ~conductivity:k
-             ~length:len));
-    test "conductance" (fun () ->
-        close "g" 0.25 (Reduce.conductance 4.);
-        check_raises_invalid "zero" (fun () -> ignore (Reduce.conductance 0.)));
   ]
 
 (* A two-resistor divider: q flows through r1 then r2 to ground. *)

@@ -34,23 +34,6 @@ let nonlinear_tests =
         let r, sweeps = Nonlinear.solve ~sink_temperature_k:sink_k stack in
         Alcotest.(check bool) "hotter" true (Model_a.max_rise r > linear);
         Alcotest.(check bool) "needed iterations" true (sweeps > 2));
-    test "penalty grows with power" (fun () ->
-        let at scale =
-          let stack =
-            Stack.map_planes (kt_stack ()) (fun _ p ->
-                Plane.with_power
-                  ~device_power_density:(p.Plane.device_power_density *. scale)
-                  ~ild_power_density:(p.Plane.ild_power_density *. scale)
-                  p)
-          in
-          Nonlinear.self_heating_penalty ~sink_temperature_k:sink_k stack
-        in
-        let p1 = at 1. and p2 = at 2. in
-        Alcotest.(check bool) "positive" true (p1 > 0.);
-        Alcotest.(check bool) "compounds" true (p2 > p1));
-    test "penalty is zero for constant k" (fun () ->
-        close ~tol:1e-9 "zero" 0.
-          (Nonlinear.self_heating_penalty ~sink_temperature_k:sink_k (Params.block ())));
     test "FV Picard: constant-k returns the linear solution" (fun () ->
         let stack = Params.block () in
         let problem = Problem.of_stack stack in

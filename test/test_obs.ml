@@ -1,7 +1,7 @@
 (* Observability layer: span nesting and per-domain isolation under the
-   pool, histogram bucket geometry, snapshot merge algebra, JSONL
-   round-tripping, the disabled-path cost contract, and the
-   solve.iterations cross-check against the solver diagnostics. *)
+   pool, histogram bucket geometry, JSONL round-tripping, the
+   disabled-path cost contract, and the solve.iterations cross-check
+   against the solver diagnostics. *)
 
 module Json = Ttsv_obs.Json
 module Span = Ttsv_obs.Span
@@ -156,51 +156,6 @@ let prop_bucket_contains v =
   let module H = Metrics.Histogram in
   let i = H.bucket_index v in
   H.bucket_lower i <= v && v < H.bucket_upper i
-
-(* ----------------------------------------------------- merge algebra *)
-
-(* Operations use integral values only: float addition over small
-   integers is exact, so merge associativity can be checked with
-   structural equality instead of tolerances. *)
-let gen_ops =
-  let open QCheck2.Gen in
-  let instr = int_range 0 2 in
-  small_list
-    (oneof
-       [
-         (let* i = instr and* v = int_range 0 100 in
-          return (`C (i, v)));
-         (let* i = instr and* v = int_range (-50) 50 in
-          return (`G (i, float_of_int v)));
-         (let* i = instr and* v = int_range 0 1000 in
-          return (`H (i, float_of_int v)));
-       ])
-
-let snapshot_of_ops ops =
-  let r = Metrics.create () in
-  let c = Array.init 3 (fun i -> Metrics.Counter.make ~registry:r (Printf.sprintf "c%d" i)) in
-  let g = Array.init 3 (fun i -> Metrics.Gauge.make ~registry:r (Printf.sprintf "g%d" i)) in
-  let h =
-    Array.init 3 (fun i -> Metrics.Histogram.make ~registry:r (Printf.sprintf "h%d" i))
-  in
-  List.iter
-    (function
-      | `C (i, v) -> Metrics.Counter.add c.(i) v
-      | `G (i, v) -> Metrics.Gauge.set g.(i) v
-      | `H (i, v) -> Metrics.Histogram.observe h.(i) v)
-    ops;
-  Metrics.snapshot ~registry:r ()
-
-let prop_merge_associative (o1, o2, o3) =
-  (* updates are guarded by the metrics flag; restore whatever state the
-     surrounding tests left behind *)
-  Config.enable_metrics ();
-  let finally () = Config.disable_metrics () in
-  Fun.protect ~finally (fun () ->
-      let a = snapshot_of_ops o1 and b = snapshot_of_ops o2 and c = snapshot_of_ops o3 in
-      Metrics.merge a (Metrics.merge b c) = Metrics.merge (Metrics.merge a b) c
-      && Metrics.merge Metrics.empty_snapshot a = a
-      && Metrics.merge a Metrics.empty_snapshot = a)
 
 (* ------------------------------------------------------- JSON round-trip *)
 
@@ -490,9 +445,6 @@ let suite =
       Helpers.qtest "histogram bucket bounds contain the sample"
         QCheck2.Gen.(float_range 1e-12 1e12)
         prop_bucket_contains;
-      Helpers.qtest ~count:60 "snapshot merge is associative with identity"
-        QCheck2.Gen.(triple gen_ops gen_ops gen_ops)
-        prop_merge_associative;
       Helpers.qtest "JSON values survive to_string/parse" gen_json prop_json_roundtrip;
       Helpers.qtest ~count:500 "arbitrary byte strings round-trip through pure-ASCII JSON"
         gen_bytes prop_string_bytes_roundtrip;

@@ -25,21 +25,6 @@ let unit_tests =
         close ~tol:1e-6 "f" 3. m.Optimize.fmin);
     test "nelder_mead empty start raises" (fun () ->
         check_raises_invalid "empty" (fun () -> ignore (Optimize.nelder_mead (fun _ -> 0.) [||])));
-    test "golden_section on parabola" (fun () ->
-        let m = Optimize.golden_section (fun x -> (x -. 2.5) ** 2.) 0. 10. in
-        close ~tol:1e-6 "x" 2.5 m.Optimize.xmin.(0));
-    test "golden_section handles swapped bounds" (fun () ->
-        let m = Optimize.golden_section (fun x -> (x -. 2.5) ** 2.) 10. 0. in
-        close ~tol:1e-6 "x" 2.5 m.Optimize.xmin.(0));
-    test "brent_root on cubic" (fun () ->
-        let root = Optimize.brent_root (fun x -> (x ** 3.) -. 8.) 0. 5. in
-        close ~tol:1e-9 "root" 2. root);
-    test "brent_root on cosine" (fun () ->
-        let root = Optimize.brent_root cos 0. 3. in
-        close ~tol:1e-9 "pi/2" (Float.pi /. 2.) root);
-    test "brent_root requires a bracket" (fun () ->
-        check_raises_invalid "bracket" (fun () ->
-            ignore (Optimize.brent_root (fun x -> x +. 10.) 0. 1.)));
     test "bisect on line" (fun () ->
         close ~tol:1e-9 "root" 4. (Optimize.bisect (fun x -> x -. 4.) 0. 10.));
     test "bisect requires a bracket" (fun () ->
@@ -55,13 +40,6 @@ let property_tests =
         let f x = ((x.(0) -. a) ** 2.) +. (2. *. ((x.(1) -. b) ** 2.)) in
         let m = Optimize.nelder_mead ~max_iter:3000 ~tol:1e-14 f [| 0.; 0. |] in
         Float.abs (m.Optimize.xmin.(0) -. a) < 1e-3 && Float.abs (m.Optimize.xmin.(1) -. b) < 1e-3);
-    qtest ~count:50 "brent agrees with bisect" (QCheck2.Gen.float_range 0.5 9.5) (fun r ->
-        let f x = ((x -. r) ** 3.) +. (0.5 *. (x -. r)) in
-        let b1 = Optimize.brent_root f 0. 10. and b2 = Optimize.bisect f 0. 10. in
-        Float.abs (b1 -. b2) < 1e-6 && Float.abs (b1 -. r) < 1e-6);
-    qtest ~count:50 "golden finds random parabola vertex" (QCheck2.Gen.float_range 1. 9.) (fun v ->
-        let m = Optimize.golden_section (fun x -> (x -. v) ** 2.) 0. 10. in
-        Float.abs (m.Optimize.xmin.(0) -. v) < 1e-5);
   ]
 
 let suite = ("optimize", unit_tests @ property_tests)

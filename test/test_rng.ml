@@ -26,13 +26,6 @@ let unit_tests =
         let xs = draw 20000 Rng.uniform in
         close ~tol:0.01 "mean" 0.5 (Ttsv_numerics.Vec.mean xs);
         close ~tol:0.01 "variance" (1. /. 12.) (Stats.variance xs));
-    test "uniform_range bounds and validation" (fun () ->
-        let g = Rng.create 7 in
-        for _ = 1 to 1000 do
-          let x = Rng.uniform_range g 2. 5. in
-          Alcotest.(check bool) "range" true (x >= 2. && x < 5.)
-        done;
-        check_raises_invalid "a > b" (fun () -> ignore (Rng.uniform_range g 5. 2.)));
     test "normal mean and sigma" (fun () ->
         let xs = draw 20000 (fun g -> Rng.normal g ~mean:3. ~sigma:2.) in
         close ~tol:0.05 "mean" 3. (Ttsv_numerics.Vec.mean xs);
@@ -47,16 +40,6 @@ let unit_tests =
         let xs = draw 20001 (fun g -> Rng.lognormal_factor g ~sigma:0.3) in
         close ~tol:0.05 "median" 1. (Stats.median xs);
         Array.iter (fun x -> Alcotest.(check bool) "positive" true (x > 0.)) xs);
-    test "int_below covers the range" (fun () ->
-        let g = Rng.create 99 in
-        let seen = Array.make 5 false in
-        for _ = 1 to 1000 do
-          let i = Rng.int_below g 5 in
-          Alcotest.(check bool) "bounds" true (i >= 0 && i < 5);
-          seen.(i) <- true
-        done;
-        Alcotest.(check bool) "all values seen" true (Array.for_all Fun.id seen);
-        check_raises_invalid "n=0" (fun () -> ignore (Rng.int_below g 0)));
   ]
 
 let suite = ("rng", unit_tests)

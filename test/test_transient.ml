@@ -37,9 +37,13 @@ let unit_tests =
           r.Transient.max_rise);
     test "time constant is positive and less than the settle time" (fun () ->
         let r = Lazy.force run in
-        let tau = Transient.time_constant r in
+        let tau = Option.get (Transient.time_constant r) in
         Alcotest.(check bool) "positive" true (tau > 0.);
         Alcotest.(check bool) "well within duration" true (tau < duration /. 2.));
+    test "time constant is None when the run ends before it" (fun () ->
+        (* 1 ms is shorter than the block's ~2 ms time constant *)
+        let r = Transient.solve (Params.block ()) ~dt ~duration:1e-3 in
+        Alcotest.(check bool) "not reached" true (Transient.time_constant r = None));
     test "zero power function keeps the stack cold" (fun () ->
         let r =
           Transient.solve ~power:(fun _ -> 0.) (Params.block ()) ~dt:1e-3 ~duration:1e-2
