@@ -218,7 +218,7 @@ let run_parallel () =
                     time (fun () -> f (Some pool)))
               in
               let phases = phases_of_snapshot (Obs_metrics.snapshot ()) in
-              { domains; wall_s; iterations; phases })
+              { domains = Pool.domains pool; wall_s; iterations; phases })
             bench_domains
         in
         let base = match runs with { wall_s; _ } :: _ -> wall_s | [] -> Float.nan in

@@ -129,12 +129,18 @@ let domains_t =
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "worker domains for pooled execution. Defaults to the TTSV_DOMAINS environment \
-           variable when set, otherwise to the recommended domain count capped at 8; 1 \
-           disables parallelism.")
+           variable when set, otherwise to the recommended domain count capped at 8. A \
+           count above the recommended domain count is lowered to it. 1 disables \
+           parallelism.")
 
 (* every pooled command funnels through here so the pool is always shut
-   down, whatever the command does *)
-let with_pool domains f = Pool.with_pool ?domains f
+   down, whatever the command does.  The count is capped at the host's
+   recommended domain count: more domains than cores only add context
+   switching (BENCH_parallel.json, 2 vCPUs: the fig. 5 sweep runs faster
+   on 2 domains than on one, but slower on 4 or 8). *)
+let with_pool domains f =
+  let n = match domains with Some n -> n | None -> Pool.default_domains () in
+  Pool.with_pool ~domains:(Stdlib.min n (Domain.recommended_domain_count ())) f
 
 let deadline_t =
   Arg.(
@@ -503,6 +509,16 @@ let case_cmd =
 let transient_cmd =
   let dt_t = Arg.(value & opt positive 0.2 & info [ "dt" ] ~doc:"time step [ms]") in
   let duration_t = Arg.(value & opt positive 200. & info [ "duration" ] ~doc:"duration [ms]") in
+  (* a step longer than the run would integrate far past it: a usage
+     error (exit 124) naming both flags *)
+  let step_t =
+    let check dt duration =
+      if dt > duration then
+        Error (`Msg (Printf.sprintf "--dt %g ms exceeds --duration %g ms" dt duration))
+      else Ok (dt, duration)
+    in
+    Term.term_result Term.(const check $ dt_t $ duration_t)
+  in
   (* the trace file is input from outside the program: it is loaded
      while the command line is parsed, so a missing file, a malformed
      row, no data rows or a non-finite sample is a usage error (exit
@@ -523,7 +539,7 @@ let transient_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:"CSV power trace (time_s,scale) scaling the heat over time")
   in
-  let run stack coeffs dt duration trace =
+  let run stack coeffs (dt, duration) trace =
     let power =
       match trace with
       | None -> fun _ -> 1.
@@ -551,7 +567,7 @@ let transient_cmd =
     Format.printf "settled within 1%%: %b@." (Transient.settled r)
   in
   let info = Cmd.info "transient" ~doc:"step response of the unit cell (RC extension)" in
-  Cmd.v info Term.(const run $ stack_t $ coeffs_t $ dt_t $ duration_t $ trace_t)
+  Cmd.v info Term.(const run $ stack_t $ coeffs_t $ step_t $ trace_t)
 
 (* -------------------------------------------------------------------- chip *)
 

@@ -47,6 +47,8 @@ let capacities stack (net : Model_a.network) n_nodes =
 let solve ?coeffs ?(power = fun _ -> 1.) stack ~dt ~duration =
   if not (dt > 0.) then invalid_arg "Transient.solve: dt must be positive";
   if not (duration > 0.) then invalid_arg "Transient.solve: duration must be positive";
+  (* one step past a shorter duration would integrate far beyond it *)
+  if dt > duration then invalid_arg "Transient.solve: dt exceeds duration";
   let rs = Resistances.of_stack ?coeffs stack in
   let qs = Stack.heat_inputs stack in
   let steady = Model_a.solve_triples rs qs in

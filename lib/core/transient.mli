@@ -32,7 +32,7 @@ val solve :
     [power] scales the steady heat vector over time (default: constant
     1.0, i.e. a power step at t = 0); it lets callers model duty-cycled
     workloads.  Raises [Invalid_argument] for nonpositive [dt] or
-    [duration]. *)
+    [duration], or for [dt > duration]. *)
 
 val time_constant : result -> float option
 (** [time_constant r] is the first instant at which Max ΔT reaches

@@ -11,8 +11,13 @@ let of_points pts =
       if scale < 0. then invalid_arg "Trace.of_points: negative scale";
       if time < 0. then invalid_arg "Trace.of_points: negative time")
     pts;
-  let sorted = List.sort_uniq (fun (a, _) (b, _) -> compare a b) pts in
-  { points = Array.of_list sorted }
+  let points = Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) pts) in
+  (* two samples at one time leave the waveform undefined there *)
+  for i = 1 to Array.length points - 1 do
+    if fst points.(i) = fst points.(i - 1) then
+      invalid_arg (Printf.sprintf "Trace.of_points: duplicate time %g" (fst points.(i)))
+  done;
+  { points }
 
 let parse text =
   let rows = ref [] in

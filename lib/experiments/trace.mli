@@ -10,10 +10,10 @@ type t
 (** An immutable piecewise-linear waveform. *)
 
 val of_points : (float * float) list -> t
-(** [of_points pts] builds a waveform from (time, scale) samples; at
-    least one point, times sorted after deduplication, scales
-    nonnegative ([Invalid_argument] otherwise).  Evaluation clamps to
-    the first/last samples outside the domain. *)
+(** [of_points pts] builds a waveform from (time, scale) samples, in
+    any order; at least one point, distinct finite nonnegative times,
+    finite nonnegative scales ([Invalid_argument] otherwise).
+    Evaluation clamps to the first/last samples outside the domain. *)
 
 val parse : string -> t
 (** [parse text] parses CSV text.  Raises [Failure] with a line number

@@ -122,7 +122,7 @@ let guard ~window ~growth best best_iter iter res =
 
    The whole solve runs inside one persistent [Pool.with_region], so the
    thousands of sub-millisecond Krylov kernels are published to
-   already-resident workers instead of paying a fork/join each. *)
+   already-resident workers instead of waking and joining them each. *)
 let cg ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window
     ?(divergence_factor = default_divergence_factor) ?pool ?precond ?budget a b =
   let n = Sparse.rows a in

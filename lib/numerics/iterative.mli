@@ -87,7 +87,7 @@ val cg :
     [pool], when given, runs the matvec and the BLAS-1 kernels across
     the domain pool, inside one persistent {!Ttsv_parallel.Pool.with_region}
     spanning the whole solve (the workers stay resident; no per-kernel
-    fork/join).  All reductions are chunk-deterministic ({!Vec.pdot})
+    wake-up and join).  All reductions are chunk-deterministic ({!Vec.pdot})
     and preconditioner applications pool-independent, so a pooled run
     observes the exact residual sequence of a sequential run — same
     iterates, same guard decisions, same iteration count.  When called

@@ -13,13 +13,17 @@ let g_major_collections = Metrics.Gauge.make "gc.major_collections"
 let g_compactions = Metrics.Gauge.make "gc.compactions"
 let g_heap_words = Metrics.Gauge.make "gc.heap_words"
 
-(* [Gc.minor_words ()] reads the young pointer and is exact in native
-   code; [quick_stat]'s [minor_words] field only advances at minor
-   collections, which would make small per-span deltas read as zero.
-   Direct-to-major blocks still surface lazily (at slice boundaries) —
-   acceptable for telemetry. *)
-let allocated_of (s : Gc.stat) = Gc.minor_words () +. s.major_words -. s.promoted_words
-let allocated_words () = allocated_of (Gc.quick_stat ())
+(* Words allocated by the calling domain.  [Gc.minor_words ()] reads the
+   young pointer and is exact in native code ([quick_stat]'s and
+   [counters]'s minor fields are not); the major and promoted words come
+   from [Gc.counters ()], this domain's own, which count direct-to-major
+   blocks as they are allocated.  [quick_stat]'s whole-program major and
+   promoted counts only move at collections: added to the exact minor
+   count, they read any span a collection lands in wrong, even
+   negative. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let sample () =
   if Flags.metrics_on () then begin
@@ -27,7 +31,7 @@ let sample () =
     Metrics.Gauge.set g_minor_words (Gc.minor_words ());
     Metrics.Gauge.set g_promoted_words s.promoted_words;
     Metrics.Gauge.set g_major_words s.major_words;
-    Metrics.Gauge.set g_allocated_words (allocated_of s);
+    Metrics.Gauge.set g_allocated_words (allocated_words ());
     Metrics.Gauge.set g_minor_collections (float_of_int s.minor_collections);
     Metrics.Gauge.set g_major_collections (float_of_int s.major_collections);
     Metrics.Gauge.set g_compactions (float_of_int s.compactions);

@@ -14,14 +14,12 @@ type t = {
   m : Mutex.t;
   work_ready : Condition.t;
   work_done : Condition.t;
-  mutable job : (unit -> unit) option;
   mutable gen : int;
   mutable remaining : int;
   mutable busy : bool;
   mutable stopped : bool;
-  (* persistent-region state: one [with_region] keeps the workers
-     resident while the owner publishes many kernels without paying a
-     fork/join each time *)
+  (* region state: one [with_region] keeps the workers resident while
+     the owner publishes one or many kernels to them *)
   region_task : rtask option Atomic.t;
   region_gen : int Atomic.t;
   region_close : bool Atomic.t;
@@ -41,11 +39,12 @@ let max_domains = 64
 let default_chunk = 1024
 let min_parallel = 2048
 
-(* Below this size a kernel outside any region runs inline: waking the
-   workers costs a fork/join (condvar broadcast + futex wakeups), which
-   only amortizes on decidedly large vectors.  Inside a region the
-   cheaper [min_parallel] cutoff applies instead. *)
-let fork_join_min = 65536
+(* Below this size a kernel issued outside any region runs inline: going
+   parallel opens a region just for it, and waking then joining the
+   workers (condvar broadcast + futex wakeups) only amortizes on
+   decidedly large vectors.  Inside an open region the cheaper
+   [min_parallel] cutoff applies instead. *)
+let lone_kernel_min = 65536
 
 (* How long a resident worker spins between kernels before parking on
    the region condvar.  Deliberately short: on an oversubscribed (or
@@ -59,23 +58,16 @@ module Obs_flags = Ttsv_obs.Flags
 module Obs_span = Ttsv_obs.Span
 module Obs_metrics = Ttsv_obs.Metrics
 
-let m_tasks = Obs_metrics.Counter.make "pool.tasks"
 let m_regions = Obs_metrics.Counter.make "pool.regions"
 let m_kernels = Obs_metrics.Counter.make "pool.kernels"
-let m_chunk_s = Obs_metrics.Histogram.make "pool.chunk_seconds"
 let m_idle_s = Obs_metrics.Gauge.make "pool.idle_seconds"
-let m_util = Obs_metrics.Gauge.make "pool.utilization"
 let m_worker_failures = Obs_metrics.Counter.make "pool.worker_failures"
-
-let rec atomic_add_float a dx =
-  let old = Atomic.get a in
-  if not (Atomic.compare_and_set a old (old +. dx)) then atomic_add_float a dx
 
 (* ------------------------------------------------- worker identification *)
 
 (* Set while a domain is executing pool task bodies (workers for their
-   whole drain loop, the owner while it runs a fork/join runner).  Any
-   pool entry point that finds the flag set runs inline instead: nested
+   whole region, the owner while it drains a kernel's chunks).  Any pool
+   entry point that finds the flag set runs inline instead: nested
    fan-out from inside an outer region would only oversubscribe the
    machine — and, worse, serialize every inner kernel on the pool
    mutex. *)
@@ -96,159 +88,18 @@ let default_domains () =
   | Some n -> n
   | None -> Stdlib.min (Domain.recommended_domain_count ()) 8
 
-(* A worker crashed (its job raised — an injected fault, or a bug in a
-   runner wrapper; chunk-body exceptions are captured closer to the
-   kernel and never reach here).  Count it, degrade any open region to
-   owner-only dispatch, and keep the worker alive for the next job: the
-   join protocol below still decrements [remaining], so the owner never
+(* A worker crashed (an injected fault, or a bug in the region loop;
+   chunk-body exceptions are captured closer to the kernel and never
+   reach here).  Count it, degrade the open region to owner-only
+   dispatch, and keep the worker alive for the next region: the join
+   protocol below still decrements [remaining], so the owner never
    deadlocks on a dead worker. *)
 let note_worker_failure pool =
   Atomic.incr pool.failures;
   Atomic.set pool.region_degraded true;
   if Obs_flags.enabled () then Obs_metrics.Counter.incr m_worker_failures
 
-(* Each worker parks on [work_ready] until the generation counter moves,
-   runs the published job once (the job itself loops over a shared chunk
-   queue), then reports back on [work_done].  The job runs under a
-   catch-all: an escaping exception must not skip the [remaining]
-   decrement, or [wait_done] would hang forever. *)
-let worker pool =
-  set_am_worker true;
-  let last_gen = ref 0 in
-  let rec loop () =
-    Mutex.lock pool.m;
-    while (not pool.stopped) && (pool.gen = !last_gen || pool.job = None) do
-      Condition.wait pool.work_ready pool.m
-    done;
-    if pool.stopped then Mutex.unlock pool.m
-    else begin
-      let job = match pool.job with Some j -> j | None -> assert false in
-      last_gen := pool.gen;
-      Mutex.unlock pool.m;
-      (* worker-exclusive probe point: the owner never executes this
-         line, so an injected crash or stall only ever costs a worker *)
-      (match
-         Fault.stall "stall";
-         Fault.raise_if "worker";
-         job ()
-       with
-      | () -> ()
-      | exception _ -> note_worker_failure pool);
-      Mutex.lock pool.m;
-      pool.remaining <- pool.remaining - 1;
-      if pool.remaining = 0 then Condition.broadcast pool.work_done;
-      Mutex.unlock pool.m;
-      loop ()
-    end
-  in
-  loop ()
-
-let make ndomains =
-  {
-    ndomains;
-    workers = [||];
-    m = Mutex.create ();
-    work_ready = Condition.create ();
-    work_done = Condition.create ();
-    job = None;
-    gen = 0;
-    remaining = 0;
-    busy = false;
-    stopped = false;
-    region_task = Atomic.make None;
-    region_gen = Atomic.make 0;
-    region_close = Atomic.make false;
-    region_parked = Atomic.make 0;
-    region_ready = Condition.create ();
-    in_region = false;
-    region_owner = -1;
-    failures = Atomic.make 0;
-    region_degraded = Atomic.make false;
-  }
-
-(* Oversubscription cap: more domains than cores only adds context
-   switching.  Floored at 4 so single-core CI hosts can still exercise
-   the multi-domain code paths the determinism tests pin. *)
-let domain_cap () = Stdlib.max (Domain.recommended_domain_count ()) 4
-
-let create ?domains () =
-  let n = match domains with Some n -> n | None -> default_domains () in
-  if n < 1 || n > max_domains then
-    invalid_arg (Printf.sprintf "Pool.create: domains must be in [1, %d]" max_domains);
-  let n = Stdlib.min n (domain_cap ()) in
-  let pool = make n in
-  pool.workers <- Array.init (n - 1) (fun _ -> Domain.spawn (fun () -> worker pool));
-  pool
-
-let seq = make 1
-let domains pool = pool.ndomains
-
-let shutdown pool =
-  Mutex.lock pool.m;
-  if pool.stopped then Mutex.unlock pool.m
-  else begin
-    pool.stopped <- true;
-    Condition.broadcast pool.work_ready;
-    Mutex.unlock pool.m;
-    Array.iter Domain.join pool.workers;
-    pool.workers <- [||]
-  end
-
-let with_pool ?domains f =
-  let pool = create ?domains () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
-(* Publish [runner] to the workers without blocking the owner.  Returns
-   [false] (and does nothing) when the pool is already busy, so the
-   caller can fall back to running inline. *)
-let post pool runner =
-  Mutex.lock pool.m;
-  if pool.stopped then begin
-    Mutex.unlock pool.m;
-    invalid_arg "Pool: used after shutdown"
-  end;
-  if pool.busy then begin
-    Mutex.unlock pool.m;
-    false
-  end
-  else begin
-    pool.busy <- true;
-    pool.job <- Some runner;
-    pool.gen <- pool.gen + 1;
-    pool.remaining <- Array.length pool.workers;
-    Condition.broadcast pool.work_ready;
-    Mutex.unlock pool.m;
-    true
-  end
-
-let wait_done pool =
-  Mutex.lock pool.m;
-  while pool.remaining > 0 do
-    Condition.wait pool.work_done pool.m
-  done;
-  pool.job <- None;
-  pool.busy <- false;
-  Mutex.unlock pool.m
-
-(* Run [runner] on every domain of the pool (caller included) and join.
-   Re-entrant launches — a task on this pool starting another region, or
-   a foreign thread racing the owner — run inline: the chunk queue still
-   drains, just without extra domains. *)
-let run pool runner =
-  if Array.length pool.workers = 0 then runner ()
-  else if not (post pool runner) then runner ()
-  else begin
-    (* the owner executes task bodies too: flag it like a worker so user
-       code inside the chunks (sweep points) does not re-enter the pool *)
-    Fun.protect
-      ~finally:(fun () -> set_am_worker false)
-      (fun () ->
-        set_am_worker true;
-        runner ());
-    wait_done pool
-  end
-
-(* ------------------------------------------------- persistent regions *)
+(* ------------------------------------------------------------- regions *)
 
 let drain_rtask t =
   let continue = ref true in
@@ -261,7 +112,7 @@ let drain_rtask t =
     end
   done
 
-(* The job a worker runs for the whole lifetime of a region: watch the
+(* What a worker runs for the whole lifetime of a region: watch the
    kernel generation counter, drain whatever kernel is current, park on
    [region_ready] when nothing new shows up within the spin budget.  The
    parking handshake is lost-wakeup-free: the worker re-checks the
@@ -329,6 +180,120 @@ let region_worker pool =
   in
   if obs then Obs_span.with_ ~name:"pool.worker" work else work ()
 
+(* Each worker parks on [work_ready] until the generation counter moves
+   (a region opened), stays resident in [region_worker] until the region
+   closes, then reports back on [work_done].  The region runs under a
+   catch-all: an escaping exception must not skip the [remaining]
+   decrement, or [wait_done] would hang forever. *)
+let worker pool =
+  set_am_worker true;
+  let last_gen = ref 0 in
+  let rec loop () =
+    Mutex.lock pool.m;
+    while (not pool.stopped) && pool.gen = !last_gen do
+      Condition.wait pool.work_ready pool.m
+    done;
+    if pool.stopped then Mutex.unlock pool.m
+    else begin
+      last_gen := pool.gen;
+      Mutex.unlock pool.m;
+      (* worker-exclusive probe point: the owner never executes this
+         line, so an injected crash or stall only ever costs a worker *)
+      (match
+         Fault.stall "stall";
+         Fault.raise_if "worker";
+         region_worker pool
+       with
+      | () -> ()
+      | exception _ -> note_worker_failure pool);
+      Mutex.lock pool.m;
+      pool.remaining <- pool.remaining - 1;
+      if pool.remaining = 0 then Condition.broadcast pool.work_done;
+      Mutex.unlock pool.m;
+      loop ()
+    end
+  in
+  loop ()
+
+let make ndomains =
+  {
+    ndomains;
+    workers = [||];
+    m = Mutex.create ();
+    work_ready = Condition.create ();
+    work_done = Condition.create ();
+    gen = 0;
+    remaining = 0;
+    busy = false;
+    stopped = false;
+    region_task = Atomic.make None;
+    region_gen = Atomic.make 0;
+    region_close = Atomic.make false;
+    region_parked = Atomic.make 0;
+    region_ready = Condition.create ();
+    in_region = false;
+    region_owner = -1;
+    failures = Atomic.make 0;
+    region_degraded = Atomic.make false;
+  }
+
+let create ?domains () =
+  let n = match domains with Some n -> n | None -> default_domains () in
+  if n < 1 || n > max_domains then
+    invalid_arg (Printf.sprintf "Pool.create: domains must be in [1, %d]" max_domains);
+  let pool = make n in
+  pool.workers <- Array.init (n - 1) (fun _ -> Domain.spawn (fun () -> worker pool));
+  pool
+
+let seq = make 1
+let domains pool = pool.ndomains
+
+let shutdown pool =
+  Mutex.lock pool.m;
+  if pool.stopped then Mutex.unlock pool.m
+  else begin
+    pool.stopped <- true;
+    Condition.broadcast pool.work_ready;
+    Mutex.unlock pool.m;
+    Array.iter Domain.join pool.workers;
+    pool.workers <- [||]
+  end
+
+let with_pool ?domains f =
+  let pool = create ?domains () in
+  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+
+(* Open a region: wake the workers into [region_worker] without blocking
+   the owner.  Returns [false] (and does nothing) when the pool is
+   already busy, so the caller can fall back to running inline. *)
+let post pool =
+  Mutex.lock pool.m;
+  if pool.stopped then begin
+    Mutex.unlock pool.m;
+    invalid_arg "Pool: used after shutdown"
+  end;
+  if pool.busy then begin
+    Mutex.unlock pool.m;
+    false
+  end
+  else begin
+    pool.busy <- true;
+    Atomic.set pool.region_degraded false;
+    pool.gen <- pool.gen + 1;
+    pool.remaining <- Array.length pool.workers;
+    Condition.broadcast pool.work_ready;
+    Mutex.unlock pool.m;
+    true
+  end
+
+let wait_done pool =
+  Mutex.lock pool.m;
+  while pool.remaining > 0 do
+    Condition.wait pool.work_done pool.m
+  done;
+  pool.busy <- false;
+  Mutex.unlock pool.m
+
 let wake_region pool =
   if Atomic.get pool.region_parked > 0 then begin
     Mutex.lock pool.m;
@@ -356,7 +321,12 @@ let region_dispatch pool nchunks apply =
   Atomic.set pool.region_task (Some t);
   Atomic.incr pool.region_gen;
   wake_region pool;
+  (* the owner runs chunk bodies too: flag it like a worker so a body
+     that calls back into the pool (a sweep point's FV solve) runs
+     inline.  [step] captures every exception, so the reset is reached. *)
+  set_am_worker true;
   drain_rtask t;
+  set_am_worker false;
   let spins = ref 0 in
   while Atomic.get t.r_done < nchunks do
     incr spins;
@@ -371,32 +341,25 @@ let region_dispatch pool nchunks apply =
   match Atomic.get failed with Some e -> raise e | None -> ()
 
 let with_region pool f =
-  if Array.length pool.workers = 0 || am_worker () then f ()
+  if Array.length pool.workers = 0 || am_worker () || not (post pool) then f ()
   else begin
-    Atomic.set pool.region_close false;
-    Atomic.set pool.region_degraded false;
-    if not (post pool (fun () -> region_worker pool)) then f ()
-    else begin
-      pool.region_owner <- (Domain.self () :> int);
-      pool.in_region <- true;
-      let finish () =
-        pool.in_region <- false;
-        pool.region_owner <- -1;
-        Atomic.set pool.region_close true;
-        Mutex.lock pool.m;
-        Condition.broadcast pool.region_ready;
-        Mutex.unlock pool.m;
-        wait_done pool;
-        Atomic.set pool.region_close false
-      in
-      if Obs_flags.enabled () then begin
-        Obs_metrics.Counter.incr m_regions;
-        Obs_span.with_ ~name:"pool.region"
-          ~attrs:[ ("mode", "persistent") ]
-          (fun () -> Fun.protect ~finally:finish f)
-      end
-      else Fun.protect ~finally:finish f
+    pool.region_owner <- (Domain.self () :> int);
+    pool.in_region <- true;
+    let finish () =
+      pool.in_region <- false;
+      pool.region_owner <- -1;
+      Atomic.set pool.region_close true;
+      Mutex.lock pool.m;
+      Condition.broadcast pool.region_ready;
+      Mutex.unlock pool.m;
+      wait_done pool;
+      Atomic.set pool.region_close false
+    in
+    if Obs_flags.enabled () then begin
+      Obs_metrics.Counter.incr m_regions;
+      Obs_span.with_ ~name:"pool.region" (fun () -> Fun.protect ~finally:finish f)
     end
+    else Fun.protect ~finally:finish f
   end
 
 let in_region pool = pool.in_region && pool.region_owner = (Domain.self () :> int)
@@ -414,7 +377,7 @@ let for_chunks ?(chunk = default_chunk) ?min_size ?budget pool n body =
   if n > 0 then begin
     let nchunks = chunk_count n chunk in
     let apply c =
-      (* one budget poll per chunk: on the parallel paths the raise is
+      (* one budget poll per chunk: on the parallel path the raise is
          captured like any body exception and re-raised after the join,
          so no chunk claim is ever lost to an expiry *)
       (match budget with Some b -> Budget.check_exn b | None -> ());
@@ -431,70 +394,14 @@ let for_chunks ?(chunk = default_chunk) ?min_size ?budget pool n body =
       if n < Option.value min_size ~default:min_parallel || Atomic.get pool.region_degraded
       then seq_run ()
       else region_dispatch pool nchunks apply
-    else if n < Option.value min_size ~default:fork_join_min then seq_run ()
-    else begin
-      let next = Atomic.make 0 in
-      let failed : exn option Atomic.t = Atomic.make None in
-      (* latch the flag once per region: every domain then agrees on
-         whether this region is instrumented, even if observability is
-         toggled mid-flight *)
-      let obs = Obs_flags.enabled () in
-      let busy = Atomic.make 0. in
-      let step c =
-        try apply c with e -> ignore (Atomic.compare_and_set failed None (Some e))
-      in
-      let runner () =
-        if not obs then begin
-          let continue = ref true in
-          while !continue do
-            let c = Atomic.fetch_and_add next 1 in
-            if c >= nchunks then continue := false
-            else if Atomic.get failed = None then step c
-          done
-        end
-        else
-          (* one span per participating domain, on that domain's own
-             stack, carrying its chunk count as a metric event *)
-          Obs_span.with_ ~name:"pool.worker" (fun () ->
-              let tasks = ref 0 in
-              let local_busy = ref 0. in
-              let continue = ref true in
-              while !continue do
-                let c = Atomic.fetch_and_add next 1 in
-                if c >= nchunks then continue := false
-                else if Atomic.get failed = None then begin
-                  let t0 = Ttsv_obs.Clock.now () in
-                  step c;
-                  let dt = Ttsv_obs.Clock.now () -. t0 in
-                  incr tasks;
-                  local_busy := !local_busy +. dt;
-                  Obs_metrics.Counter.incr m_tasks;
-                  Obs_metrics.Histogram.observe m_chunk_s dt
-                end
-              done;
-              atomic_add_float busy !local_busy;
-              if Obs_flags.trace_on () then
-                Ttsv_obs.Sink.metric ?span:(Obs_span.current ()) ~kind:"counter"
-                  ~name:"pool.worker.tasks"
-                  (Ttsv_obs.Json.Int !tasks))
-      in
-      if not obs then run pool runner
-      else
-        Obs_span.with_ ~name:"pool.region"
-          ~attrs:[ ("n", string_of_int n); ("chunks", string_of_int nchunks) ]
-          (fun () ->
-            let t0 = Ttsv_obs.Clock.now () in
-            run pool runner;
-            let dur = Ttsv_obs.Clock.now () -. t0 in
-            Obs_metrics.Counter.incr m_regions;
-            let capacity = dur *. float_of_int pool.ndomains in
-            if capacity > 0. then begin
-              let b = Float.min capacity (Atomic.get busy) in
-              Obs_metrics.Gauge.add m_idle_s (capacity -. b);
-              Obs_metrics.Gauge.set m_util (b /. capacity)
-            end);
-      match Atomic.get failed with Some e -> raise e | None -> ()
-    end
+    else if n < Option.value min_size ~default:lone_kernel_min then seq_run ()
+    else
+      (* a lone kernel opens a region of its own; when the pool is busy
+         [with_region] opens none and the kernel runs inline.  A worker
+         that crashes on the way in never claims a chunk, so the owner
+         drains them all *)
+      with_region pool (fun () ->
+          if in_region pool then region_dispatch pool nchunks apply else seq_run ())
   end
 
 let parallel_for ?chunk ?min_size ?budget pool n f =

@@ -34,28 +34,33 @@
     [Iterative.cg ?pool] under an outer sweep fan-out neither
     oversubscribes the machine nor serializes on the pool mutex.
 
-    {2 Persistent regions}
+    {2 Regions}
 
-    A fork/join per kernel is far too expensive for Krylov loops that
-    issue thousands of sub-millisecond kernels.  {!with_region} keeps
-    the workers resident for the duration of a scope: each kernel inside
-    it is published to the already-awake workers through an atomic task
-    slot (no lock, no condvar on the fast path), and idle workers park
-    on a condition variable after a short spin so an oversubscribed host
-    is not burned by busy-waiting.  Chunk boundaries, and therefore
-    results, are identical to the fork/join and sequential paths. *)
+    Work reaches the workers one way: through a region.  {!with_region}
+    keeps the workers resident for the duration of a scope, and each
+    kernel inside it is published to the already-awake workers through
+    an atomic task slot (no lock, no condvar on the fast path), so a
+    Krylov loop issuing thousands of sub-millisecond kernels pays the
+    wake-up once.  Idle workers park on a condition variable after a
+    short spin so an oversubscribed host is not burned by busy-waiting.
+    A kernel large enough to go parallel outside any region opens a
+    region just for itself.  Chunk boundaries, and therefore results,
+    are identical to the sequential path. *)
 
 type t
 
 val create : ?domains:int -> unit -> t
-(** [create ~domains ()] spawns [domains - 1] workers.  [domains]
-    defaults to the [TTSV_DOMAINS] environment variable when set, and
-    otherwise to [Domain.recommended_domain_count ()] capped at 8.
-    Raises [Invalid_argument] outside [1, 64]; values inside the range
-    are then capped at [max (Domain.recommended_domain_count ()) 4] —
-    oversubscribing cores only adds context switching, while the floor
-    of 4 keeps multi-domain paths testable on single-core hosts.
-    {!domains} reports the capped count. *)
+(** [create ~domains ()] spawns exactly [domains - 1] workers, whatever
+    the host's core count, so tests can build multi-domain pools on
+    small hosts; callers facing users cap the count themselves (the
+    CLI caps it at [Domain.recommended_domain_count ()]).  [domains]
+    defaults to {!default_domains}.  Raises [Invalid_argument] outside
+    [1, 64]. *)
+
+val default_domains : unit -> int
+(** The [TTSV_DOMAINS] environment variable when it is set to an
+    integer in [1, 64], and otherwise [Domain.recommended_domain_count ()]
+    capped at 8. *)
 
 val seq : t
 (** The shared 1-domain pool: no workers, every operation runs inline.
@@ -73,39 +78,25 @@ val with_pool : ?domains:int -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] on a fresh pool and shuts it down afterwards,
     whether [f] returns or raises. *)
 
-val default_chunk : int
-(** Chunk size used when [?chunk] is omitted (element kernels). *)
-
-val min_parallel : int
-(** Size cutoff inside an open {!with_region}: index spaces smaller than
-    this run inline on the owner (2048).  Override per call with
-    [~min_size]. *)
-
-val fork_join_min : int
-(** Size cutoff {e outside} any region: kernels below this (65536) run
-    inline rather than paying a fork/join wake-up of the workers.
-    Override per call with [~min_size] — an explicit [~min_size] always
-    wins, in or out of a region. *)
-
 val am_worker : unit -> bool
 (** [true] while the calling domain is executing pool task bodies — a
-    worker domain draining chunks, or the owner running a fork/join
-    runner.  Library code uses it to run nested parallel work inline;
-    exposed for tests and for callers that want to skip setting up
-    parallel state that would never be used. *)
+    worker domain resident in a region, or the owner draining a
+    kernel's chunks.  Library code uses it to run nested parallel work
+    inline; exposed for tests and for callers that want to skip setting
+    up parallel state that would never be used. *)
 
 val with_region : t -> (unit -> 'a) -> 'a
 (** [with_region pool f] keeps the pool's workers resident while [f]
     runs: every pool kernel the {e calling domain} issues inside [f] is
-    handed to the workers through an atomic slot instead of a fresh
-    fork/join, and the in-region [min_size] default drops from
-    {!fork_join_min} to {!min_parallel}.  Runs [f] directly (no region)
-    when the pool has no workers, the pool is already busy, or the
-    caller is itself a pool worker.  Kernels issued by other domains
-    while the region is open fall back to their usual inline path.
-    Reentrant: an inner [with_region] on the same pool is a no-op
-    wrapper.  The region is closed (workers released and joined) when
-    [f] returns or raises. *)
+    handed to the workers through an atomic slot, and the [min_size]
+    default drops from 65536 (the cutoff for a lone kernel, which must
+    pay a region's wake-up and join by itself) to 2048.  Runs [f]
+    directly (no region) when the pool has no workers, the pool is
+    already busy, or the caller is itself a pool worker.  Kernels issued
+    by other domains while the region is open fall back to their usual
+    inline path.  Reentrant: an inner [with_region] on the same pool is
+    a no-op wrapper.  The region is closed (workers released and joined)
+    when [f] returns or raises. *)
 
 val for_chunks :
   ?chunk:int ->
@@ -117,10 +108,11 @@ val for_chunks :
   unit
 (** [for_chunks pool n body] applies [body ~lo ~hi] to every chunk
     [[lo, hi)] of [[0, n)].  Chunk boundaries depend only on [n] and
-    [chunk] (default {!default_chunk}).  [min_size] defaults to
-    {!min_parallel} inside an open region and {!fork_join_min} outside.
+    [chunk] (default 1024).  Below [min_size] the chunks run inline on
+    the caller; it defaults to 2048 inside an open region and 65536
+    outside, where a parallel kernel opens a region of its own.
     Exceptions raised by [body] abort the remaining chunks and the first
-    one is re-raised after the region joins.  [budget], when given, is
+    one is re-raised after the workers join.  [budget], when given, is
     polled once per chunk: an expired budget aborts the remaining
     chunks the same way and [Budget.Expired] is raised after the join —
     never from a worker, and never losing a chunk claim. *)
@@ -154,8 +146,9 @@ val map_array : ?chunk:int -> ?budget:Budget.t -> t -> ('a -> 'b) -> 'a array ->
 
 val worker_failures : t -> int
 (** Worker crashes contained since the pool was created: exceptions (or
-    injected faults, see {!Fault}) that escaped a worker's job.  Each is
-    also counted in the [pool.worker_failures] metric, and degrades the
-    open region (if any) to owner-only dispatch.  The join protocol
-    survives every such crash — a failed worker can never hang
-    {!with_region} or a fork/join. *)
+    injected faults, see {!Fault}) that escaped a worker's region loop.
+    Each is also counted in the [pool.worker_failures] metric, and
+    degrades the open region to owner-only dispatch.  The join protocol
+    survives every such crash — a failed worker can never hang a
+    region, and each crash is counted before the region that met it
+    returns. *)

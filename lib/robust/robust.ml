@@ -69,9 +69,6 @@ let preflight a b =
   if not (Array.for_all Float.is_finite b) then push "rhs contains NaN/Inf entries";
   List.rev !problems
 
-let true_residual a b x =
-  Vec.norm2 (Vec.sub b (Sparse.mat_vec a x)) /. Float.max (Vec.norm2 b) 1e-300
-
 let banded_of_sparse a bw =
   let n = Sparse.rows a in
   let m = Banded.create ~n ~bw in
@@ -239,7 +236,7 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
           };
         None
       | Ok x ->
-        let res = true_residual a b x in
+        let res = Iterative.relative_residual ?pool a b x in
         consider x res;
         let ok = Float.is_finite res && res <= direct_accept tol in
         trace := [| res |];

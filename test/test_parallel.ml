@@ -46,6 +46,10 @@ let pool_tests =
             Pool.parallel_for p 10 (fun _ -> ()));
         check_raises_invalid "too many domains" (fun () ->
             ignore (Pool.create ~domains:1000 ()));
+        (* no cap below the request, whatever the host's core count *)
+        let p8 = Pool.create ~domains:8 () in
+        Alcotest.(check int) "exactly the requested domains" 8 (Pool.domains p8);
+        Pool.shutdown p8;
         Alcotest.(check int) "seq is one domain" 1 (Pool.domains Pool.seq));
     test "parallel_for visits every index exactly once" (fun () ->
         List.iter
@@ -136,8 +140,8 @@ let pool_tests =
           out);
     test "am_worker marks pool runners and resets outside them" (fun () ->
         (* regression for the nested-pool slowdown: kernels invoked from
-           inside a pool runner must see am_worker and stay inline
-           instead of re-entering the fork/join machinery *)
+           inside a pool runner, owner included, must see am_worker and
+           stay inline instead of re-entering the pool *)
         Alcotest.(check bool) "outside any pool" false (Pool.am_worker ());
         Pool.with_pool ~domains:2 @@ fun pool ->
         let all_marked = Atomic.make true in
@@ -461,7 +465,7 @@ let budget_tests =
         in
         attempt Pool.seq 100 (* sequential fallback *);
         Pool.with_pool ~domains:4 @@ fun pool ->
-        attempt pool 5000 (* fork/join path *);
+        attempt pool 5000 (* lone-kernel region *);
         (* and the pool is unharmed afterwards *)
         let counts = Array.make 100 0 in
         Pool.parallel_for ~chunk:8 ~min_size:2 pool 100 (fun i -> counts.(i) <- 1);

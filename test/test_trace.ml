@@ -37,6 +37,10 @@ let unit_tests =
         | _ -> Alcotest.fail "expected Failure");
     test "negative scale rejected" (fun () ->
         check_raises_invalid "scale" (fun () -> ignore (Trace.of_points [ (0., -1.) ])));
+    test "duplicate times rejected" (fun () ->
+        (* two samples at t = 0 used to lose one of them silently *)
+        check_raises_invalid "duplicate" (fun () ->
+            ignore (Trace.of_points [ (0., 1.); (1., 2.); (0., 5.) ])));
     test "square wave duty cycle and average" (fun () ->
         let t = Trace.square_wave ~period:1e-2 ~duty:0.25 ~high:1. ~low:0. ~samples:16 in
         close "high at start" 1. (Trace.scale t 1e-3);

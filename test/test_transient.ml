@@ -58,7 +58,9 @@ let unit_tests =
         check_raises_invalid "dt" (fun () ->
             ignore (Transient.solve (Params.block ()) ~dt:0. ~duration:1.));
         check_raises_invalid "duration" (fun () ->
-            ignore (Transient.solve (Params.block ()) ~dt:1e-3 ~duration:0.)));
+            ignore (Transient.solve (Params.block ()) ~dt:1e-3 ~duration:0.));
+        check_raises_invalid "dt past duration" (fun () ->
+            ignore (Transient.solve (Params.block ()) ~dt:1. ~duration:1e-3)));
     test "duty-cycled power stays below the constant-power response" (fun () ->
         let stack = Params.block () in
         let steady = Transient.solve stack ~dt ~duration in
