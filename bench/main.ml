@@ -78,8 +78,9 @@ let run_micro () =
       | Some _ | None -> Format.fprintf ppf "%-32s (no estimate)@." name)
     rows
 
-(* Pool scaling: wall time of the pooled artefacts at 1/2/4/8 domains,
-   printed and written to BENCH_parallel.json (hand-rolled JSON - the
+(* Pool scaling: median wall time of the pooled artefacts at 1/2/4/8
+   domains over [parallel_repeats] runs each, printed and written to
+   BENCH_parallel.json (hand-rolled JSON - the
    build deliberately has no JSON dependency).  Speedups are measured on
    whatever cores the host actually has; the determinism tests, not this
    bench, guarantee the pooled results themselves. *)
@@ -90,12 +91,15 @@ module Obs_metrics = Ttsv_obs.Metrics
 
 (* [phases] is the per-run span breakdown harvested from the metrics
    registry: one (span name, completions, summed seconds) triple per
-   "span.*" histogram observed during that run *)
+   "span.*" histogram observed during that run.  [spread] is the
+   (fastest, slowest) wall time when the row is the median of repeated
+   runs *)
 type parallel_run = {
   domains : int;
   wall_s : float;
   iterations : int;
   phases : (string * int * float) list;
+  spread : (float * float) option;
 }
 
 type parallel_result = { artefact : string; runs : parallel_run list }
@@ -126,6 +130,11 @@ let warn_phase_overruns artefact { domains; wall_s; phases; _ } =
     phases
 
 let bench_domains = [ 1; 2; 4; 8 ]
+
+(* single runs on 2 vCPUs spread wider than the differences between
+   domain counts (the 3-D res-1 solve at 2 domains read 0.99-1.15x over
+   five runs), so each row is the median of this many *)
+let parallel_repeats = 5
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -160,7 +169,7 @@ let buffer_runs buf ~indent runs =
   let base = match runs with { wall_s; _ } :: _ -> wall_s | [] -> Float.nan in
   Buffer.add_string buf (indent ^ "\"runs\": [\n");
   List.iteri
-    (fun j { domains; wall_s; iterations; phases } ->
+    (fun j { domains; wall_s; iterations; phases; spread } ->
       let phases_json =
         String.concat ", "
           (List.map
@@ -169,11 +178,16 @@ let buffer_runs buf ~indent runs =
                  count sum_s)
              phases)
       in
+      let spread_json =
+        match spread with
+        | Some (lo, hi) -> Printf.sprintf " \"wall_s_min\": %.6f, \"wall_s_max\": %.6f," lo hi
+        | None -> ""
+      in
       Buffer.add_string buf
         (Printf.sprintf
-           "%s  { \"domains\": %d, \"wall_s\": %.6f, \"speedup\": %.3f, \
+           "%s  { \"domains\": %d, \"wall_s\": %.6f,%s \"speedup\": %.3f, \
             \"iterations\": %d, \"phases\": [%s] }%s\n"
-           indent domains wall_s (base /. wall_s) iterations phases_json
+           indent domains wall_s spread_json (base /. wall_s) iterations phases_json
            (if j = List.length runs - 1 then "" else ",")))
     runs;
   Buffer.add_string buf (indent ^ "]\n")
@@ -208,24 +222,34 @@ let run_parallel () =
     List.map
       (fun (artefact, f) ->
         Format.fprintf ppf "@.%s:@." artefact;
-        let runs =
-          List.map
-            (fun domains ->
-              Obs_metrics.reset ();
-              let pool = Pool.create ~domains () in
-              let iterations, wall_s =
-                Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
-                    time (fun () -> f (Some pool)))
-              in
-              let phases = phases_of_snapshot (Obs_metrics.snapshot ()) in
-              { domains = Pool.domains pool; wall_s; iterations; phases })
-            bench_domains
+        let once domains =
+          Obs_metrics.reset ();
+          let pool = Pool.create ~domains () in
+          let iterations, wall_s =
+            Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
+                time (fun () -> f (Some pool)))
+          in
+          let phases = phases_of_snapshot (Obs_metrics.snapshot ()) in
+          { domains = Pool.domains pool; wall_s; iterations; phases; spread = None }
         in
+        (* the median run stands for the row, phases included *)
+        let median domains =
+          let sorted =
+            List.sort
+              (fun a b -> Float.compare a.wall_s b.wall_s)
+              (List.init parallel_repeats (fun _ -> once domains))
+          in
+          let fastest = List.hd sorted and slowest = List.nth sorted (parallel_repeats - 1) in
+          { (List.nth sorted (parallel_repeats / 2)) with
+            spread = Some (fastest.wall_s, slowest.wall_s) }
+        in
+        let runs = List.map median bench_domains in
         let base = match runs with { wall_s; _ } :: _ -> wall_s | [] -> Float.nan in
         List.iter
-          (fun ({ domains; wall_s; iterations; _ } as run) ->
-            Format.fprintf ppf "  domains=%d  %8.3f s  speedup %5.2fx%s@." domains wall_s
-              (base /. wall_s)
+          (fun ({ domains; wall_s; iterations; spread; _ } as run) ->
+            let lo, hi = Option.value spread ~default:(wall_s, wall_s) in
+            Format.fprintf ppf "  domains=%d  %8.3f s (%.3f-%.3f)  speedup %5.2fx%s@." domains
+              wall_s lo hi (base /. wall_s)
               (if iterations > 0 then Printf.sprintf "  (%d solver iterations)" iterations
                else "");
             warn_phase_overruns artefact run)
@@ -339,7 +363,7 @@ let run_precond () =
                         (fun () -> time (fun () -> f (Some pool) rungs))
                     in
                     let phases = phases_of_snapshot (Obs_metrics.snapshot ()) in
-                    { domains = d; wall_s; iterations; phases })
+                    { domains = d; wall_s; iterations; phases; spread = None })
                   domains
               in
               let base =

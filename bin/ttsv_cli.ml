@@ -95,6 +95,21 @@ let bounded_float range ok =
   in
   Arg.conv' (parse, Format.pp_print_float)
 
+(* output paths are checked while the command line parses, so a path
+   the run could never write is a usage error (exit 124) naming the
+   flag, before any compute, not a Sys_error crash (exit 125) at the
+   end of it *)
+let is_dir p = Sys.file_exists p && Sys.is_directory p
+
+(* a file to write: its directory must exist, and it must not be one *)
+let out_file =
+  let parse s =
+    if is_dir s then Error (Printf.sprintf "%S is a directory" s)
+    else if is_dir (Filename.dirname s) then Ok s
+    else Error (Printf.sprintf "directory %S does not exist" (Filename.dirname s))
+  in
+  Arg.conv' (parse, Format.pp_print_string)
+
 let finite = bounded_float "a finite number" (fun _ -> true)
 let positive = bounded_float "a finite number > 0" (fun x -> x > 0.)
 let nonnegative = bounded_float "a finite number >= 0" (fun x -> x >= 0.)
@@ -159,7 +174,7 @@ let budget_of_deadline = Option.map (fun d -> Budget.make ~deadline_s:d ())
 let checkpoint_t =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some out_file) None
     & info [ "checkpoint" ] ~docv:"FILE"
         ~doc:
           "record every completed sweep point to $(docv) (JSONL, flushed per point) so an \
@@ -597,42 +612,26 @@ let chip_cmd =
   let run stack grid size power hotspot budget candidates domains =
     with_pool domains @@ fun pool ->
     let module Chip = Ttsv_chip.Chip_model in
-    let module Pm = Ttsv_chip.Power_map in
     let module Alloc = Ttsv_chip.Allocation in
-    let planes = Array.to_list stack.Stack.planes in
-    let chip =
-      Chip.make ~width:(Units.mm size) ~height:(Units.mm size) ~nx:grid ~ny:grid ~planes
-        ~tsv:stack.Stack.tsv ()
+    let { Alloc.chip; bare; allocation } =
+      Alloc.hotspot_scenario ~pool ~size_mm:size ~grid ~power ~hotspot ?budget ~candidates stack
     in
-    let base = Pm.uniform ~nx:grid ~ny:grid ~total:power in
-    let c = (2 * grid) / 3 in
-    let top = Pm.add_hotspot base ~x0:c ~y0:c ~x1:(c + 1) ~y1:(c + 1) ~watts:hotspot in
-    let maps = List.mapi (fun i _ -> if i = List.length planes - 1 then top else base) planes in
-    let bare = Chip.solve chip (Chip.uniform_density chip 0.) maps in
     Format.printf "no TTSVs: max dT = %.2f K at plane %d tile (%d,%d)@."
       bare.Chip.max_rise
       ((fun (p, _, _) -> p + 1) bare.Chip.hottest)
       ((fun (_, x, _) -> x) bare.Chip.hottest)
       ((fun (_, _, y) -> y) bare.Chip.hottest);
-    Format.printf "top plane field:@.%t@." (Chip.pp_plane bare ~plane:(List.length planes - 1));
-    match budget with
-    | None -> ()
-    | Some budget ->
-      let out =
-        Alloc.allocate ~pool chip maps
-          {
-            (Alloc.default_options ~budget) with
-            Alloc.step = 0.01;
-            max_density = 0.15;
-            candidates;
-          }
-      in
+    Format.printf "top plane field:@.%t@."
+      (Chip.pp_plane bare ~plane:(Stack.num_planes stack - 1));
+    match (allocation, budget) with
+    | Some out, Some budget ->
       Format.printf "@.allocation for dT <= %.2f K: feasible=%b after %d iterations@." budget
         out.Alloc.feasible out.Alloc.iterations;
       Format.printf "max dT = %.2f K, via metal %.4f mm^2@."
         out.Alloc.final.Chip.max_rise
         (out.Alloc.metal_area *. 1e6);
       Format.printf "density map:@.%t@." (Alloc.pp_densities chip out.Alloc.densities)
+    | _ -> ()
   in
   let info = Cmd.info "chip" ~doc:"full-chip compact model with a hotspot (extension)" in
   Cmd.v info
@@ -687,8 +686,26 @@ let serve_cmd =
 (* ------------------------------------------------------------------ export *)
 
 let export_cmd =
+  (* checked on the value the run will use, so the "results" default is
+     checked too: an existing directory, or a new path whose parent is
+     one *)
   let out_t =
-    Arg.(value & opt string "results" & info [ "out" ] ~doc:"output directory for CSV files")
+    let check out =
+      let bad why = Error (`Msg (Printf.sprintf "option '--out': %s" why)) in
+      if Sys.file_exists out then
+        if Sys.is_directory out then Ok out
+        else bad (Printf.sprintf "%S exists and is not a directory" out)
+      else if is_dir (Filename.dirname out) then Ok out
+      else bad (Printf.sprintf "directory %S does not exist" (Filename.dirname out))
+    in
+    Term.term_result
+      Term.(
+        const check
+        $ Arg.(
+            value
+            & opt string "results"
+            & info [ "out" ]
+                ~doc:"output directory for CSV files: an existing directory, or a new one to create"))
   in
   let run out domains =
     with_pool domains @@ fun pool ->

@@ -49,5 +49,31 @@ val allocate :
 val metal_area : Chip_model.t -> Chip_model.densities -> float
 (** Total via metal a density allocation spends, m². *)
 
+type scenario = {
+  chip : Chip_model.t;
+  bare : Chip_model.result;  (** the chip with no TTSVs *)
+  allocation : outcome option;  (** the greedy allocation, when a budget was given *)
+}
+
+val hotspot_scenario :
+  ?pool:Ttsv_parallel.Pool.t ->
+  size_mm:float ->
+  grid:int ->
+  power:float ->
+  hotspot:float ->
+  ?budget:float ->
+  candidates:int ->
+  Ttsv_geometry.Stack.t ->
+  scenario
+(** The hotspot-allocation scenario of the CLI's [chip] command and the
+    service's [chip_alloc] request: a square chip [size_mm] mm on a side
+    of [grid] × [grid] tiles, built from the stack's planes and TTSV;
+    [power] W spread uniformly on every plane, plus [hotspot] W on the
+    2×2 tile block at (2·grid/3, 2·grid/3) of the top plane.  The chip
+    is solved bare, then, given a [budget], allocated greedily with
+    [step = 0.01], [max_density = 0.15] and [candidates].  Raises
+    [Invalid_argument] on what {!Chip_model.make}, {!Power_map} or
+    {!allocate} reject. *)
+
 val pp_densities : Chip_model.t -> Chip_model.densities -> Format.formatter -> unit
 (** ASCII map of the allocation ('.' = none, '1'-'9' scaled to the cap). *)

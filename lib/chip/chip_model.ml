@@ -40,10 +40,6 @@ let uniform_density chip d =
   if d < 0. || d >= 1. then invalid_arg "Chip_model.uniform_density: density outside [0, 1)";
   Array.make (chip.nx * chip.ny) d
 
-let vias_per_tile chip ds x y =
-  let d = ds.((y * chip.nx) + x) in
-  d *. tile_area chip /. Tsv.fill_area chip.tsv
-
 type result = {
   grid_nx : int;
   rises : float array array;

@@ -49,10 +49,6 @@ type densities = float array
 val uniform_density : t -> float -> densities
 (** [uniform_density chip d] is [d] everywhere; [0 <= d < 1]. *)
 
-val vias_per_tile : t -> densities -> int -> int -> float
-(** [vias_per_tile chip ds x y] is the (real-valued) via count the density
-    implies for that tile. *)
-
 type result = {
   grid_nx : int;  (** tiles per row, for indexing [rises] *)
   rises : float array array;  (** [rises.(plane).(y * grid_nx + x)] bulk rise, K *)

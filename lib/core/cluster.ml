@@ -77,6 +77,3 @@ let solve_naive ?(coeffs = Coefficients.unity) stack n =
     }
   in
   Model_a.solve_triples rs (Stack.heat_inputs stack)
-
-let max_rise_series ?coeffs stack ns =
-  List.map (fun n -> Model_a.max_rise (solve ?coeffs stack n)) ns

@@ -25,7 +25,3 @@ val solve_naive : ?coeffs:Coefficients.t -> Ttsv_geometry.Stack.t -> int -> Mode
     from first principles with all [n] vias in parallel (including the
     larger displaced silicon area).  Comparing against {!solve} isolates
     what eq. 22's "vertical resistances unchanged" approximation costs. *)
-
-val max_rise_series : ?coeffs:Coefficients.t -> Ttsv_geometry.Stack.t -> int list -> float list
-(** [max_rise_series ?coeffs stack ns] maps {!solve} + {!Model_a.max_rise}
-    over a division series — the Fig. 7 workload. *)

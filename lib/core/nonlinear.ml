@@ -29,12 +29,12 @@ let refreeze stack ~sink_temperature_k (r : Model_a.result) =
   Stack.with_tsv stack'
     { tsv with Tsv.filler = at tsv.Tsv.filler via_temp; liner = at tsv.Tsv.liner via_temp }
 
-let solve ?coeffs ?(picard_tol = 1e-6) ?(max_picard = 50) ~sink_temperature_k stack =
+let solve ?coeffs ~sink_temperature_k stack =
   let rec picard sweep current prev_max =
     let r = Model_a.solve ?coeffs current in
     let m = Model_a.max_rise r in
-    if Float.abs (m -. prev_max) <= picard_tol *. Float.max m 1e-12 then (r, sweep)
-    else if sweep >= max_picard then
+    if Float.abs (m -. prev_max) <= 1e-6 *. Float.max m 1e-12 then (r, sweep)
+    else if sweep >= 50 then
       failwith "Nonlinear.solve: Picard iteration did not settle"
     else picard (sweep + 1) (refreeze stack ~sink_temperature_k r) m
   in

@@ -13,12 +13,10 @@
 
 val solve :
   ?coeffs:Coefficients.t ->
-  ?picard_tol:float ->
-  ?max_picard:int ->
   sink_temperature_k:float ->
   Ttsv_geometry.Stack.t ->
   Model_a.result * int
 (** [solve ~sink_temperature_k stack] iterates until the Max ΔT changes
-    by less than [picard_tol] (default 1e-6 relative) between sweeps,
-    up to [max_picard] (default 50; [Failure] beyond).  Returns the
+    by less than 1e-6 relative between sweeps, up to 50 sweeps
+    ([Failure] beyond).  Returns the
     converged result and the sweep count. *)

@@ -35,7 +35,8 @@ let cell_shape ?resolution () =
       ];
   }
 
-let cluster_layout ?resolution ?(divisions = [ 1; 4; 9; 16 ]) () =
+let cluster_layout ?resolution () =
+  let divisions = [ 1; 4; 9; 16 ] in
   let stack = Params.fig7_stack () in
   let coeffs = Reference.block_coefficients () in
   let of_list f = Array.of_list (List.map f divisions) in

@@ -16,8 +16,8 @@ val cell_shape : ?resolution:int -> unit -> Report.table
 (** One row per solver/model with Max ΔT and the deviation from the 3-D
     square-cell solution. *)
 
-val cluster_layout : ?resolution:int -> ?divisions:int list -> unit -> Report.figure
-(** The Fig. 7 series (default divisions 1, 4, 9, 16 — perfect squares,
+val cluster_layout : ?resolution:int -> unit -> Report.figure
+(** The Fig. 7 series at divisions 1, 4, 9, 16 (perfect squares,
     as the 3-D layout requires). *)
 
 val print : ?resolution:int -> Format.formatter -> unit -> unit

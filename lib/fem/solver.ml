@@ -233,19 +233,10 @@ type picard_failure = { sweeps : int; damping : float; change : float; last : re
 
 exception Picard_failed of picard_failure
 
-let default_dampings = [ 1.; 0.5; 0.25 ]
-
-let solve_nonlinear ?tol ?(picard_tol = 1e-4) ?(max_picard = 50) ?(dampings = default_dampings)
-    ~materials ~sink_temperature_k p =
+let solve_nonlinear ?tol ?(max_picard = 50) ~materials ~sink_temperature_k p =
   let n = Array.length p.Problem.conductivity in
   if Array.length materials <> n then
     invalid_arg "Solver.solve_nonlinear: materials length mismatch";
-  if dampings = [] then invalid_arg "Solver.solve_nonlinear: dampings must be nonempty";
-  List.iter
-    (fun d ->
-      if not (Float.is_finite d) || d <= 0. || d > 1. then
-        invalid_arg "Solver.solve_nonlinear: damping factors must lie in (0, 1]")
-    dampings;
   let module Material = Ttsv_physics.Material in
   (* One Picard attempt at a fixed damping: each sweep relaxes the
      conductivity field toward k(T of the last solve) by [theta]. *)
@@ -258,7 +249,7 @@ let solve_nonlinear ?tol ?(picard_tol = 1e-4) ?(max_picard = 50) ?(dampings = de
       let res = solve ?tol problem in
       let m = max_rise res in
       let change = Float.abs (m -. prev_max) /. Float.max m 1e-12 in
-      if Float.abs (m -. prev_max) <= picard_tol *. Float.max m 1e-12 then Ok (res, sweep)
+      if Float.abs (m -. prev_max) <= 1e-4 *. Float.max m 1e-12 then Ok (res, sweep)
       else if sweep >= max_picard then Error (res, change, sweep)
       else begin
         let next =
@@ -273,6 +264,7 @@ let solve_nonlinear ?tol ?(picard_tol = 1e-4) ?(max_picard = 50) ?(dampings = de
     in
     picard 1 (Array.copy p.Problem.conductivity) Float.neg_infinity
   in
+  (* plain Picard first, then progressively damped retries *)
   let rec escalate = function
     | [] -> assert false
     | theta :: rest -> (
@@ -281,13 +273,10 @@ let solve_nonlinear ?tol ?(picard_tol = 1e-4) ?(max_picard = 50) ?(dampings = de
       | Error (last, change, sweeps) ->
         if rest = [] then Error { sweeps; damping = theta; change; last } else escalate rest)
   in
-  escalate dampings
+  escalate [ 1.; 0.5; 0.25 ]
 
-let solve_nonlinear_exn ?tol ?picard_tol ?max_picard ?dampings ~materials ~sink_temperature_k
-    p =
-  match
-    solve_nonlinear ?tol ?picard_tol ?max_picard ?dampings ~materials ~sink_temperature_k p
-  with
+let solve_nonlinear_exn ?tol ?max_picard ~materials ~sink_temperature_k p =
+  match solve_nonlinear ?tol ?max_picard ~materials ~sink_temperature_k p with
   | Ok r -> r
   | Error f -> raise (Picard_failed f)
 
@@ -308,11 +297,6 @@ let rise_at res ~r ~z =
   let g = res.problem.Problem.grid in
   let ir = find_cell g.Grid.r_faces r and iz = find_cell g.Grid.z_faces z in
   res.temps.(Grid.index g ir iz)
-
-let top_rise_profile res =
-  let g = res.problem.Problem.grid in
-  let nz = Grid.nz g in
-  Array.init (Grid.nr g) (fun ir -> (Grid.r_center g ir, res.temps.(Grid.index g ir (nz - 1))))
 
 let axis_profile res =
   let g = res.problem.Problem.grid in

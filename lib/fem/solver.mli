@@ -149,9 +149,7 @@ exception Picard_failed of picard_failure
 
 val solve_nonlinear :
   ?tol:float ->
-  ?picard_tol:float ->
   ?max_picard:int ->
-  ?dampings:float list ->
   materials:Ttsv_physics.Material.t array ->
   sink_temperature_k:float ->
   Problem.t ->
@@ -161,10 +159,10 @@ val solve_nonlinear :
     solve with the current k field, relax every cell's conductivity
     toward {!Ttsv_physics.Material.k_at} at its absolute temperature
     ([sink_temperature_k] + rise) by the current damping factor, repeat
-    until the maximum rise changes by less than [picard_tol] (default
-    1e-4 relative; [max_picard] defaults to 50 sweeps per attempt).
-    Attempts run through [dampings] (default [[1.; 0.5; 0.25]]): plain
-    Picard first, then progressively damped retries before giving up.
+    until the maximum rise changes by less than 1e-4 relative
+    ([max_picard] defaults to 50 sweeps per attempt).  Attempts run
+    through the damping factors 1, 0.5 and 0.25: plain Picard first,
+    then progressively damped retries before giving up.
     Returns [Ok (result, sweeps)] with the sweeps of the successful
     attempt, or [Error] carrying the last iterate and residual.
     [materials] comes from {!Problem.materials_of_stack}
@@ -174,9 +172,7 @@ val solve_nonlinear :
 
 val solve_nonlinear_exn :
   ?tol:float ->
-  ?picard_tol:float ->
   ?max_picard:int ->
-  ?dampings:float list ->
   materials:Ttsv_physics.Material.t array ->
   sink_temperature_k:float ->
   Problem.t ->
@@ -189,9 +185,6 @@ val max_rise : result -> float
 val rise_at : result -> r:float -> z:float -> float
 (** [rise_at res ~r ~z] is the rise of the cell containing the point
     (nearest cell when outside the domain). *)
-
-val top_rise_profile : result -> (float * float) array
-(** (r, ΔT) along the top row of cells. *)
 
 val axis_profile : result -> (float * float) array
 (** (z, ΔT) along the innermost (axis) column of cells. *)

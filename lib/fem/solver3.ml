@@ -149,8 +149,3 @@ let sink_heat_flow res =
 let energy_imbalance res =
   let src = Problem3.total_source res.problem in
   if src = 0. then 0. else Float.abs (sink_heat_flow res -. src) /. src
-
-let top_field res =
-  let g = res.problem.Problem3.grid in
-  let nx = Grid3.nx g and ny = Grid3.ny g and nz = Grid3.nz g in
-  Array.init (nx * ny) (fun i -> res.temps.(Grid3.index g (i mod nx) (i / nx) (nz - 1)))

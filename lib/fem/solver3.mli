@@ -60,6 +60,3 @@ val sink_heat_flow : result -> float
 
 val energy_imbalance : result -> float
 (** |sink flow − total source| / total source. *)
-
-val top_field : result -> float array
-(** The top row of cells as a row-major nx × ny field (hotspot maps). *)

@@ -43,19 +43,6 @@ let heat_inputs s =
 
 let total_heat s = Ttsv_numerics.Vec.sum (heat_inputs s)
 
-(* The TSV spans from l_ext below the top of substrate 1 up through every
-   plane to the top of the last substrate (it does not cross the last ILD,
-   cf. eq. 14 where R8 covers only t_Si3 + t_b). *)
-let tsv_length s =
-  let n = Array.length s.planes in
-  let acc = ref (s.tsv.Tsv.extension +. s.planes.(0).Plane.t_ild) in
-  for i = 1 to n - 1 do
-    let p = s.planes.(i) in
-    acc := !acc +. p.Plane.t_bond +. p.Plane.t_substrate;
-    if i < n - 1 then acc := !acc +. p.Plane.t_ild
-  done;
-  !acc
-
 let with_tsv s tsv = validate { s with tsv }
 
 let map_planes s f = validate { s with planes = Array.mapi f s.planes }

@@ -44,10 +44,6 @@ val heat_inputs : t -> Ttsv_numerics.Vec.t
 val total_heat : t -> float
 (** Sum of {!heat_inputs}. *)
 
-val tsv_length : t -> float
-(** Full TTSV length: from [l_ext] below the first plane's ILD to the top
-    of the last substrate (the span the resistances R₂/R₅/R₈ cover). *)
-
 val with_tsv : t -> Tsv.t -> t
 (** Replaces the TTSV, re-validating. *)
 

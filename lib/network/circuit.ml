@@ -33,10 +33,6 @@ let check_node fn c nd =
   if nd.cid <> c.id then invalid_arg ("Circuit." ^ fn ^ ": node from another circuit");
   if nd.idx < -1 || nd.idx >= c.n then invalid_arg ("Circuit." ^ fn ^ ": invalid node")
 
-let node_name c nd =
-  check_node "node_name" c nd;
-  if nd.idx = -1 then "ground" else List.nth c.names (c.n - 1 - nd.idx)
-
 let add_resistor c a b r =
   check_node "add_resistor" c a;
   check_node "add_resistor" c b;

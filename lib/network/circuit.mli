@@ -29,10 +29,6 @@ val add_node : t -> string -> node
 (** [add_node c name] creates a fresh node.  Names are labels for
     debugging and reporting; duplicates are allowed. *)
 
-val node_name : t -> node -> string
-(** [node_name c n] is the label given at creation ("ground" for the
-    ground node). *)
-
 val add_resistor : t -> node -> node -> float -> unit
 (** [add_resistor c a b r] connects [a] and [b] with thermal resistance
     [r] (K/W).  [r] must be positive and finite; parallel duplicates

@@ -29,28 +29,7 @@ type result = {
   converged : bool;
   status : status;
   trace : float array;
-  conv : Ttsv_obs.History.snapshot option;
 }
-
-(* Residual history recording, active only while observability is on:
-   the disabled path allocates no ring buffer and costs one atomic read
-   (inside [Flags.enabled]) per solve, not per iteration.  When a trace
-   file is open, the snapshot is also emitted as a [conv] line tagged
-   with the enclosing span (the [robust.<rung>] span when the Robust
-   ladder is driving). *)
-let history_create meth =
-  if Ttsv_obs.Flags.enabled () then Some (Ttsv_obs.History.create ~meth ()) else None
-
-let history_record hist iter res =
-  match hist with Some h -> Ttsv_obs.History.record h iter res | None -> ()
-
-let history_finish hist =
-  match hist with
-  | None -> None
-  | Some h ->
-    let s = Ttsv_obs.History.snapshot h in
-    if Ttsv_obs.Flags.trace_on () then Ttsv_obs.Sink.conv ?span:(Ttsv_obs.Span.current ()) s;
-    Some s
 
 let pp_status ppf = function
   | Converged -> Format.fprintf ppf "converged"
@@ -149,8 +128,6 @@ let cg ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window
       let nb = norm_b_floor b in
       let res = ref (Vec.pnorm2 ?pool r /. nb) in
       let trace = ref [ !res ] in
-      let hist = history_create "cg" in
-      history_record hist 0 !res;
       let iter = ref 0 in
       let status = ref (if !res <= tol then Some Converged else None) in
       (* M^-1 r0 is built only when the loop will run: a start that is
@@ -176,7 +153,6 @@ let cg ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window
             Vec.paxpy2 ?pool alpha p ap x r;
             res := Vec.pnorm2 ?pool r /. nb;
             trace := !res :: !trace;
-            history_record hist !iter !res;
             if !res <= tol then status := Some Converged
             else begin
               (match
@@ -207,12 +183,17 @@ let cg ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window
       in
       let converged = Float.is_finite residual && residual <= tol in
       record_attempt !iter residual;
+      let trace = Array.of_list (List.rev !trace) in
+      (* [trace] is the solve's one residual history; a traced run also
+         writes it as a [conv] line tagged with the enclosing span (the
+         [robust.<rung>] span when the Robust ladder drives) *)
+      if Ttsv_obs.Flags.trace_on () then
+        Ttsv_obs.Sink.conv ?span:(Ttsv_obs.Span.current ()) ~meth:"cg" trace;
       {
         solution = x;
         iterations = !iter;
         residual;
         converged;
         status = (if converged then Converged else status);
-        trace = Array.of_list (List.rev !trace);
-        conv = history_finish hist;
+        trace;
       })

@@ -38,14 +38,12 @@ type result = {
   residual : float;  (** final 2-norm of [b - A x], relative to [||b||] *)
   converged : bool;  (** whether [residual <= tol] was reached *)
   status : status;  (** why the iteration stopped *)
-  trace : float array;  (** relative-residual history, initial guess included *)
-  conv : Ttsv_obs.History.snapshot option;
-      (** bounded convergence history, recorded only while observability
-          is enabled ({!Ttsv_obs.Flags.enabled}) — [None] on the
-          disabled path (no ring buffer is allocated).  When a trace
-          file is open the same
-          snapshot is emitted as a [conv] JSONL event tagged with the
-          enclosing span. *)
+  trace : float array;
+      (** the solve's one residual history: [trace.(i)] is the relative
+          residual after iteration [i], index 0 the initial guess.
+          Recorded on every solve, observability on or off.  When a
+          trace file is open it is also written as a [conv] line
+          ({!Ttsv_obs.Sink.conv}) tagged with the enclosing span. *)
 }
 
 val pp_status : Format.formatter -> status -> unit
@@ -74,8 +72,7 @@ val cg :
     target (default [1e-10]); [max_iter] defaults to [10 * n];
     [x0] defaults to the zero vector; an [x0] that already meets [tol]
     costs one matvec and returns at iteration 0 without applying the
-    preconditioner.  The per-iteration residuals are in [trace] (and
-    [conv]).
+    preconditioner.  The per-iteration residuals are in [trace].
     [stagnation_window] (default [max 250 (max_iter / 10)] — Krylov
     residuals legitimately plateau for long stretches before the
     superlinear phase, so the default scales with the budget) and

@@ -47,9 +47,6 @@ type t = {
   coarse_lu : Dense.lu;
   nu : int;
   budget : Budget.t option; (* captured at build time, polled per level *)
-  hist : Ttsv_obs.History.t option;
-      (* per-V-cycle residual history; allocated at build time only when
-         observability is on, so the disabled path stays allocation-free *)
 }
 
 let default_coarse_cap = 200
@@ -454,12 +451,7 @@ let build ?pool ?budget ?(max_levels = default_max_levels)
       let levels = Array.of_list levels in
       let coarsest = levels.(Array.length levels - 1) in
       match Dense.lu_factor (Sparse.to_dense coarsest.a) with
-      | lu ->
-        let hist =
-          if Ttsv_obs.Flags.enabled () then Some (Ttsv_obs.History.create ~meth:"mg" ())
-          else None
-        in
-        Ok { levels; coarse_lu = lu; nu; budget; hist }
+      | lu -> Ok { levels; coarse_lu = lu; nu; budget }
       | exception Dense.Singular -> Error "singular coarsest-level operator")
   end
 
@@ -556,15 +548,7 @@ let rec vcycle ?pool t l r =
 let cycle ?pool t r =
   if Array.length r <> Sparse.rows t.levels.(0).a then
     invalid_arg "Multigrid.cycle: dimension mismatch";
-  (* one history point per V-cycle: the norm of the residual handed in.
-     Sequential norm, computed only when the history exists, so pooled
-     runs stay bitwise identical to sequential ones. *)
-  (match t.hist with
-  | Some h -> Ttsv_obs.History.record h (Ttsv_obs.History.total h) (Vec.norm2 r)
-  | None -> ());
   Ttsv_obs.Span.with_ ~name:"mg.cycle" @@ fun () -> vcycle ?pool t 0 r
-
-let conv t = Option.map Ttsv_obs.History.snapshot t.hist
 
 let num_levels t = Array.length t.levels
 let level_shape t l = Array.copy t.levels.(l).shape

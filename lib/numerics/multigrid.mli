@@ -84,14 +84,6 @@ val cycle : ?pool:Ttsv_parallel.Pool.t -> t -> Vec.t -> Vec.t
     turns into a typed [Deadline_exceeded] carrying the best iterate.
     Bitwise deterministic across pool sizes. *)
 
-val conv : t -> Ttsv_obs.History.snapshot option
-(** Per-V-cycle convergence history (method ["mg"]): one entry per
-    {!cycle} call, recording the 2-norm of the residual handed in.
-    [None] unless observability was enabled when {!build} ran — the
-    disabled path allocates no ring buffer.  Driving the same hierarchy
-    through many CG solves keeps appending; the ring keeps the last
-    {!Ttsv_obs.History.default_cap} entries. *)
-
 val num_levels : t -> int
 (** Number of levels in the hierarchy, finest first (at least 1). *)
 

@@ -1,9 +1,9 @@
 type minimum = { xmin : Vec.t; fmin : float; iterations : int; converged : bool }
 
-let nelder_mead ?(tol = 1e-10) ?(max_iter = 2000) ?step f x0 =
+let nelder_mead ?(tol = 1e-10) ?(max_iter = 2000) f x0 =
   let n = Array.length x0 in
   if n = 0 then invalid_arg "Optimize.nelder_mead: empty starting point";
-  let step_for i = match step with Some s -> s | None -> 0.1 *. (1. +. Float.abs x0.(i)) in
+  let step_for i = 0.1 *. (1. +. Float.abs x0.(i)) in
   (* simplex of n+1 vertices with their values, kept sorted best-first *)
   let vertices =
     Array.init (n + 1) (fun k ->

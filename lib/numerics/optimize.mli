@@ -14,14 +14,13 @@ type minimum = {
 val nelder_mead :
   ?tol:float ->
   ?max_iter:int ->
-  ?step:float ->
   (Vec.t -> float) ->
   Vec.t ->
   minimum
 (** [nelder_mead f x0] minimizes [f] starting from [x0] with the
     Nelder–Mead downhill-simplex method (reflection 1, expansion 2,
     contraction 0.5, shrink 0.5).  The initial simplex is [x0] plus
-    [step] (default [0.1 * (1 + |x0_i|)]) along each axis.  Convergence:
+    [0.1 * (1 + |x0_i|)] along each axis.  Convergence:
     the simplex function spread falls below [tol] (default [1e-10]). *)
 
 val bisect :

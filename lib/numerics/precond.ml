@@ -56,8 +56,6 @@ let jacobi a = jacobi_of_diagonal (Sparse.diagonal a)
 
 (* -------------------------------------------------------------- IC(0) *)
 
-let default_shifts = [ 0.; 1e-3; 1e-2; 1e-1; 1. ]
-
 (* Incomplete Cholesky with zero fill: L has exactly the lower-triangle
    sparsity of A.  Entries are produced row by row,
 
@@ -70,7 +68,7 @@ let default_shifts = [ 0.; 1e-3; 1e-2; 1e-1; 1. ]
    refactor with a progressively larger relative diagonal shift
    (Manteuffel 1980), which this constructor does internally before
    giving up. *)
-let ic0 ?(shifts = default_shifts) ?budget a =
+let ic0 ?budget a =
   let n = Sparse.rows a in
   if injected () then Error injected_error
   else if Sparse.cols a <> n then Error "matrix not square"
@@ -157,7 +155,7 @@ let ic0 ?(shifts = default_shifts) ?budget a =
           | Some v -> Error (Format.asprintf "budget expired (%a)" Budget.pp_verdict v)
           | None -> if factor shift then Ok shift else attempt rest)
       in
-      match attempt shifts with
+      match attempt [ 0.; 1e-3; 1e-2; 1e-1; 1. ] with
       | Error _ as e -> e
       | Ok shift ->
         let apply_fn ?pool:_ r =

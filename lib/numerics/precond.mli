@@ -48,16 +48,12 @@ val jacobi_of_diagonal : Vec.t -> t
 (** {!jacobi} from an already-extracted diagonal, for callers that have
     one (avoids a second [Sparse.diagonal] pass). *)
 
-val default_shifts : float list
-(** The relative diagonal shifts {!ic0} tries in order:
-    [[0.; 1e-3; 1e-2; 1e-1; 1.]]. *)
-
-val ic0 :
-  ?shifts:float list -> ?budget:Ttsv_parallel.Budget.t -> Sparse.t -> (t, string) result
+val ic0 : ?budget:Ttsv_parallel.Budget.t -> Sparse.t -> (t, string) result
 (** Incomplete Cholesky factorization with zero fill on the lower
     triangle of [a].  On a non-positive pivot the factorization is
-    retried from scratch with the next relative diagonal shift in
-    [shifts] (the diagonal becomes [a_ii * (1 + shift)]); [Error] when
+    retried from scratch with the next relative diagonal shift of
+    [0, 1e-3, 1e-2, 1e-1, 1] (the diagonal becomes
+    [a_ii * (1 + shift)]); [Error] when
     every shift breaks down, when the matrix is not square, or when some
     row has no stored diagonal entry.  [budget] is polled between shift
     retries (each is a full refactorization): an expired budget reports

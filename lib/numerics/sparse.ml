@@ -190,12 +190,12 @@ let to_dense m =
   done;
   d
 
-let of_dense ?(drop_tol = 0.) d =
+let of_dense d =
   let b = builder (Dense.rows d) (Dense.cols d) in
   for i = 0 to Dense.rows d - 1 do
     for j = 0 to Dense.cols d - 1 do
       let x = Dense.get d i j in
-      if Float.abs x > drop_tol || (x <> 0. && drop_tol = 0.) then add b i j x
+      if x <> 0. then add b i j x
     done
   done;
   finalize b

@@ -81,9 +81,8 @@ val all_finite : t -> bool
 val to_dense : t -> Dense.t
 (** Expands to dense form (testing/debugging only). *)
 
-val of_dense : ?drop_tol:float -> Dense.t -> t
-(** [of_dense ?drop_tol m] converts, dropping entries with absolute value
-    [<= drop_tol] (default [0.], i.e. keep all nonzeros). *)
+val of_dense : Dense.t -> t
+(** [of_dense m] converts, keeping every nonzero entry (NaN included). *)
 
 val is_symmetric : ?tol:float -> t -> bool
 (** Structural + numeric symmetry check used by the CG preconditions. *)

@@ -92,13 +92,6 @@ let norm_inf x =
   done;
   !acc
 
-let norm1 x =
-  let acc = ref 0. in
-  for i = 0 to Array.length x - 1 do
-    acc := !acc +. Float.abs x.(i)
-  done;
-  !acc
-
 let add x y =
   check_same_dim "add" x y;
   Array.mapi (fun i xi -> xi +. y.(i)) x

@@ -54,9 +54,6 @@ val norm2 : t -> float
 val norm_inf : t -> float
 (** [norm_inf x] is the maximum absolute entry of [x]. *)
 
-val norm1 : t -> float
-(** [norm1 x] is the sum of absolute entries of [x]. *)
-
 val add : t -> t -> t
 (** [add x y] is the elementwise sum. *)
 

@@ -3,9 +3,9 @@
    JSON, extending a path at each object from its identifying fields
    ("name", "resolution", "domains") and recording every "iterations"
    and "wall_s" leaf — so the gate keeps working as bench artefacts grow
-   fields.  Iteration counts are chunk-deterministic, so they gate with
-   an exact band (default 0); wall clocks gate with a ratio tolerance
-   and improvements always pass. *)
+   fields.  Iteration counts are chunk-deterministic, so they must match
+   exactly; wall clocks gate with a ratio tolerance and improvements
+   always pass. *)
 
 type kind = Iterations | Wall
 
@@ -66,7 +66,7 @@ let extract json =
 
 let default_wall_tol = 2.0
 
-let compare_benches ?(wall_tol = default_wall_tol) ?(iter_band = 0) ~baseline ~current () =
+let compare_benches ?(wall_tol = default_wall_tol) ~baseline ~current () =
   let base = extract baseline and cur = extract current in
   let find (l : metric list) key kind =
     List.find_opt (fun (m : metric) -> m.key = key && m.kind = kind) l
@@ -83,11 +83,10 @@ let compare_benches ?(wall_tol = default_wall_tol) ?(iter_band = 0) ~baseline ~c
             | Iterations ->
               (* exact band, both directions: iteration counts are
                  deterministic, so any drift is a behaviour change *)
-              let delta = int_of_float c.value - int_of_float b.value in
-              if abs delta > iter_band then
+              if int_of_float c.value <> int_of_float b.value then
                 Regressed
-                  (Printf.sprintf "iterations %d -> %d (band \xc2\xb1%d)" (int_of_float b.value)
-                     (int_of_float c.value) iter_band)
+                  (Printf.sprintf "iterations %d -> %d (band \xc2\xb10)" (int_of_float b.value)
+                     (int_of_float c.value))
               else Ok_
             | Wall ->
               if b.value > 0. && c.value > wall_tol *. b.value then

@@ -8,9 +8,9 @@
     [solve_fv_fig5/res3/mg].  [phases] subtrees are skipped — phase
     sums move with scheduling noise.
 
-    Iteration counts are chunk-deterministic, so they compare with an
-    exact band (default [0], both directions).  Wall clocks compare
-    with a ratio tolerance; getting faster always passes. *)
+    Iteration counts are chunk-deterministic, so they must match
+    exactly, in both directions.  Wall clocks compare with a ratio
+    tolerance; getting faster always passes. *)
 
 type kind = Iterations | Wall
 
@@ -37,10 +37,10 @@ val default_wall_tol : float
 
 val extract : Json.t -> metric list
 
-val compare_benches :
-  ?wall_tol:float -> ?iter_band:int -> baseline:Json.t -> current:Json.t -> unit -> row list
+val compare_benches : ?wall_tol:float -> baseline:Json.t -> current:Json.t -> unit -> row list
 (** One row per baseline metric (plus [New] rows for metrics only in
-    current), in extraction order. *)
+    current), in extraction order.  A current wall time may be at most
+    [wall_tol] (default {!default_wall_tol}) times its baseline. *)
 
 val violations : row list -> string list
 (** The gate: one line per [Regressed]/[Missing] row, naming the

@@ -81,11 +81,22 @@ let metric ?span ~kind ~name value =
         ]
        @ match span with Some id -> [ ("span", Json.Int id) ] | None -> []))
 
-let conv ?span (s : History.snapshot) =
+let conv_window = 512
+
+let conv ?span ~meth residuals =
+  let total = Array.length residuals in
+  let first = Stdlib.max 0 (total - conv_window) in
   emit_json
     (Json.Obj
-       ((("type", Json.String "conv") :: History.snapshot_fields s)
-       @ [ ("t", Json.Float (Clock.elapsed ())) ]
+       ([
+          ("type", Json.String "conv");
+          ("method", Json.String meth);
+          ("total", Json.Int total);
+          ("iterations", Json.List (List.init (total - first) (fun i -> Json.Int (first + i))));
+          ( "residuals",
+            Json.List (List.init (total - first) (fun i -> Json.Float residuals.(first + i))) );
+          ("t", Json.Float (Clock.elapsed ()));
+        ]
        @ match span with Some id -> [ ("span", Json.Int id) ] | None -> []))
 
 let snapshot s =

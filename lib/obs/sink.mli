@@ -40,10 +40,14 @@ val metric : ?span:int -> kind:string -> name:string -> Json.t -> unit
     total of one finished solve), tagged with the enclosing span id when
     the caller has one. *)
 
-val conv : ?span:int -> History.snapshot -> unit
-(** Emit one [conv] line — the residual history of one finished solve
-    (method, total count, retained iteration/residual window), tagged
-    with the enclosing span id when the caller has one. *)
+val conv : ?span:int -> meth:string -> float array -> unit
+(** [conv ~meth residuals] emits one [conv] line — the residual history
+    of one finished solve, where [residuals.(i)] is the residual after
+    iteration [i] (index 0 is the starting guess).  The line carries
+    [meth], the true [total] ([Array.length residuals]) and the newest
+    512 entries with their iteration numbers, oldest first, so a long
+    solve writes a bounded line.  It is tagged with the enclosing span
+    id when the caller has one. *)
 
 val snapshot : Metrics.snapshot -> unit
 (** Emit one [summary] line per metric — written when a trace closes so

@@ -35,8 +35,3 @@ let all =
     benzocyclobutene;
   ]
 
-let by_name s =
-  let s = String.lowercase_ascii s in
-  match List.find_opt (fun (m : Material.t) -> String.lowercase_ascii m.name = s) all with
-  | Some m -> m
-  | None -> raise Not_found

@@ -37,9 +37,5 @@ val aluminum : Material.t
 val benzocyclobutene : Material.t
 (** BCB adhesive, k = 0.29 W/(m·K) — an alternative bonding polymer. *)
 
-val by_name : string -> Material.t
-(** [by_name s] looks a material up case-insensitively.
-    Raises [Not_found] for unknown names. *)
-
 val all : Material.t list
 (** Every material above, for enumeration in CLIs and tests. *)

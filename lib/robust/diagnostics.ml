@@ -15,7 +15,6 @@ type attempt = {
   iterations : int;
   residual : float;
   wall_time : float;
-  conv : Ttsv_obs.History.snapshot option;
 }
 
 type t = {
@@ -24,7 +23,6 @@ type t = {
   iterations : int;
   residual : float;
   trace : float array;
-  conv : Ttsv_obs.History.snapshot option;
   wall_time : float;
 }
 
@@ -35,7 +33,6 @@ let empty =
     iterations = 0;
     residual = Float.nan;
     trace = [||];
-    conv = None;
     wall_time = 0.;
   }
 
@@ -60,19 +57,16 @@ let pp_attempt ppf a =
     Format.fprintf ppf " — %d iterations, residual %.3g, %.2f ms" a.iterations a.residual
       (1000. *. a.wall_time)
 
-let default_trace_cap = 32
+(* Cap the residual history to its first 32 entries (the final residual
+   is already carried by [residual], so the tail is redundant) and say so
+   explicitly — a 40k-iteration CG run must not silently dump 40k numbers
+   into a report or a JSON payload. *)
+let capped_trace trace =
+  let n = Array.length trace and cap = 32 in
+  if n <= cap then (trace, false) else (Array.sub trace 0 cap, true)
 
-(* Cap the residual history to its first [max_trace] entries (the final
-   residual is already carried by [residual], so the tail is redundant)
-   and say so explicitly — a 40k-iteration CG run must not silently dump
-   40k numbers into a report or a JSON payload. *)
-let capped_trace max_trace trace =
-  let n = Array.length trace in
-  if max_trace < 0 then invalid_arg "Diagnostics: max_trace must be >= 0";
-  if n <= max_trace then (trace, false) else (Array.sub trace 0 max_trace, true)
-
-let pp_trace ?(max_trace = default_trace_cap) ppf d =
-  let shown, truncated = capped_trace max_trace d.trace in
+let pp_trace ppf d =
+  let shown, truncated = capped_trace d.trace in
   Format.fprintf ppf "@[<hov 2>trace:";
   Array.iter (fun r -> Format.fprintf ppf "@ %.3g" r) shown;
   if truncated then
@@ -88,7 +82,7 @@ let pp ppf d =
   | None -> Format.fprintf ppf "unsolved");
   Format.fprintf ppf ": %d total iterations, residual %.3g, %.2f ms" d.iterations d.residual
     (1000. *. d.wall_time);
-  if Array.length d.trace > 0 then Format.fprintf ppf "@,%a" (pp_trace ?max_trace:None) d;
+  if Array.length d.trace > 0 then Format.fprintf ppf "@,%a" pp_trace d;
   Format.fprintf ppf "@]"
 
 (* ------------------------------------------------------------------ JSON *)
@@ -122,14 +116,10 @@ let attempt_to_json a =
       ("iterations", Json.Int a.iterations);
       ("residual", Json.Float a.residual);
       ("wall_seconds", Json.Float a.wall_time);
-      ( "conv",
-        match a.conv with
-        | Some s -> Ttsv_obs.History.snapshot_to_json s
-        | None -> Json.Null );
     ]
 
-let to_json ?(max_trace = default_trace_cap) d =
-  let shown, truncated = capped_trace max_trace d.trace in
+let to_json d =
+  let shown, truncated = capped_trace d.trace in
   Json.Obj
     [
       ("attempts", Json.List (List.map attempt_to_json d.attempts));
@@ -141,8 +131,4 @@ let to_json ?(max_trace = default_trace_cap) d =
       ("trace", Json.List (Array.to_list (Array.map (fun r -> Json.Float r) shown)));
       ("trace_len", Json.Int (Array.length d.trace));
       ("truncated", Json.Bool truncated);
-      ( "conv",
-        match d.conv with
-        | Some s -> Ttsv_obs.History.snapshot_to_json s
-        | None -> Json.Null );
     ]

@@ -5,7 +5,11 @@
     multigrid-CG on ladders that pin it; the diagnostics record every
     attempt — which rung, why it stopped, how many iterations it spent,
     its final true relative residual, and its wall time — together with
-    the residual trace of the last attempt.
+    the residual trace of the deciding attempt.  The record is the same
+    whether observability is off, collecting metrics or tracing; a
+    traced run also writes each CG attempt's curve as a [conv] line
+    under its [robust.<rung>] span, so an escalated-past rung's history
+    lives in the trace.
     The record is surfaced through {!Ttsv_fem.Solver.solve},
     {!Ttsv_fem.Solver3.solve} and the CLI's [--solver-report] flag. *)
 
@@ -37,12 +41,6 @@ type attempt = {
   iterations : int;  (** iterations this attempt spent (0 for direct) *)
   residual : float;  (** true relative residual after the attempt; NaN if skipped *)
   wall_time : float;  (** seconds *)
-  conv : Ttsv_obs.History.snapshot option;
-      (** this attempt's own bounded convergence history, kept even when
-          the ladder escalates past a failed rung — present only when
-          observability was enabled during the solve; [None] for direct
-          and skipped rungs, and for a converged start (an [x0] that
-          already met [tol], answered at 0 iterations) *)
 }
 
 type t = {
@@ -50,13 +48,10 @@ type t = {
   solved_by : rung option;  (** the rung that produced the answer *)
   iterations : int;  (** total across attempts *)
   residual : float;  (** final true relative residual *)
-  trace : float array;  (** residual history of the deciding attempt *)
-  conv : Ttsv_obs.History.snapshot option;
-      (** bounded convergence history of the deciding attempt — present
-          only when observability was enabled during the solve (see
-          {!Ttsv_numerics.Iterative.result}); [None] for direct solves
-          and converged starts.
-          Failed rungs keep their own history in [attempts]. *)
+  trace : float array;
+      (** residual history of the deciding attempt: a CG rung's full
+          {!Ttsv_numerics.Iterative.result.trace}, or the one true
+          residual of a direct solve or a converged start *)
   wall_time : float;  (** total seconds *)
 }
 
@@ -66,24 +61,15 @@ val rung_name : rung -> string
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_attempt : Format.formatter -> attempt -> unit
 
-val default_trace_cap : int
-(** Residual-history entries shown by {!pp} and {!to_json} before the
-    explicit truncation marker kicks in (32). *)
-
-val pp_trace : ?max_trace:int -> Format.formatter -> t -> unit
-(** Print the residual trace capped at [max_trace] (default
-    {!default_trace_cap}) entries, appending
-    ["... (truncated, showing k of n)"] when the history is longer —
-    never the silent full dump.  Raises [Invalid_argument] on a negative
-    cap. *)
-
 val pp : Format.formatter -> t -> unit
-(** Attempts, verdict and (capped, see {!pp_trace}) residual trace. *)
+(** Attempts, verdict and residual trace.  The trace shows its first 32
+    entries, then ["... (truncated, showing 32 of n)"] when the history
+    is longer — never the silent full dump. *)
 
-val to_json : ?max_trace:int -> t -> Ttsv_obs.Json.t
-(** Machine-readable form of the record.  The ["trace"] array is capped
-    like {!pp_trace}, with ["truncated"] set [true] and ["trace_len"]
-    carrying the full history length.  ["conv"] carries the
-    {!Ttsv_obs.History.snapshot} of the deciding attempt ([null] when
-    absent); each attempt additionally carries its own ["conv"], so an
-    escalated-past failure keeps its convergence history. *)
+val to_json : t -> Ttsv_obs.Json.t
+(** Machine-readable form of the record: ["attempts"] (each with
+    ["rung"], ["outcome"], ["iterations"], ["residual"] and
+    ["wall_seconds"]), ["solved_by"], ["iterations"], ["residual"],
+    ["wall_seconds"], and the ["trace"] capped like {!pp}, with
+    ["truncated"] set [true] and ["trace_len"] carrying the full history
+    length. *)

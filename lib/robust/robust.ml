@@ -124,7 +124,6 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
     let attempts = ref [] in
     let total_iters = ref 0 in
     let trace = ref [||] in
-    let conv = ref None in
     let note a = attempts := a :: !attempts in
     let consider x res =
       if Float.is_finite res && res < !best_res then begin
@@ -155,7 +154,6 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
         iterations = !total_iters;
         residual;
         trace = !trace;
-        conv = !conv;
         wall_time;
       }
     in
@@ -191,7 +189,6 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
             iterations = 0;
             residual = Float.nan;
             wall_time = Unix.gettimeofday () -. t0;
-            conv = None;
           };
         None
       | Ok precond ->
@@ -201,7 +198,6 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
         in
         total_iters := !total_iters + r.Iterative.iterations;
         trace := r.Iterative.trace;
-        conv := r.Iterative.conv;
         consider r.Iterative.solution r.Iterative.residual;
         let outcome =
           if r.Iterative.converged then Diagnostics.Success
@@ -214,10 +210,6 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
             iterations = r.Iterative.iterations;
             residual = r.Iterative.residual;
             wall_time = Unix.gettimeofday () -. t0;
-            (* per-attempt history: an escalated-past failure keeps its
-               convergence record instead of being overwritten by the
-               winning rung's *)
-            conv = r.Iterative.conv;
           };
         if r.Iterative.converged then Some r.Iterative.solution else None
     in
@@ -232,7 +224,6 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
             iterations = 0;
             residual = Float.nan;
             wall_time = Unix.gettimeofday () -. t0;
-            conv = None;
           };
         None
       | Ok x ->
@@ -240,7 +231,6 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
         consider x res;
         let ok = Float.is_finite res && res <= direct_accept tol in
         trace := [| res |];
-        conv := None;
         note
           {
             Diagnostics.rung = Direct;
@@ -248,7 +238,6 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
             iterations = 0;
             residual = res;
             wall_time = Unix.gettimeofday () -. t0;
-            conv = None;
           };
         if ok then Some x else None
     in
@@ -303,7 +292,6 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
                   iterations = 0;
                   residual = Float.nan;
                   wall_time = Unix.gettimeofday () -. t0;
-                  conv = None;
                 };
               None
             | exception Budget.Expired v ->
@@ -316,7 +304,6 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
                   iterations = 0;
                   residual = Float.nan;
                   wall_time = Unix.gettimeofday () -. t0;
-                  conv = None;
                 };
               None
           in
@@ -348,7 +335,6 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
           iterations = 0;
           residual = res;
           wall_time;
-          conv = None;
         };
       Ok (Vec.copy x, finish (Some rung) res)
 

@@ -11,7 +11,6 @@ module Diagnostics = Ttsv_robust.Diagnostics
 module Problem = Ttsv_fem.Problem
 module Solver = Ttsv_fem.Solver
 module Chip = Ttsv_chip.Chip_model
-module Pm = Ttsv_chip.Power_map
 module Alloc = Ttsv_chip.Allocation
 module Obs_span = Ttsv_obs.Span
 module Metrics = Ttsv_obs.Metrics
@@ -220,35 +219,18 @@ let handle_chip t (c : P.chip_alloc) =
   let* () = check_chip c in
   let* stack = stack_of_geometry c.chip_geometry in
   let t0 = Unix.gettimeofday () in
-  let planes = Array.to_list stack.Ttsv_geometry.Stack.planes in
-  let chip =
-    Chip.make ~width:(Units.mm c.size_mm) ~height:(Units.mm c.size_mm) ~nx:c.grid ~ny:c.grid
-      ~planes ~tsv:stack.Ttsv_geometry.Stack.tsv ()
+  let { Alloc.bare; allocation; _ } =
+    Alloc.hotspot_scenario ?pool:t.pool ~size_mm:c.size_mm ~grid:c.grid ~power:c.power_w
+      ~hotspot:c.hotspot_w ?budget:c.budget_k ~candidates:c.candidates stack
   in
-  let base = Pm.uniform ~nx:c.grid ~ny:c.grid ~total:c.power_w in
-  let h = (2 * c.grid) / 3 in
-  let top = Pm.add_hotspot base ~x0:h ~y0:h ~x1:(h + 1) ~y1:(h + 1) ~watts:c.hotspot_w in
-  let nplanes = List.length planes in
-  let maps = List.mapi (fun i _ -> if i = nplanes - 1 then top else base) planes in
-  let bare = Chip.solve chip (Chip.uniform_density chip 0.) maps in
-  let* final, feasible, metal_area_mm2, iterations =
-    match c.budget_k with
-    | None -> Ok (bare, None, 0., 0)
-    | Some budget ->
-      let out =
-        Alloc.allocate ?pool:t.pool chip maps
-          {
-            (Alloc.default_options ~budget) with
-            Alloc.step = 0.01;
-            max_density = 0.15;
-            candidates = c.candidates;
-          }
-      in
-      Ok
-        ( out.Alloc.final,
-          Some out.Alloc.feasible,
-          out.Alloc.metal_area *. 1e6,
-          out.Alloc.iterations )
+  let final, feasible, metal_area_mm2, iterations =
+    match allocation with
+    | None -> (bare, None, 0., 0)
+    | Some out ->
+      ( out.Alloc.final,
+        Some out.Alloc.feasible,
+        out.Alloc.metal_area *. 1e6,
+        out.Alloc.iterations )
   in
   Ok
     (P.Allocated

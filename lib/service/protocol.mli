@@ -81,7 +81,9 @@ type error = {
   code : error_code;
   message : string;
   diagnostics : Ttsv_obs.Json.t option;
-      (** {!Ttsv_robust.Diagnostics.to_json} when a solve failed *)
+      (** {!Ttsv_robust.Diagnostics.to_json} when a solve failed: the
+          attempts, verdict and capped residual trace, with no [conv]
+          keys; the same whether or not the server is traced *)
 }
 
 type warm = Cold | Warm_exact | Warm_neighbour

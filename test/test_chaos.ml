@@ -478,7 +478,7 @@ let diagnostics_tests =
   [
     test "to_json with NaN/Inf residuals is valid JSON and parses back" (fun () ->
         let attempt rung outcome residual wall =
-          { Diagnostics.rung; outcome; iterations = 3; residual; wall_time = wall; conv = None }
+          { Diagnostics.rung; outcome; iterations = 3; residual; wall_time = wall }
         in
         let d =
           {
@@ -499,7 +499,6 @@ let diagnostics_tests =
             iterations = 3;
             residual = Float.nan;
             trace = [| 1.; Float.nan; infinity; neg_infinity |];
-            conv = None;
             wall_time = Float.nan;
           }
         in

@@ -60,7 +60,6 @@ let chip_tests =
         (* density putting exactly one via in the tile *)
         let d = Tsv.fill_area (block_tsv ()) /. Units.um2 (100. *. 100.) in
         let ds = Chip_model.uniform_density chip d in
-        close_rel "one via" 1. (Chip_model.vias_per_tile chip ds 0 0);
         let stack = Ttsv_core.Params.block () in
         let qs = Stack.heat_inputs stack in
         let power = List.init 3 (fun j -> Power_map.uniform ~nx:1 ~ny:1 ~total:qs.(j)) in

@@ -67,7 +67,8 @@ let unit_tests =
         check_raises_invalid "n" (fun () ->
             ignore (Cluster.divided_resistances (Params.fig7_stack ()) 0)));
     test "max_rise_series shape" (fun () ->
-        let series = Cluster.max_rise_series (Params.fig7_stack ()) [ 1; 4; 16 ] in
+        let stack = Params.fig7_stack () in
+        let series = List.map (fun n -> Model_a.max_rise (Cluster.solve stack n)) [ 1; 4; 16 ] in
         match series with
         | [ a; b; c ] ->
           Alcotest.(check bool) "descending" true (a > b && b > c)

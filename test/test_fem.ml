@@ -150,9 +150,9 @@ let solver_tests =
     test "top profile peaks away from the TSV" (fun () ->
         (* the TTSV outlet is the coolest spot of the top surface *)
         let res = Solver.solve (Problem.of_stack (Params.block ())) in
-        let profile = Solver.top_rise_profile res in
-        let center = snd profile.(0) in
-        let edge = snd profile.(Array.length profile - 1) in
+        let g = res.Solver.problem.Problem.grid in
+        let top r = Solver.rise_at res ~r ~z:(Grid.height g) in
+        let center = top 0. and edge = top (Grid.outer_radius g) in
         Alcotest.(check bool) "edge hotter than TSV center" true (edge >= center));
     test "rise_at agrees with max somewhere on the top row" (fun () ->
         let res = Solver.solve (Problem.of_stack (Params.block ())) in

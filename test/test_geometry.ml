@@ -88,8 +88,13 @@ let stack_tests =
         close_rel "A" expected (Stack.silicon_area s));
     test "tsv_length spans ext+ild1+bond2+si2+ild2+bond3+si3" (fun () ->
         let s = block () in
-        (* 1 + 4 + 1 + 45 + 4 + 1 + 45 um *)
-        close_rel "len" (Units.um 101.) (Stack.tsv_length s));
+        (* 1 + 4 + 1 + 45 + 4 + 1 + 45 um: the TTSV segments Model A
+           stamps, one per plane, cover exactly that span *)
+        let length =
+          List.fold_left ( +. ) 0.
+            (List.init (Stack.num_planes s) (Ttsv_core.Resistances.plane_span s))
+        in
+        close_rel "len" (Units.um 101.) length);
     test "heat inputs: top plane ILD heats over full footprint" (fun () ->
         let s = block () in
         let q = Stack.heat_inputs s in

