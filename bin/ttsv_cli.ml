@@ -465,23 +465,35 @@ let figures_cmd =
       & pos_all (enum artefacts) [ `Fig4; `Fig5; `Fig6; `Fig7; `Table1; `Case ]
       & info [] ~docv:"ARTEFACT" ~doc:("artefacts to run, each " ^ doc_alts_enum artefacts))
   in
+  (* the artefacts whose sweep points --checkpoint records *)
+  let checkpointed = function
+    | `Fig4 | `Fig5 | `Fig6 | `Fig7 | `Sensitivity | `Nplanes -> true
+    | `Table1 | `Case | `Ablation | `Convergence | `Shape | `Variation | `Nonlinear | `Fillers ->
+      false
+  in
   let run which checkpoint resume domains () =
+    let unrecorded =
+      List.filter (fun (_, a) -> List.mem a which && not (checkpointed a)) artefacts
+    in
+    if checkpoint <> None && unrecorded <> [] then
+      Format.eprintf "warning: --checkpoint records nothing for %s@."
+        (String.concat ", " (List.map fst unrecorded));
     with_pool domains @@ fun pool ->
     with_checkpoint checkpoint resume @@ fun checkpoint ->
     let ppf = Format.std_formatter in
     List.iter
       (function
-        | `Fig4 -> E.Fig4.print ~pool ppf ()
+        | `Fig4 -> E.Fig4.print ~pool ?checkpoint ppf ()
         | `Fig5 -> E.Fig5.print ~pool ?checkpoint ppf ()
-        | `Fig6 -> E.Fig6.print ppf ()
-        | `Fig7 -> E.Fig7.print ~pool ppf ()
+        | `Fig6 -> E.Fig6.print ~pool ?checkpoint ppf ()
+        | `Fig7 -> E.Fig7.print ~pool ?checkpoint ppf ()
         | `Table1 -> E.Table1.print ppf ()
         | `Case -> E.Case_study.print ppf ()
         | `Ablation -> E.Ablation.print ppf ()
         | `Convergence -> E.Convergence.print ppf ()
         | `Shape -> E.Shape.print ppf ()
         | `Sensitivity -> E.Sensitivity.print ~pool ?checkpoint ppf ()
-        | `Nplanes -> E.Nplanes.print ~pool ppf ()
+        | `Nplanes -> E.Nplanes.print ~pool ?checkpoint ppf ()
         | `Variation -> E.Variation.print ~pool ppf ()
         | `Nonlinear -> E.Nonlinear_study.print ppf ()
         | `Fillers -> E.Fillers.print ppf ())
@@ -717,7 +729,7 @@ let export_cmd =
     in
     figure "fig4" (E.Fig4.run ~pool ());
     figure "fig5" (E.Fig5.run ~pool ());
-    figure "fig6" (E.Fig6.run ());
+    figure "fig6" (E.Fig6.run ~pool ());
     figure "fig7" (E.Fig7.run ~pool ());
     let table1 = E.Table1.to_table (E.Table1.run ()) in
     let path = Filename.concat out "table1.csv" in

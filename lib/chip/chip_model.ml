@@ -102,6 +102,12 @@ let solve chip ds power =
             if ds.(i) > 0. then Some (Circuit.add_node c (Printf.sprintf "v%d[%d]" j i))
             else None))
   in
+  (* the sink path through the thick first substrate, the same for every
+     tile *)
+  let sink_r =
+    (first.Plane.t_substrate -. chip.tsv.Tsv.extension)
+    /. (k1 *. k_of first.Plane.substrate *. at)
+  in
   (* per-tile vertical ladders *)
   for y = 0 to ny - 1 do
     for x = 0 to nx - 1 do
@@ -111,10 +117,7 @@ let solve chip ds power =
       if a_eff <= 0. then
         invalid_arg
           (Printf.sprintf "Chip_model.solve: vias exceed tile (%d,%d) area" x y);
-      (* sink path through the thick first substrate *)
-      Circuit.add_resistor c t0.(i) ground
-        ((first.Plane.t_substrate -. chip.tsv.Tsv.extension)
-        /. (k1 *. k_of first.Plane.substrate *. at));
+      Circuit.add_resistor c t0.(i) ground sink_r;
       List.iteri
         (fun j p ->
           let below_bulk = if j = 0 then t0.(i) else bulk.(j - 1).(i) in
@@ -198,9 +201,7 @@ let solve chip ds power =
         plane_rises)
     rises;
   let sink_heat =
-    Array.fold_left
-      (fun acc n -> acc +. Circuit.branch_heat_flow sol n ground)
-      0. t0
+    Array.fold_left (fun acc n -> acc +. (Circuit.temperature sol n /. sink_r)) 0. t0
   in
   { grid_nx = nx; rises; max_rise = !max_rise; hottest = !hottest; sink_heat }
 

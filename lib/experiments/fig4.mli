@@ -14,11 +14,23 @@
 val radii_um : float list
 (** The sweep points in micrometres. *)
 
-val run : ?resolution:int -> ?pool:Ttsv_parallel.Pool.t -> unit -> Report.figure
+val run :
+  ?resolution:int ->
+  ?pool:Ttsv_parallel.Pool.t ->
+  ?checkpoint:Checkpoint.t ->
+  unit ->
+  Report.figure
 (** [run ()] computes every curve ([resolution] meshes the FV
     reference; [pool] evaluates the sweep points concurrently with
-    results in sweep order). *)
+    results in sweep order).  [checkpoint] makes the figure resumable,
+    as {!Fig5.run} does: every curve is its own stage (["fig4.model_a"],
+    ["fig4.model_b_100"], ["fig4.model_1d"], ["fig4.fv"]). *)
 
 val print :
-  ?resolution:int -> ?pool:Ttsv_parallel.Pool.t -> Format.formatter -> unit -> unit
+  ?resolution:int ->
+  ?pool:Ttsv_parallel.Pool.t ->
+  ?checkpoint:Checkpoint.t ->
+  Format.formatter ->
+  unit ->
+  unit
 (** Runs and renders the figure followed by its error summary. *)

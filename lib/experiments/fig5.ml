@@ -12,10 +12,7 @@ let run_body ?resolution ?pool ?checkpoint () =
   let stacks = List.map (fun tl -> Params.fig5_stack (Units.um tl)) liners_um in
   (* each curve is one checkpoint stage, so a killed figure resumes
      mid-curve: only the points with no record are re-solved *)
-  let of_list name f =
-    let checkpoint = Option.map (fun cp -> Sweep.float_stage cp ("fig5." ^ name)) checkpoint in
-    Sweep.map ?pool ?checkpoint f stacks
-  in
+  let of_list name f = Sweep.floats ?pool ?checkpoint ~stage:("fig5." ^ name) f stacks in
   let model_a = of_list "model_a" (fun s -> Model_a.max_rise (Model_a.solve ~coeffs s)) in
   let model_bs =
     List.map

@@ -12,9 +12,24 @@
 
 val thicknesses_um : float list
 
-val run : ?resolution:int -> unit -> Report.figure
+val run :
+  ?resolution:int ->
+  ?pool:Ttsv_parallel.Pool.t ->
+  ?checkpoint:Checkpoint.t ->
+  unit ->
+  Report.figure
+(** [pool] evaluates the sweep points concurrently, results in sweep
+    order.  [checkpoint] makes the figure resumable, as {!Fig5.run}
+    does: every curve is its own stage (["fig6.model_a"],
+    ["fig6.model_b_100"], ["fig6.model_1d"], ["fig6.fv"]). *)
 
-val print : ?resolution:int -> Format.formatter -> unit -> unit
+val print :
+  ?resolution:int ->
+  ?pool:Ttsv_parallel.Pool.t ->
+  ?checkpoint:Checkpoint.t ->
+  Format.formatter ->
+  unit ->
+  unit
 
 val minimum_of : Report.figure -> string -> float
 (** [minimum_of fig label] is the sweep point (µm) where the labelled

@@ -17,14 +17,16 @@ let subcell stack n =
     ~planes:(Array.to_list stack.Stack.planes)
     ~tsv:(Tsv.divide stack.Stack.tsv n) ()
 
-let run_body ?resolution ?pool () =
+let run_body ?resolution ?pool ?checkpoint () =
   let coeffs = Reference.block_coefficients () in
   let stack = Params.fig7_stack () in
-  let of_list f = Sweep.map ?pool f divisions in
-  let model_a = of_list (fun n -> Model_a.max_rise (Cluster.solve ~coeffs stack n)) in
-  let model_b = of_list (fun n -> Model_b.max_rise (Model_b.solve_n ~cluster:n stack 100)) in
-  let model_1d = of_list (fun _ -> Model_1d.max_rise (Model_1d.solve stack)) in
-  let fv = of_list (fun n -> Reference.max_rise ?resolution (subcell stack n)) in
+  let of_list name f = Sweep.floats ?pool ?checkpoint ~stage:("fig7." ^ name) f divisions in
+  let model_a = of_list "model_a" (fun n -> Model_a.max_rise (Cluster.solve ~coeffs stack n)) in
+  let model_b =
+    of_list "model_b_100" (fun n -> Model_b.max_rise (Model_b.solve_n ~cluster:n stack 100))
+  in
+  let model_1d = of_list "model_1d" (fun _ -> Model_1d.max_rise (Model_1d.solve stack)) in
+  let fv = of_list "fv" (fun n -> Reference.max_rise ?resolution (subcell stack n)) in
   Report.figure ~title:"Fig. 7 - Max dT [C] vs number of TTSVs" ~x_label:"n TTSVs" ~x_unit:"-"
     ~xs:(Array.of_list (List.map float_of_int divisions))
     [
@@ -34,11 +36,11 @@ let run_body ?resolution ?pool () =
       { Report.label = "FV"; ys = fv };
     ]
 
-let run ?resolution ?pool () =
-  Ttsv_obs.Span.with_ ~name:"experiment.fig7" (fun () -> run_body ?resolution ?pool ())
+let run ?resolution ?pool ?checkpoint () =
+  Ttsv_obs.Span.with_ ~name:"experiment.fig7" (fun () -> run_body ?resolution ?pool ?checkpoint ())
 
-let print ?resolution ?pool ppf () =
-  let fig = run ?resolution ?pool () in
+let print ?resolution ?pool ?checkpoint ppf () =
+  let fig = run ?resolution ?pool ?checkpoint () in
   Format.fprintf ppf "@[<v>";
   Report.print_figure ppf fig;
   Format.fprintf ppf "@,Error vs FV reference:@,";

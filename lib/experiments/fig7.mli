@@ -12,9 +12,21 @@
 
 val divisions : int list
 
-val run : ?resolution:int -> ?pool:Ttsv_parallel.Pool.t -> unit -> Report.figure
+val run :
+  ?resolution:int ->
+  ?pool:Ttsv_parallel.Pool.t ->
+  ?checkpoint:Checkpoint.t ->
+  unit ->
+  Report.figure
 (** [pool] evaluates the sweep points concurrently, results in sweep
-    order. *)
+    order.  [checkpoint] makes the figure resumable, as {!Fig5.run}
+    does: every curve is its own stage (["fig7.model_a"],
+    ["fig7.model_b_100"], ["fig7.model_1d"], ["fig7.fv"]). *)
 
 val print :
-  ?resolution:int -> ?pool:Ttsv_parallel.Pool.t -> Format.formatter -> unit -> unit
+  ?resolution:int ->
+  ?pool:Ttsv_parallel.Pool.t ->
+  ?checkpoint:Checkpoint.t ->
+  Format.formatter ->
+  unit ->
+  unit

@@ -28,34 +28,30 @@ let stack_with_planes n =
     ~planes:(plane ~first:true :: List.init (n - 1) (fun _ -> plane ~first:false))
     ~tsv ()
 
-let run_body ?resolution ?pool () =
+let run_body ?resolution ?pool ?checkpoint () =
   let coeffs = Reference.block_coefficients () in
   let stacks = List.map stack_with_planes plane_counts in
-  let of_list f = Sweep.map ?pool f stacks in
+  let of_list name f = Sweep.floats ?pool ?checkpoint ~stage:("nplanes." ^ name) f stacks in
+  let model_a = of_list "model_a" (fun s -> Model_a.max_rise (Model_a.solve ~coeffs s)) in
+  let model_b = of_list "model_b_100" (fun s -> Model_b.max_rise (Model_b.solve_n s 100)) in
+  let model_1d = of_list "model_1d" (fun s -> Model_1d.max_rise (Model_1d.solve s)) in
+  let fv = of_list "fv" (Reference.max_rise ?resolution) in
   Report.figure ~title:"Extension - Max dT [C] vs number of planes" ~x_label:"planes"
     ~x_unit:"-"
     ~xs:(Array.of_list (List.map float_of_int plane_counts))
     [
-      {
-        Report.label = "Model A";
-        ys = of_list (fun s -> Model_a.max_rise (Model_a.solve ~coeffs s));
-      };
-      {
-        Report.label = "Model B(100)";
-        ys = of_list (fun s -> Model_b.max_rise (Model_b.solve_n s 100));
-      };
-      {
-        Report.label = "Model 1D";
-        ys = of_list (fun s -> Model_1d.max_rise (Model_1d.solve s));
-      };
-      { Report.label = "FV"; ys = of_list (Reference.max_rise ?resolution) };
+      { Report.label = "Model A"; ys = model_a };
+      { Report.label = "Model B(100)"; ys = model_b };
+      { Report.label = "Model 1D"; ys = model_1d };
+      { Report.label = "FV"; ys = fv };
     ]
 
-let run ?resolution ?pool () =
-  Ttsv_obs.Span.with_ ~name:"experiment.nplanes" (fun () -> run_body ?resolution ?pool ())
+let run ?resolution ?pool ?checkpoint () =
+  Ttsv_obs.Span.with_ ~name:"experiment.nplanes" (fun () ->
+      run_body ?resolution ?pool ?checkpoint ())
 
-let print ?resolution ?pool ppf () =
-  let fig = run ?resolution ?pool () in
+let print ?resolution ?pool ?checkpoint ppf () =
+  let fig = run ?resolution ?pool ?checkpoint () in
   Format.fprintf ppf "@[<v>";
   Report.print_figure ppf fig;
   Format.fprintf ppf "@,Error vs FV reference:@,";

@@ -15,9 +15,21 @@ val plane_counts : int list
 val stack_with_planes : int -> Ttsv_geometry.Stack.t
 (** The N-plane version of the Fig. 5 midpoint geometry. *)
 
-val run : ?resolution:int -> ?pool:Ttsv_parallel.Pool.t -> unit -> Report.figure
+val run :
+  ?resolution:int ->
+  ?pool:Ttsv_parallel.Pool.t ->
+  ?checkpoint:Checkpoint.t ->
+  unit ->
+  Report.figure
 (** [pool] evaluates the sweep points concurrently, results in sweep
-    order. *)
+    order.  [checkpoint] makes the figure resumable, as {!Fig5.run}
+    does: every curve is its own stage (["nplanes.model_a"],
+    ["nplanes.model_b_100"], ["nplanes.model_1d"], ["nplanes.fv"]). *)
 
 val print :
-  ?resolution:int -> ?pool:Ttsv_parallel.Pool.t -> Format.formatter -> unit -> unit
+  ?resolution:int ->
+  ?pool:Ttsv_parallel.Pool.t ->
+  ?checkpoint:Checkpoint.t ->
+  Format.formatter ->
+  unit ->
+  unit

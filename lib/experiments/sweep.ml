@@ -23,7 +23,7 @@ let stage cp ~name ~encode ~decode = { cp; stage = name; encode; decode }
 let float_stage cp name =
   stage cp ~name ~encode:(fun y -> Json.Float y) ~decode:Json.to_float_opt
 
-let map_array ?pool ?budget ?checkpoint f xs =
+let map_array ?pool ?checkpoint f xs =
   let eval i =
     match checkpoint with
     | None -> point i (fun () -> f xs.(i))
@@ -38,7 +38,9 @@ let map_array ?pool ?budget ?checkpoint f xs =
         Checkpoint.record st.cp ~stage:st.stage i (st.encode y);
         y)
   in
-  Pool.map_array ?budget (pool_of pool) eval (Array.init (Array.length xs) Fun.id)
+  Pool.map_array (pool_of pool) eval (Array.init (Array.length xs) Fun.id)
 
-let map ?pool ?budget ?checkpoint f xs = map_array ?pool ?budget ?checkpoint f (Array.of_list xs)
-let init ?pool ?budget ?checkpoint n f = map_array ?pool ?budget ?checkpoint f (Array.init n (fun i -> i))
+let map ?pool ?checkpoint f xs = map_array ?pool ?checkpoint f (Array.of_list xs)
+
+let floats ?pool ?checkpoint ~stage f xs =
+  map ?pool ?checkpoint:(Option.map (fun cp -> float_stage cp stage) checkpoint) f xs

@@ -15,11 +15,7 @@
     evaluated inside a ["sweep.point"] span tagged with its index, on
     whichever domain ran it.
 
-    {2 Budgets and checkpoints}
-
-    [budget] bounds the sweep cooperatively: it is polled between
-    points, and expiry raises {!Ttsv_parallel.Budget.Expired} to the
-    caller after the in-flight points join.
+    {2 Checkpoints}
 
     [checkpoint] makes the sweep resumable: each completed point is
     encoded and appended to the {!Checkpoint} file the moment it
@@ -46,7 +42,6 @@ val float_stage : Checkpoint.t -> string -> float stage
 
 val map :
   ?pool:Ttsv_parallel.Pool.t ->
-  ?budget:Ttsv_parallel.Budget.t ->
   ?checkpoint:'b stage ->
   ('a -> 'b) ->
   'a list ->
@@ -57,19 +52,18 @@ val map :
 
 val map_array :
   ?pool:Ttsv_parallel.Pool.t ->
-  ?budget:Ttsv_parallel.Budget.t ->
   ?checkpoint:'b stage ->
   ('a -> 'b) ->
   'a array ->
   'b array
 (** Array-input variant of {!map}. *)
 
-val init :
+val floats :
   ?pool:Ttsv_parallel.Pool.t ->
-  ?budget:Ttsv_parallel.Budget.t ->
-  ?checkpoint:'a stage ->
-  int ->
-  (int -> 'a) ->
-  'a array
-(** [init n f] is [Array.init n f] with the points evaluated over the
-    pool (ordered, deterministic). *)
+  ?checkpoint:Checkpoint.t ->
+  stage:string ->
+  ('a -> float) ->
+  'a list ->
+  float array
+(** [floats ~stage f xs] is [map f xs] for one curve of a figure, each
+    point recorded under [stage] in [checkpoint] when one is given. *)

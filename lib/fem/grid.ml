@@ -21,7 +21,6 @@ let cells g = nr g * nz g
 let index g ir iz = (iz * nr g) + ir
 let r_center g ir = 0.5 *. (g.r_faces.(ir) +. g.r_faces.(ir + 1))
 let z_center g iz = 0.5 *. (g.z_faces.(iz) +. g.z_faces.(iz + 1))
-let dr g ir = g.r_faces.(ir + 1) -. g.r_faces.(ir)
 let dz g iz = g.z_faces.(iz + 1) -. g.z_faces.(iz)
 
 let annulus_area g ir =

@@ -38,9 +38,6 @@ val r_center : t -> int -> float
 val z_center : t -> int -> float
 (** Axial centre of row [iz]. *)
 
-val dr : t -> int -> float
-(** Radial extent of column [ir]. *)
-
 val dz : t -> int -> float
 (** Axial extent of row [iz]. *)
 

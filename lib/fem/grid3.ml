@@ -23,7 +23,6 @@ let index g ix iy iz = ((((iz * ny g) + iy) * nx g) + ix)
 let center faces i = 0.5 *. (faces.(i) +. faces.(i + 1))
 let x_center g i = center g.x_faces i
 let y_center g i = center g.y_faces i
-let z_center g i = center g.z_faces i
 let delta faces i = faces.(i + 1) -. faces.(i)
 let dx g i = delta g.x_faces i
 let dy g i = delta g.y_faces i

@@ -31,12 +31,6 @@ val x_center : t -> int -> float
 
 val y_center : t -> int -> float
 
-val z_center : t -> int -> float
-
-val dx : t -> int -> float
-
-val dy : t -> int -> float
-
 val dz : t -> int -> float
 
 val volume : t -> int -> int -> int -> float

@@ -5,7 +5,9 @@
     series over their centre-to-face distances (the harmonic-mean rule,
     exact for piecewise-constant k in 1-D, which is how every material
     interface in this library is meshed).  The bottom boundary is an
-    isothermal sink at rise 0; all other boundaries are adiabatic.
+    isothermal sink at rise 0; all other boundaries are adiabatic.  This
+    module supplies the r–z geometry to {!Fv}, the finite-volume core
+    it shares with the 3-D {!Solver3}.
 
     The assembled conductance matrix is solved through the
     {!Ttsv_robust.Robust} escalation ladder (IC(0)- then
@@ -33,48 +35,6 @@ val assemble :
     length-checked).  [pool] fills disjoint row chunks across a domain
     pool; chunk boundaries and per-row evaluation order are fixed, so the
     pooled matrix is bitwise identical to the sequential one. *)
-
-val record_assembly : Ttsv_numerics.Sparse.t -> Ttsv_numerics.Sparse.t
-(** [record_assembly m] sets the [assembly.nnz] and [grid.cells] gauges
-    (and traces an [assembly.nnz] event) from [m], then returns [m]: one
-    set of instruments for the 2-D and 3-D assemblers. *)
-
-val face_conductance : float -> float -> float -> float -> float -> float
-(** [face_conductance a d1 k1 d2 k2]: series (harmonic) conductance, W/K,
-    of a face of area [a] between half cells of depth/conductivity
-    [d1]/[k1] and [d2]/[k2]. *)
-
-val find_cell : float array -> float -> int
-(** [find_cell faces x] is the index of the cell of the increasing
-    [faces] array that holds [x], clamped to the first or last cell. *)
-
-val check_fields :
-  conductivity:float array ->
-  source:float array ->
-  (unit, Ttsv_robust.Robust.failure) Stdlib.result
-(** [Ok ()] when every conductivity is finite and positive and every
-    source finite, else an [Invalid_input] failure naming each field's
-    first bad cell; {!ladder_solve} runs it first. *)
-
-val ladder_solve :
-  span:string ->
-  tol:float ->
-  max_iter_for:(int -> int) ->
-  ?max_iter:int ->
-  ?x0:float array ->
-  ?pool:Ttsv_parallel.Pool.t ->
-  ?rungs:Ttsv_robust.Diagnostics.rung list ->
-  ?budget:Ttsv_parallel.Budget.t ->
-  shape:int array ->
-  conductivity:float array ->
-  source:float array ->
-  (unit -> Ttsv_numerics.Sparse.t) ->
-  (float array * Ttsv_robust.Diagnostics.t, Ttsv_robust.Robust.failure) Stdlib.result
-(** The solve plumbing {!try_solve} and {!Solver3.try_solve} share:
-    {!check_fields}, then the assembler, then {!Ttsv_robust.Robust.solve}
-    inside a span named [span], returning the field and its diagnostics.
-    [max_iter] defaults to [max_iter_for n] for [n] unknowns; [shape] is
-    the unknowns' tensor-grid layout, for a pinned multigrid rung. *)
 
 val try_solve :
   ?tol:float ->
@@ -189,11 +149,7 @@ val rise_at : result -> r:float -> z:float -> float
 val axis_profile : result -> (float * float) array
 (** (z, ΔT) along the innermost (axis) column of cells. *)
 
-val sink_heat_flow : result -> float
-(** Heat leaving through the isothermal bottom boundary, W.  Energy
-    conservation demands this equal {!Problem.total_source}; the tests
-    assert the relative imbalance is below 1e-6. *)
-
 val energy_imbalance : result -> float
 (** |sink flow − total source| / total source (0 when there is no
-    source). *)
+    source), the sink flow taken over the conductances the assembly
+    used; the tests assert it is below 1e-6. *)

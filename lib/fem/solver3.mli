@@ -4,7 +4,7 @@
     {!Solver} — harmonic-mean two-point fluxes, isothermal sink at z = 0,
     adiabatic everywhere else — over the square-cell {!Problem3}
     geometry; solved through the {!Ttsv_robust.Robust} escalation
-    ladder. *)
+    ladder.  This module supplies the Cartesian geometry to {!Fv}. *)
 
 type result = {
   problem : Problem3.t;
@@ -31,13 +31,13 @@ val try_solve :
 (** [try_solve p] assembles and solves ([tol] defaults to [1e-9]);
     every failure is a typed {!Ttsv_robust.Robust.failure}.  Non-finite
     or non-positive conductivities and non-finite sources are rejected
-    up front as [Invalid_input] by {!Solver.check_fields}, as in the
-    2-D solver.  [x0]
-    warm-starts the iterative rungs from a nearby solution.  [pool]
-    parallelizes assembly and the iterative rungs without changing any
-    computed bit.  [rungs] overrides the escalation ladder.  [budget]
-    bounds the ladder's wall-clock/work: expiry yields an [Error] with
-    reason [Deadline_exceeded] carrying the best iterate reached. *)
+    up front as [Invalid_input] by {!Fv.ladder_solve}, as in the 2-D
+    solver.  [x0] warm-starts the iterative rungs from a nearby
+    solution.  [pool] parallelizes assembly and the iterative rungs
+    without changing any computed bit.  [rungs] overrides the escalation
+    ladder.  [budget] bounds the ladder's wall-clock/work: expiry yields
+    an [Error] with reason [Deadline_exceeded] carrying the best iterate
+    reached. *)
 
 val solve :
   ?tol:float ->
@@ -55,8 +55,5 @@ val max_rise : result -> float
 val rise_at : result -> x:float -> y:float -> z:float -> float
 (** Rise of the cell containing the point (clamped to the domain). *)
 
-val sink_heat_flow : result -> float
-(** Heat leaving through the bottom boundary, W. *)
-
 val energy_imbalance : result -> float
-(** |sink flow − total source| / total source. *)
+(** |sink flow − total source| / total source, as in {!Solver}. *)

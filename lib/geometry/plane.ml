@@ -10,10 +10,8 @@ type t = {
   ild_power_density : float;
 }
 
-let make ?(substrate = Ttsv_physics.Materials.silicon)
-    ?(ild = Ttsv_physics.Materials.silicon_dioxide) ?(bond = Ttsv_physics.Materials.polyimide)
-    ?(t_device = 2e-6) ?(device_power_density = 0.) ?(ild_power_density = 0.) ~t_substrate ~t_ild
-    ~t_bond () =
+let make ?(t_device = 2e-6) ?(device_power_density = 0.) ?(ild_power_density = 0.) ~t_substrate
+    ~t_ild ~t_bond () =
   if not (t_substrate > 0.) then invalid_arg "Plane.make: substrate thickness must be positive";
   if not (t_ild > 0.) then invalid_arg "Plane.make: ILD thickness must be positive";
   if not (t_bond >= 0.) then invalid_arg "Plane.make: bond thickness must be nonnegative";
@@ -27,9 +25,9 @@ let make ?(substrate = Ttsv_physics.Materials.silicon)
     t_ild;
     t_bond;
     t_device;
-    substrate;
-    ild;
-    bond;
+    substrate = Ttsv_physics.Materials.silicon;
+    ild = Ttsv_physics.Materials.silicon_dioxide;
+    bond = Ttsv_physics.Materials.polyimide;
     device_power_density;
     ild_power_density;
   }

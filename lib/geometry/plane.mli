@@ -19,9 +19,6 @@ type t = {
 }
 
 val make :
-  ?substrate:Ttsv_physics.Material.t ->
-  ?ild:Ttsv_physics.Material.t ->
-  ?bond:Ttsv_physics.Material.t ->
   ?t_device:float ->
   ?device_power_density:float ->
   ?ild_power_density:float ->
@@ -30,10 +27,11 @@ val make :
   t_bond:float ->
   unit ->
   t
-(** [make ~t_substrate ~t_ild ~t_bond ()] builds a plane.  Defaults:
-    silicon substrate, SiO₂ ILD, polyimide bond, [t_device] 2 µm, zero
-    power.  Thicknesses must be positive (bond and device may be zero);
-    [t_device <= t_substrate] is enforced. *)
+(** [make ~t_substrate ~t_ild ~t_bond ()] builds a plane of silicon
+    substrate, SiO₂ ILD and polyimide bond (change a material by record
+    update).  Defaults: [t_device] 2 µm, zero power.  Thicknesses must
+    be positive (bond and device may be zero); [t_device <= t_substrate]
+    is enforced. *)
 
 val height : t -> float
 (** [height p] is [t_bond + t_substrate + t_ild]. *)

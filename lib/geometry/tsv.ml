@@ -6,12 +6,17 @@ type t = {
   liner : Ttsv_physics.Material.t;
 }
 
-let make ?(filler = Ttsv_physics.Materials.copper) ?(liner = Ttsv_physics.Materials.silicon_dioxide)
-    ?(extension = 0.) ~radius ~liner_thickness () =
+let make ?(extension = 0.) ~radius ~liner_thickness () =
   if not (radius > 0.) then invalid_arg "Tsv.make: radius must be positive";
   if not (liner_thickness > 0.) then invalid_arg "Tsv.make: liner thickness must be positive";
   if not (extension >= 0.) then invalid_arg "Tsv.make: extension must be nonnegative";
-  { radius; liner_thickness; extension; filler; liner }
+  {
+    radius;
+    liner_thickness;
+    extension;
+    filler = Ttsv_physics.Materials.copper;
+    liner = Ttsv_physics.Materials.silicon_dioxide;
+  }
 
 let outer_radius t = t.radius +. t.liner_thickness
 let fill_area t = Float.pi *. t.radius *. t.radius

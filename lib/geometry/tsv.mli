@@ -13,16 +13,10 @@ type t = {
   liner : Ttsv_physics.Material.t;  (** liner material, e.g. SiO₂ *)
 }
 
-val make :
-  ?filler:Ttsv_physics.Material.t ->
-  ?liner:Ttsv_physics.Material.t ->
-  ?extension:float ->
-  radius:float ->
-  liner_thickness:float ->
-  unit ->
-  t
+val make : ?extension:float -> radius:float -> liner_thickness:float -> unit -> t
 (** [make ~radius ~liner_thickness ()] builds a TTSV with copper filler and
-    SiO₂ liner by default, [extension] defaulting to 0.  All lengths are in
+    SiO₂ liner (change a material by record update), [extension]
+    defaulting to 0.  All lengths are in
     metres; [radius] and [liner_thickness] must be positive and
     [extension] nonnegative ([Invalid_argument] otherwise). *)
 

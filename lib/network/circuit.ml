@@ -109,6 +109,15 @@ let node_index c nd =
   if nd.idx = -1 then invalid_arg "Circuit.node_index: ground node has no row";
   nd.idx
 
+(* Dense LU up to 256 nodes; above that, conjugate gradients, falling back
+   to LU when CG stagnates on extreme conductance ratios. *)
+let solve_system c matrix rhs =
+  if c.n <= 256 then Dense.solve (Sparse.to_dense matrix) rhs
+  else
+    match Iterative.cg ~tol:1e-12 matrix rhs with
+    | { solution; converged = true; _ } -> solution
+    | { converged = false; _ } -> Dense.solve (Sparse.to_dense matrix) rhs
+
 (* Thevenin resistance between two nodes: inject +1 W at [a], -1 W at [b],
    read the temperature difference.  Sources are ignored by solving with a
    unit-injection right-hand side only. *)
@@ -122,13 +131,7 @@ let equivalent_resistance c a b =
     let rhs = Array.make c.n 0. in
     if a.idx >= 0 then rhs.(a.idx) <- rhs.(a.idx) +. 1.;
     if b.idx >= 0 then rhs.(b.idx) <- rhs.(b.idx) -. 1.;
-    let temps =
-      if c.n <= 256 then Dense.solve (Sparse.to_dense matrix) rhs
-      else
-        match Iterative.cg ~tol:1e-12 matrix rhs with
-        | { solution; converged = true; _ } -> solution
-        | { converged = false; _ } -> Dense.solve (Sparse.to_dense matrix) rhs
-    in
+    let temps = solve_system c matrix rhs in
     let at i = if i = -1 then 0. else temps.(i) in
     at a.idx -. at b.idx
   end
@@ -139,16 +142,7 @@ let solve c =
   else begin
     check_connected c;
     let matrix, rhs = assemble c in
-    let temps =
-      if c.n <= 256 then Dense.solve (Sparse.to_dense matrix) rhs
-      else
-        match Iterative.cg ~tol:1e-12 matrix rhs with
-        | { solution; converged = true; _ } -> solution
-        | { converged = false; _ } ->
-          (* CG can stagnate on extreme conductance ratios; fall back to LU *)
-          Dense.solve (Sparse.to_dense matrix) rhs
-    in
-    { circuit = c; temps; matrix; rhs }
+    { circuit = c; temps = solve_system c matrix rhs; matrix; rhs }
   end
 
 let temperature s nd =

@@ -549,6 +549,16 @@ let copy_first_lines src dst n =
 
 let bits = Array.map Int64.bits_of_float
 
+let series_bits (fig : E.Report.figure) =
+  List.map (fun (s : E.Report.series) -> (s.E.Report.label, bits s.E.Report.ys)) fig.E.Report.series
+
+let check_same_series reference resumed =
+  List.iter2
+    (fun (label, ref_ys) (label', ys) ->
+      Alcotest.(check string) "series" label label';
+      Alcotest.(check (array int64)) label ref_ys ys)
+    (series_bits reference) (series_bits resumed)
+
 (* awkward floats on purpose: non-terminating binary fractions,
    subnormal-adjacent magnitudes, negative zero.  (A sweep value that
    overflows to inf cannot round-trip — JSON has no inf literal, so it
@@ -659,10 +669,6 @@ let checkpoint_tests =
         (* disarmed: the FV reference solves inside fig5 are only
            run-to-run deterministic when no faults perturb the ladder *)
         with_disarmed @@ fun () ->
-        let series_bits (fig : E.Report.figure) =
-          List.map (fun (s : E.Report.series) -> (s.E.Report.label, bits s.E.Report.ys))
-            fig.E.Report.series
-        in
         let reference = E.Fig5.run ~resolution:1 () in
         let path = tmp_file () and partial = tmp_file () in
         Fun.protect ~finally:(fun () ->
@@ -676,11 +682,30 @@ let checkpoint_tests =
           E.Checkpoint.with_file ~resume:true partial (fun cp ->
               E.Fig5.run ~resolution:1 ~checkpoint:cp ())
         in
-        List.iter2
-          (fun (label, ref_ys) (label', ys) ->
-            Alcotest.(check string) "series" label label';
-            Alcotest.(check (array int64)) label ref_ys ys)
-          (series_bits reference) (series_bits resumed));
+        check_same_series reference resumed);
+    test "fig4, fig6, fig7 and nplanes record every point and resume bitwise" (fun () ->
+        with_disarmed @@ fun () ->
+        let lines path = List.length (In_channel.with_open_bin path In_channel.input_lines) in
+        List.iter
+          (fun (name, records, run) ->
+            let reference = run None in
+            let path = tmp_file () and partial = tmp_file () in
+            Fun.protect ~finally:(fun () ->
+                Sys.remove path;
+                Sys.remove partial)
+            @@ fun () ->
+            ignore (E.Checkpoint.with_file path (fun cp -> run (Some cp)));
+            (* one record per curve and point: four curves each *)
+            Alcotest.(check int) (name ^ " records") records (lines path);
+            copy_first_lines path partial (records / 2);
+            check_same_series reference
+              (E.Checkpoint.with_file ~resume:true partial (fun cp -> run (Some cp))))
+          [
+            ("fig4", 52, fun checkpoint -> E.Fig4.run ~resolution:1 ?checkpoint ());
+            ("fig6", 44, fun checkpoint -> E.Fig6.run ~resolution:1 ?checkpoint ());
+            ("fig7", 20, fun checkpoint -> E.Fig7.run ~resolution:1 ?checkpoint ());
+            ("nplanes", 24, fun checkpoint -> E.Nplanes.run ~resolution:1 ?checkpoint ());
+          ]);
     test "a decode rejecting a record recomputes that point" (fun () ->
         let path = tmp_file () in
         Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->

@@ -118,24 +118,29 @@ let solver_tests =
     test "a zero-conductivity cell is rejected up front, as in 2-D" (fun () ->
         let p = Problem3.of_stack ~resolution:1 (Params.fig5_stack (Units.um 1.)) in
         let n = Array.length p.Problem3.conductivity in
-        let conductivity = Array.copy p.Problem3.conductivity in
-        conductivity.(n / 2) <- 0.;
-        match Solver3.try_solve { p with Problem3.conductivity } with
-        | Ok r ->
-          Alcotest.failf "solved to %.4g K in %d iterations" (Solver3.max_rise r)
-            r.Solver3.iterations
-        | Error f -> (
-          match f.Robust.reason with
-          | Robust.Invalid_input problems ->
-            Alcotest.(check (list string))
-              "names the cell"
-              [
-                Printf.sprintf "conductivity field contains invalid entries (first at cell %d)"
-                  (n / 2);
-              ]
-              problems
-          | Robust.Exhausted | Robust.Deadline_exceeded ->
-            Alcotest.fail "expected Invalid_input"));
+        (* the zeroed cells, and the first of them, which the failure names *)
+        List.iter
+          (fun zeroed ->
+            let conductivity = Array.copy p.Problem3.conductivity in
+            List.iter (fun i -> conductivity.(i) <- 0.) zeroed;
+            match Solver3.try_solve { p with Problem3.conductivity } with
+            | Ok r ->
+              Alcotest.failf "solved to %.4g K in %d iterations" (Solver3.max_rise r)
+                r.Solver3.iterations
+            | Error f -> (
+              match f.Robust.reason with
+              | Robust.Invalid_input problems ->
+                Alcotest.(check (list string))
+                  "names the cell"
+                  [
+                    Printf.sprintf
+                      "conductivity field contains invalid entries (first at cell %d)"
+                      (List.hd zeroed);
+                  ]
+                  problems
+              | Robust.Exhausted | Robust.Deadline_exceeded ->
+                Alcotest.fail "expected Invalid_input"))
+          [ [ n / 2 ]; [ 0; n / 2 ] ]);
     test "via cluster: centers land on a grid and must fit" (fun () ->
         let stack = small_stack () in
         (match Problem3.grid_centers_for_cluster stack 4 with
