@@ -1,19 +1,16 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section (Figs. 4-7, Table I, the section IV-E case study), the
-   ablations, and a Bechamel microbenchmark suite with one Test.make per
-   reproduced artefact.
+(* Benchmark harness: Bechamel microbenchmarks of the reproduced
+   artefacts' solver kernels, pool scaling, the preconditioner ladder,
+   multigrid mesh independence and the batch service engine.  The
+   paper's tables and figures themselves are regenerated by
+   `ttsv_cli figures`.
 
    Usage:
-     dune exec bench/main.exe             # everything
-     dune exec bench/main.exe -- fig5     # one artefact
+     dune exec bench/main.exe             # every bench below
      dune exec bench/main.exe -- micro    # microbenchmarks only
      dune exec bench/main.exe -- parallel # pool scaling, writes BENCH_parallel.json
      dune exec bench/main.exe -- precond  # preconditioner ladder, BENCH_precond.json
      dune exec bench/main.exe -- multigrid # mesh-independence sweep, BENCH_multigrid.json
      dune exec bench/main.exe -- service  # batch engine throughput, BENCH_service.json
-   Artefacts: fig4 fig5 fig6 fig7 table1 case ablation convergence shape
-   sensitivity nplanes variation nonlinear fillers micro parallel precond
-   multigrid service
 
    TTSV_BENCH_SMALL=1 shrinks the precond, multigrid and service benches
    to the small 2-D grids (and 1/2 domains) — the CI perf-smoke
@@ -154,7 +151,7 @@ let parallel_artefacts () =
         (Solver.solve ?pool (Problem.of_stack ~resolution:3 stack)).Solver.iterations );
     ( "fig5_sweep",
       fun pool ->
-        ignore (E.Fig5.run ~resolution:1 ?pool ());
+        ignore (E.Figures.run ~resolution:1 ?pool E.Figures.fig5);
         0 );
     ( "variation_mc",
       fun pool ->
@@ -728,22 +725,8 @@ let run_service () =
     exit 1
   end
 
-let artefacts : (string * (unit -> unit)) list =
+let benches : (string * (unit -> unit)) list =
   [
-    ("fig4", fun () -> E.Fig4.print ppf ());
-    ("fig5", fun () -> E.Fig5.print ppf ());
-    ("fig6", fun () -> E.Fig6.print ppf ());
-    ("fig7", fun () -> E.Fig7.print ppf ());
-    ("table1", fun () -> E.Table1.print ppf ());
-    ("case", fun () -> E.Case_study.print ppf ());
-    ("ablation", fun () -> E.Ablation.print ppf ());
-    ("convergence", fun () -> E.Convergence.print ppf ());
-    ("shape", fun () -> E.Shape.print ppf ());
-    ("sensitivity", fun () -> E.Sensitivity.print ppf ());
-    ("nplanes", fun () -> E.Nplanes.print ppf ());
-    ("variation", fun () -> E.Variation.print ppf ());
-    ("nonlinear", fun () -> E.Nonlinear_study.print ppf ());
-    ("fillers", fun () -> E.Fillers.print ppf ());
     ("micro", run_micro);
     ("parallel", run_parallel);
     ("precond", run_precond);
@@ -755,16 +738,17 @@ let () =
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as names) -> names
-    | _ :: [] | [] -> List.map fst artefacts
+    | _ :: [] | [] -> List.map fst benches
   in
   List.iter
     (fun name ->
-      match List.assoc_opt name artefacts with
+      match List.assoc_opt name benches with
       | Some run ->
         Format.fprintf ppf "@.=== %s ===@." name;
         run ()
       | None ->
-        Format.eprintf "unknown artefact %S; known: %s@." name
-          (String.concat " " (List.map fst artefacts));
+        Format.eprintf "unknown bench %S; known: %s (tables and figures: ttsv_cli figures)@."
+          name
+          (String.concat " " (List.map fst benches));
         exit 2)
     requested

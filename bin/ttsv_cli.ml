@@ -3,7 +3,7 @@
    Subcommands:
      solve       analyze one unit cell with a chosen model
      sweep       sweep one geometric parameter and print the curve
-     figures     regenerate the paper's figures/tables (same as bench)
+     figures     regenerate the paper's figures/tables, ablations and extensions
      calibrate   fit Model A's k1/k2 against the finite-volume reference
      case-study  run the section IV-E DRAM-uP analysis
      transient   step response and thermal time constant (extension)
@@ -357,8 +357,8 @@ let solve_cmd =
 (* ------------------------------------------------------------------- sweep *)
 
 let sweep_cmd =
+  let params = [ ("radius", `Radius); ("liner", `Liner); ("tsi", `Tsi) ] in
   let param_t =
-    let params = [ ("radius", `Radius); ("liner", `Liner); ("tsi", `Tsi) ] in
     Arg.(
       value
       & opt (enum params) `Radius
@@ -399,12 +399,29 @@ let sweep_cmd =
       | _ -> None)
     | _ -> None
   in
-  let run swept coeffs segments resolution with_fv checkpoint resume domains () =
+  (* a recorded row answers only the sweep that recorded it, so the
+     stage is named after every input that decides a row: resuming from
+     a file recorded for another sweep recomputes every point *)
+  let stage_t =
+    let stage param points segments resolution with_fv from_ to_ r t_liner t_ild t_bond t_si
+        t_si1 l_ext k1 k2 =
+      Printf.sprintf "cli.sweep %s %d %d %d %b %s"
+        (fst (List.find (fun (_, p) -> p = param) params))
+        points segments resolution with_fv
+        (String.concat " "
+           (List.map (Printf.sprintf "%h")
+              [ from_; to_; r; t_liner; t_ild; t_bond; t_si; t_si1; l_ext; k1; k2 ]))
+    in
+    Term.(
+      const stage $ param_t $ points_t $ segments_t $ resolution_t $ with_fv_t $ from_t $ to_t
+      $ radius_t $ liner_t $ ild_t $ bond_t $ tsi_t $ tsi1_t $ lext_t $ k1_t $ k2_t)
+  in
+  let run swept stage coeffs segments resolution with_fv checkpoint resume domains () =
     with_pool domains @@ fun pool ->
     with_checkpoint checkpoint resume @@ fun checkpoint ->
     let checkpoint =
       Option.map
-        (fun cp -> E.Sweep.stage cp ~name:"cli.sweep" ~encode:encode_row ~decode:decode_row)
+        (fun cp -> E.Sweep.stage cp ~name:stage ~encode:encode_row ~decode:decode_row)
         checkpoint
     in
     Format.printf "%12s %12s %12s %12s%s@." "x [um]" "Model A" "Model B" "Model 1D"
@@ -435,68 +452,51 @@ let sweep_cmd =
   let info = Cmd.info "sweep" ~doc:"sweep a geometric parameter and print the dT curve" in
   Cmd.v info
     Term.(
-      const run $ swept_t $ coeffs_t $ segments_t $ resolution_t $ with_fv_t $ checkpoint_t
-      $ resume_t $ domains_t $ obs_t)
+      const run $ swept_t $ stage_t $ coeffs_t $ segments_t $ resolution_t $ with_fv_t
+      $ checkpoint_t $ resume_t $ domains_t $ obs_t)
 
 (* ----------------------------------------------------------------- figures *)
 
 let figures_cmd =
+  (* every artefact once: its name, whether --checkpoint records its
+     sweep points, and how it prints *)
   let artefacts =
-    [
-      ("fig4", `Fig4);
-      ("fig5", `Fig5);
-      ("fig6", `Fig6);
-      ("fig7", `Fig7);
-      ("table1", `Table1);
-      ("case", `Case);
-      ("ablation", `Ablation);
-      ("convergence", `Convergence);
-      ("shape", `Shape);
-      ("sensitivity", `Sensitivity);
-      ("nplanes", `Nplanes);
-      ("variation", `Variation);
-      ("nonlinear", `Nonlinear);
-      ("fillers", `Fillers);
-    ]
+    List.map
+      (fun fig ->
+        ( E.Figures.name fig,
+          (true, fun pool checkpoint ppf -> E.Figures.print ~pool ?checkpoint ppf fig) ))
+      E.Figures.all
+    @ [
+        ("table1", (false, fun _ _ ppf -> E.Table1.print ppf ()));
+        ("case", (false, fun _ _ ppf -> E.Case_study.print ppf ()));
+        ("ablation", (false, fun _ _ ppf -> E.Ablation.print ppf ()));
+        ("convergence", (false, fun _ _ ppf -> E.Convergence.print ppf ()));
+        ("shape", (false, fun _ _ ppf -> E.Shape.print ppf ()));
+        ( "sensitivity",
+          (true, fun pool checkpoint ppf -> E.Sensitivity.print ~pool ?checkpoint ppf ()) );
+        ("variation", (false, fun pool _ ppf -> E.Variation.print ~pool ppf ()));
+        ("nonlinear", (false, fun _ _ ppf -> E.Nonlinear_study.print ppf ()));
+        ("fillers", (false, fun _ _ ppf -> E.Fillers.print ppf ()));
+      ]
   in
   let which_t =
+    let names = List.map (fun (name, _) -> (name, name)) artefacts in
     Arg.(
       value
-      & pos_all (enum artefacts) [ `Fig4; `Fig5; `Fig6; `Fig7; `Table1; `Case ]
-      & info [] ~docv:"ARTEFACT" ~doc:("artefacts to run, each " ^ doc_alts_enum artefacts))
-  in
-  (* the artefacts whose sweep points --checkpoint records *)
-  let checkpointed = function
-    | `Fig4 | `Fig5 | `Fig6 | `Fig7 | `Sensitivity | `Nplanes -> true
-    | `Table1 | `Case | `Ablation | `Convergence | `Shape | `Variation | `Nonlinear | `Fillers ->
-      false
+      & pos_all (enum names) [ "fig4"; "fig5"; "fig6"; "fig7"; "table1"; "case" ]
+      & info [] ~docv:"ARTEFACT" ~doc:("artefacts to run, each " ^ doc_alts_enum names))
   in
   let run which checkpoint resume domains () =
     let unrecorded =
-      List.filter (fun (_, a) -> List.mem a which && not (checkpointed a)) artefacts
+      List.filter (fun (name, (recorded, _)) -> List.mem name which && not recorded) artefacts
     in
     if checkpoint <> None && unrecorded <> [] then
       Format.eprintf "warning: --checkpoint records nothing for %s@."
         (String.concat ", " (List.map fst unrecorded));
     with_pool domains @@ fun pool ->
     with_checkpoint checkpoint resume @@ fun checkpoint ->
-    let ppf = Format.std_formatter in
     List.iter
-      (function
-        | `Fig4 -> E.Fig4.print ~pool ?checkpoint ppf ()
-        | `Fig5 -> E.Fig5.print ~pool ?checkpoint ppf ()
-        | `Fig6 -> E.Fig6.print ~pool ?checkpoint ppf ()
-        | `Fig7 -> E.Fig7.print ~pool ?checkpoint ppf ()
-        | `Table1 -> E.Table1.print ppf ()
-        | `Case -> E.Case_study.print ppf ()
-        | `Ablation -> E.Ablation.print ppf ()
-        | `Convergence -> E.Convergence.print ppf ()
-        | `Shape -> E.Shape.print ppf ()
-        | `Sensitivity -> E.Sensitivity.print ~pool ?checkpoint ppf ()
-        | `Nplanes -> E.Nplanes.print ~pool ?checkpoint ppf ()
-        | `Variation -> E.Variation.print ~pool ppf ()
-        | `Nonlinear -> E.Nonlinear_study.print ppf ()
-        | `Fillers -> E.Fillers.print ppf ())
+      (fun name -> snd (List.assoc name artefacts) pool checkpoint Format.std_formatter)
       which
   in
   let info = Cmd.info "figures" ~doc:"regenerate the paper's figures and tables" in
@@ -727,10 +727,9 @@ let export_cmd =
       E.Export.write_figure fig path;
       Format.printf "wrote %s@." path
     in
-    figure "fig4" (E.Fig4.run ~pool ());
-    figure "fig5" (E.Fig5.run ~pool ());
-    figure "fig6" (E.Fig6.run ~pool ());
-    figure "fig7" (E.Fig7.run ~pool ());
+    List.iter
+      (fun fig -> figure (E.Figures.name fig) (E.Figures.run ~pool fig))
+      E.Figures.[ fig4; fig5; fig6; fig7 ];
     let table1 = E.Table1.to_table (E.Table1.run ()) in
     let path = Filename.concat out "table1.csv" in
     E.Export.write_table table1 path;

@@ -24,11 +24,11 @@ let figure_to_string fig =
   figure_to_buffer fig buf;
   Buffer.contents buf
 
-let figure_to_channel fig oc = output_string oc (figure_to_string fig)
-
-let write_figure fig path =
+let write_file contents path =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> figure_to_channel fig oc)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
+
+let write_figure fig path = write_file (figure_to_string fig) path
 
 let table_to_string (t : Report.table) =
   let buf = Buffer.create 1024 in
@@ -52,8 +52,4 @@ let table_to_string (t : Report.table) =
     t.Report.rows;
   Buffer.contents buf
 
-let table_to_channel t oc = output_string oc (table_to_string t)
-
-let write_table t path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> table_to_channel t oc)
+let write_table t path = write_file (table_to_string t) path

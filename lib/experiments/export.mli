@@ -4,17 +4,12 @@
     column and one column per series — the format plotting scripts
     (gnuplot, matplotlib, …) consume directly. *)
 
-val figure_to_channel : Report.figure -> out_channel -> unit
-(** Writes a header row ([x_label [unit], series labels…]) and one row
-    per sweep point. *)
-
 val figure_to_string : Report.figure -> string
-(** The same CSV as a string (used by the tests). *)
+(** A header row ([x_label [unit], series labels…]) and one row per
+    sweep point. *)
 
 val write_figure : Report.figure -> string -> unit
 (** [write_figure fig path] writes (and overwrites) [path]. *)
 
-val table_to_channel : Report.table -> out_channel -> unit
-(** Writes a generic labelled table as CSV. *)
-
 val write_table : Report.table -> string -> unit
+(** [write_table t path] writes a generic labelled table as CSV. *)

@@ -5,8 +5,6 @@ module Cluster = Ttsv_core.Cluster
 module Stack = Ttsv_geometry.Stack
 module Tsv = Ttsv_geometry.Tsv
 module Units = Ttsv_physics.Units
-module Problem = Ttsv_fem.Problem
-module Solver = Ttsv_fem.Solver
 module Problem3 = Ttsv_fem.Problem3
 module Solver3 = Ttsv_fem.Solver3
 
@@ -16,7 +14,7 @@ let solve3 ?(resolution = 1) ?via_centers stack =
 let cell_shape ?resolution () =
   let stack = Params.fig5_stack (Units.um 1.) in
   let cube = solve3 ?resolution stack in
-  let cyl = Solver.max_rise (Solver.solve (Problem.of_stack ~resolution:2 stack)) in
+  let cyl = Reference.max_rise stack in
   let coeffs = Reference.block_coefficients () in
   let a = Model_a.max_rise (Model_a.solve ~coeffs stack) in
   let b = Model_b.max_rise (Model_b.solve_n stack 100) in
@@ -41,17 +39,7 @@ let cluster_layout ?resolution () =
   let coeffs = Reference.block_coefficients () in
   let of_list f = Array.of_list (List.map f divisions) in
   let eq22 = of_list (fun n -> Model_a.max_rise (Cluster.solve ~coeffs stack n)) in
-  let subcell =
-    of_list (fun n ->
-        let fn = float_of_int n in
-        let cell =
-          Stack.make ~sink_temperature:stack.Stack.sink_temperature
-            ~footprint:(stack.Stack.footprint /. fn)
-            ~planes:(Array.to_list stack.Stack.planes)
-            ~tsv:(Tsv.divide stack.Stack.tsv n) ()
-        in
-        Solver.max_rise (Solver.solve (Problem.of_stack ~resolution:2 cell)))
-  in
+  let subcell = of_list (fun n -> Reference.max_rise (Figures.subcell stack n)) in
   let true_cluster =
     of_list (fun n ->
         let divided = Stack.with_tsv stack (Tsv.divide stack.Stack.tsv n) in

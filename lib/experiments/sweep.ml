@@ -41,6 +41,3 @@ let map_array ?pool ?checkpoint f xs =
   Pool.map_array (pool_of pool) eval (Array.init (Array.length xs) Fun.id)
 
 let map ?pool ?checkpoint f xs = map_array ?pool ?checkpoint f (Array.of_list xs)
-
-let floats ?pool ?checkpoint ~stage f xs =
-  map ?pool ?checkpoint:(Option.map (fun cp -> float_stage cp stage) checkpoint) f xs

@@ -57,13 +57,3 @@ val map_array :
   'a array ->
   'b array
 (** Array-input variant of {!map}. *)
-
-val floats :
-  ?pool:Ttsv_parallel.Pool.t ->
-  ?checkpoint:Checkpoint.t ->
-  stage:string ->
-  ('a -> float) ->
-  'a list ->
-  float array
-(** [floats ~stage f xs] is [map f xs] for one curve of a figure, each
-    point recorded under [stage] in [checkpoint] when one is given. *)

@@ -9,7 +9,7 @@ module Units = Ttsv_physics.Units
 type row = { label : string; max_err : float; avg_err : float; time_ms : float option }
 
 let run_body ?resolution () =
-  let stacks = List.map (fun tl -> Params.fig5_stack (Units.um tl)) Fig5.liners_um in
+  let stacks = List.map (fun tl -> Params.fig5_stack (Units.um tl)) Figures.liners_um in
   let fv = Array.of_list (List.map (Reference.max_rise ?resolution) stacks) in
   let timed label f =
     let solve_all () = Array.of_list (List.map f stacks) in
@@ -25,7 +25,7 @@ let run_body ?resolution () =
     List.map
       (fun n ->
         timed (Printf.sprintf "B (%d)" n) (fun s -> Model_b.max_rise (Model_b.solve_n s n)))
-      Fig5.segment_counts
+      Figures.segment_counts
   in
   let coeffs = Reference.block_coefficients () in
   let a_fit = timed "A (fitted)" (fun s -> Model_a.max_rise (Model_a.solve ~coeffs s)) in

@@ -669,25 +669,34 @@ let checkpoint_tests =
         (* disarmed: the FV reference solves inside fig5 are only
            run-to-run deterministic when no faults perturb the ladder *)
         with_disarmed @@ fun () ->
-        let reference = E.Fig5.run ~resolution:1 () in
+        let reference = E.Figures.run ~resolution:1 E.Figures.fig5 in
         let path = tmp_file () and partial = tmp_file () in
         Fun.protect ~finally:(fun () ->
             Sys.remove path;
             Sys.remove partial)
         @@ fun () ->
         ignore
-          (E.Checkpoint.with_file path (fun cp -> E.Fig5.run ~resolution:1 ~checkpoint:cp ()));
+          (E.Checkpoint.with_file path (fun cp ->
+               E.Figures.run ~resolution:1 ~checkpoint:cp E.Figures.fig5));
         copy_first_lines path partial 17;
         let resumed =
           E.Checkpoint.with_file ~resume:true partial (fun cp ->
-              E.Fig5.run ~resolution:1 ~checkpoint:cp ())
+              E.Figures.run ~resolution:1 ~checkpoint:cp E.Figures.fig5)
         in
         check_same_series reference resumed);
-    test "fig4, fig6, fig7 and nplanes record every point and resume bitwise" (fun () ->
+    test "every figure records every point and resumes bitwise" (fun () ->
         with_disarmed @@ fun () ->
         let lines path = List.length (In_channel.with_open_bin path In_channel.input_lines) in
+        (* one record per curve and point: fig5 has seven curves, the
+           others four *)
+        let counts =
+          [ ("fig4", 52); ("fig5", 42); ("fig6", 44); ("fig7", 20); ("nplanes", 24) ]
+        in
         List.iter
-          (fun (name, records, run) ->
+          (fun fig ->
+            let name = E.Figures.name fig in
+            let records = List.assoc name counts in
+            let run checkpoint = E.Figures.run ~resolution:1 ?checkpoint fig in
             let reference = run None in
             let path = tmp_file () and partial = tmp_file () in
             Fun.protect ~finally:(fun () ->
@@ -695,17 +704,11 @@ let checkpoint_tests =
                 Sys.remove partial)
             @@ fun () ->
             ignore (E.Checkpoint.with_file path (fun cp -> run (Some cp)));
-            (* one record per curve and point: four curves each *)
             Alcotest.(check int) (name ^ " records") records (lines path);
             copy_first_lines path partial (records / 2);
             check_same_series reference
               (E.Checkpoint.with_file ~resume:true partial (fun cp -> run (Some cp))))
-          [
-            ("fig4", 52, fun checkpoint -> E.Fig4.run ~resolution:1 ?checkpoint ());
-            ("fig6", 44, fun checkpoint -> E.Fig6.run ~resolution:1 ?checkpoint ());
-            ("fig7", 20, fun checkpoint -> E.Fig7.run ~resolution:1 ?checkpoint ());
-            ("nplanes", 24, fun checkpoint -> E.Nplanes.run ~resolution:1 ?checkpoint ());
-          ]);
+          E.Figures.all);
     test "a decode rejecting a record recomputes that point" (fun () ->
         let path = tmp_file () in
         Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->

@@ -3,10 +3,7 @@
    keep the suite fast). *)
 
 module Report = Ttsv_experiments.Report
-module Fig4 = Ttsv_experiments.Fig4
-module Fig5 = Ttsv_experiments.Fig5
-module Fig6 = Ttsv_experiments.Fig6
-module Fig7 = Ttsv_experiments.Fig7
+module Figures = Ttsv_experiments.Figures
 module Table1 = Ttsv_experiments.Table1
 module Case_study = Ttsv_experiments.Case_study
 module Convergence = Ttsv_experiments.Convergence
@@ -65,7 +62,7 @@ let monotone_decreasing ys =
 let figure_tests =
   [
     test "fig4: dT decreases with radius within each regime" (fun () ->
-        let fig = Fig4.run ~resolution:1 () in
+        let fig = Figures.run ~resolution:1 Figures.fig4 in
         let split = 4 in
         (* indices 0..4 are the 5-um-substrate regime, 5.. the 45-um one *)
         List.iter
@@ -77,13 +74,13 @@ let figure_tests =
               (monotone_decreasing (Array.sub ys (split + 1) (Array.length ys - split - 1))))
           [ "Model A"; "Model B(100)"; "FV" ]);
     test "fig4: proposed models beat 1-D at high aspect ratio" (fun () ->
-        let fig = Fig4.run ~resolution:1 () in
+        let fig = Figures.run ~resolution:1 Figures.fig4 in
         let fv = get_series fig "FV" and b = get_series fig "Model B(100)" in
         let one_d = get_series fig "Model 1D" in
         let err m = Float.abs (m.(0) -. fv.(0)) /. fv.(0) in
         Alcotest.(check bool) "B beats 1D at r=1um" true (err b < err one_d));
     test "fig5: dT increases with liner thickness except for 1-D" (fun () ->
-        let fig = Fig5.run ~resolution:1 () in
+        let fig = Figures.run ~resolution:1 Figures.fig5 in
         List.iter
           (fun label ->
             let ys = get_series fig label in
@@ -97,7 +94,7 @@ let figure_tests =
         in
         Alcotest.(check bool) "1-D flat within 2%" true (spread < 0.02));
     test "fig5: Model B error shrinks with segments" (fun () ->
-        let fig = Fig5.run ~resolution:1 () in
+        let fig = Figures.run ~resolution:1 Figures.fig5 in
         let fv = get_series fig "FV" in
         let err label =
           Ttsv_numerics.Stats.mean_rel_error (get_series fig label) fv
@@ -106,10 +103,10 @@ let figure_tests =
         Alcotest.(check bool) "B(20)>B(100)" true (err "Model B(20)" > err "Model B(100)");
         Alcotest.(check bool) "B(100)>B(500)" true (err "Model B(100)" > err "Model B(500)"));
     test "fig6: non-monotonic for the models, monotonic for 1-D" (fun () ->
-        let fig = Fig6.run ~resolution:1 () in
+        let fig = Figures.run ~resolution:1 Figures.fig6 in
         List.iter
           (fun label ->
-            let min_at = Fig6.minimum_of fig label in
+            let min_at = Figures.minimum_of fig label in
             Alcotest.(check bool)
               (Printf.sprintf "%s has an interior minimum (%g um)" label min_at)
               true
@@ -119,7 +116,7 @@ let figure_tests =
         Alcotest.(check bool) "1-D monotone increasing" true
           (monotone_decreasing (Array.map (fun y -> -.y) one_d)));
     test "fig7: division cools with saturation; 1-D is flat" (fun () ->
-        let fig = Fig7.run ~resolution:1 () in
+        let fig = Figures.run ~resolution:1 Figures.fig7 in
         List.iter
           (fun label ->
             Alcotest.(check bool) (label ^ " decreasing") true

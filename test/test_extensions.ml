@@ -2,7 +2,7 @@
    ASCII plot renderer. *)
 
 module Variation = Ttsv_experiments.Variation
-module Nplanes = Ttsv_experiments.Nplanes
+module Figures = Ttsv_experiments.Figures
 module Ascii_plot = Ttsv_experiments.Ascii_plot
 module Report = Ttsv_experiments.Report
 module Model_a = Ttsv_core.Model_a
@@ -65,12 +65,12 @@ let nplanes_tests =
   [
     test "stacks have the requested plane count" (fun () ->
         List.iter
-          (fun n -> Alcotest.(check int) "planes" n (Stack.num_planes (Nplanes.stack_with_planes n)))
-          Nplanes.plane_counts);
+          (fun n -> Alcotest.(check int) "planes" n (Stack.num_planes (Figures.stack_with_planes n)))
+          Figures.plane_counts);
     test "superlinear growth with plane count (Model A)" (fun () ->
         let rise n =
           Model_a.max_rise
-            (Model_a.solve ~coeffs:Ttsv_core.Params.block_coeffs (Nplanes.stack_with_planes n))
+            (Model_a.solve ~coeffs:Ttsv_core.Params.block_coeffs (Figures.stack_with_planes n))
         in
         let r2 = rise 2 and r4 = rise 4 and r8 = rise 8 in
         Alcotest.(check bool) "monotone" true (r2 < r4 && r4 < r8);
@@ -78,7 +78,7 @@ let nplanes_tests =
         Alcotest.(check bool) "superlinear 2->4" true (r4 > 2. *. r2);
         Alcotest.(check bool) "superlinear 4->8" true (r8 > 2. *. r4));
     test "validation" (fun () ->
-        check_raises_invalid "planes" (fun () -> ignore (Nplanes.stack_with_planes 1)));
+        check_raises_invalid "planes" (fun () -> ignore (Figures.stack_with_planes 1)));
   ]
 
 let sample_figure () =

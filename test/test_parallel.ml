@@ -392,9 +392,9 @@ let sweep_tests =
               (E.Sweep.map ~pool (fun i -> (i * 7) mod 11) xs))
           domain_counts);
     test "fig5 sweep pooled equals sequential bit for bit" (fun () ->
-        let reference = E.Fig5.run ~resolution:1 () in
+        let reference = E.Figures.run ~resolution:1 E.Figures.fig5 in
         Pool.with_pool ~domains:2 @@ fun pool ->
-        let fig = E.Fig5.run ~resolution:1 ~pool () in
+        let fig = E.Figures.run ~resolution:1 ~pool E.Figures.fig5 in
         List.iter2
           (fun (a : E.Report.series) (b : E.Report.series) ->
             Alcotest.(check string) "label" a.E.Report.label b.E.Report.label;
