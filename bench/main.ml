@@ -75,42 +75,113 @@ let run_micro () =
       | Some _ | None -> Format.fprintf ppf "%-32s (no estimate)@." name)
     rows
 
-(* Pool scaling: median wall time of the pooled artefacts at 1/2/4/8
-   domains over [parallel_repeats] runs each, printed and written to
-   BENCH_parallel.json (hand-rolled JSON - the
-   build deliberately has no JSON dependency).  Speedups are measured on
-   whatever cores the host actually has; the determinism tests, not this
-   bench, guarantee the pooled results themselves. *)
+(* ----------------------------------------------------------------- harness *)
+
+(* The four JSON benches below measure every run through [measure] and
+   write their file through [write_bench].  Speedups are measured on
+   whatever cores the host actually has; the determinism tests, not these
+   benches, guarantee the pooled results themselves. *)
+module Json = Ttsv_obs.Json
 module Pool = Ttsv_parallel.Pool
 module Problem3 = Ttsv_fem.Problem3
 module Solver3 = Ttsv_fem.Solver3
 module Obs_metrics = Ttsv_obs.Metrics
+module Diagnostics = Ttsv_robust.Diagnostics
 
-(* [phases] is the per-run span breakdown harvested from the metrics
-   registry: one (span name, completions, summed seconds) triple per
-   "span.*" histogram observed during that run.  [spread] is the
-   (fastest, slowest) wall time when the row is the median of repeated
-   runs *)
-type parallel_run = {
+(* TTSV_BENCH_SMALL shrinks the precond, multigrid and service benches:
+   seconds instead of minutes, for the CI perf-smoke job *)
+let bench_small () =
+  match Sys.getenv_opt "TTSV_BENCH_SMALL" with Some "" | None -> false | Some _ -> true
+
+(* metrics on for the whole bench, so every measured run also yields its
+   span.* phase breakdown *)
+let with_metrics f =
+  let were_on = Ttsv_obs.Flags.metrics_on () in
+  Ttsv_obs.Config.enable_metrics ();
+  Fun.protect ~finally:(fun () -> if not were_on then Ttsv_obs.Config.disable_metrics ()) f
+
+(* One measured run.  [phases] is its span breakdown from the metrics
+   registry: (span name, completions, summed seconds) for each "span.*"
+   histogram that completed during the run.  [spread] is the (fastest,
+   slowest) wall time when the run stands for the median of repeats. *)
+type 'a run = {
   domains : int;
   wall_s : float;
-  iterations : int;
-  phases : (string * int * float) list;
   spread : (float * float) option;
+  value : 'a;
+  phases : (string * int * float) list;
 }
 
-type parallel_result = { artefact : string; runs : parallel_run list }
+(* times [f] on a fresh pool of [domains] (no pool when absent).  The
+   registry is reset first, so the phases belong to this run alone; the
+   pool's start and shutdown are not timed. *)
+let measure ?domains f =
+  Obs_metrics.reset ();
+  let pool = Option.map (fun domains -> Pool.create ~domains ()) domains in
+  let value, wall_s =
+    Fun.protect
+      ~finally:(fun () -> Option.iter Pool.shutdown pool)
+      (fun () ->
+        let t0 = Unix.gettimeofday () in
+        let value = f pool in
+        (value, Unix.gettimeofday () -. t0))
+  in
+  let phases =
+    List.filter_map
+      (fun (name, sample) ->
+        match sample with
+        | Obs_metrics.H { count; sum; _ }
+          when count > 0 && String.starts_with ~prefix:"span." name ->
+          Some (String.sub name 5 (String.length name - 5), count, sum)
+        | _ -> None)
+      (Obs_metrics.snapshot ())
+  in
+  let domains = match pool with Some p -> Pool.domains p | None -> 1 in
+  { domains; wall_s; spread = None; value; phases }
 
-let phases_of_snapshot snap =
-  List.filter_map
-    (fun (name, sample) ->
-      match sample with
-      | Obs_metrics.H h when String.length name > 5 && String.sub name 0 5 = "span." ->
-        Some (String.sub name 5 (String.length name - 5), h.Obs_metrics.count, h.Obs_metrics.sum)
-      | _ -> None)
-    snap
+let phases_json phases =
+  Json.List
+    (List.map
+       (fun (name, count, sum_s) ->
+         Json.Obj
+           [ ("name", Json.String name); ("count", Json.Int count); ("sum_s", Json.Float sum_s) ])
+       phases)
 
-let bench_json_path = "BENCH_parallel.json"
+(* the run rows of BENCH_parallel.json and BENCH_precond.json, valued by
+   their iteration count; each speedup is against the first run *)
+let runs_json runs =
+  let base = match runs with { wall_s; _ } :: _ -> wall_s | [] -> Float.nan in
+  Json.List
+    (List.map
+       (fun { domains; wall_s; spread; value = iterations; phases } ->
+         let spread =
+           match spread with
+           | Some (lo, hi) -> [ ("wall_s_min", Json.Float lo); ("wall_s_max", Json.Float hi) ]
+           | None -> []
+         in
+         Json.Obj
+           ([ ("domains", Json.Int domains); ("wall_s", Json.Float wall_s) ]
+           @ spread
+           @ [
+               ("speedup", Json.Float (base /. wall_s));
+               ("iterations", Json.Int iterations);
+               ("phases", phases_json phases);
+             ]))
+       runs)
+
+(* writes BENCH_<name>.json to the working directory *)
+let write_bench name fields =
+  let path = Printf.sprintf "BENCH_%s.json" name in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        (Json.to_string_pretty (Json.Obj (("bench", Json.String name) :: fields))));
+  Format.fprintf ppf "@.wrote %s@." path
+
+(* ---------------------------------------------------------------- parallel *)
+
+(* Pool scaling: the median wall time of the pooled artefacts at 1/2/4/8
+   domains over [parallel_repeats] runs each, printed and written to
+   BENCH_parallel.json. *)
 
 (* a phase cannot burn more than its run's core capacity (10% slack
    absorbs clock skew).  Phase sums are measured under scheduling noise,
@@ -133,11 +204,6 @@ let bench_domains = [ 1; 2; 4; 8 ]
    five runs), so each row is the median of this many *)
 let parallel_repeats = 5
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 (* each artefact maps a pool to its iteration count (0 when meaningless) *)
 let parallel_artefacts () =
   let stack = Params.fig5_stack (Units.um 1.) in
@@ -159,91 +225,30 @@ let parallel_artefacts () =
         0 );
   ]
 
-(* shared run-array rendering: the precond bench nests the same run
-   objects one level deeper, so the phase-breakdown schema stays
-   identical across BENCH_parallel.json and BENCH_precond.json *)
-let buffer_runs buf ~indent runs =
-  let base = match runs with { wall_s; _ } :: _ -> wall_s | [] -> Float.nan in
-  Buffer.add_string buf (indent ^ "\"runs\": [\n");
-  List.iteri
-    (fun j { domains; wall_s; iterations; phases; spread } ->
-      let phases_json =
-        String.concat ", "
-          (List.map
-             (fun (name, count, sum_s) ->
-               Printf.sprintf "{ \"name\": \"%s\", \"count\": %d, \"sum_s\": %.6f }" name
-                 count sum_s)
-             phases)
-      in
-      let spread_json =
-        match spread with
-        | Some (lo, hi) -> Printf.sprintf " \"wall_s_min\": %.6f, \"wall_s_max\": %.6f," lo hi
-        | None -> ""
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "%s  { \"domains\": %d, \"wall_s\": %.6f,%s \"speedup\": %.3f, \
-            \"iterations\": %d, \"phases\": [%s] }%s\n"
-           indent domains wall_s spread_json (base /. wall_s) iterations phases_json
-           (if j = List.length runs - 1 then "" else ",")))
-    runs;
-  Buffer.add_string buf (indent ^ "]\n")
-
-let json_of_results results =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"bench\": \"parallel\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ()));
-  Buffer.add_string buf "  \"artefacts\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf (Printf.sprintf "    {\n      \"name\": \"%s\",\n" r.artefact);
-      buffer_runs buf ~indent:"      " r.runs;
-      Buffer.add_string buf
-        (Printf.sprintf "    }%s\n" (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
 let run_parallel () =
   E.Report.heading ppf "Parallel scaling (domain pool wall time per artefact)";
   (* force the memoized FV calibration outside every timed region *)
   ignore (E.Reference.block_coefficients ());
-  (* metrics on for the whole bench so every timed run also yields its
-     span.* phase breakdown; the registry is reset per run so the
-     harvested snapshot belongs to exactly that (artefact, domains) pair *)
-  let metrics_were_on = Ttsv_obs.Flags.metrics_on () in
-  Ttsv_obs.Config.enable_metrics ();
-  let results =
+  let artefacts =
+    with_metrics @@ fun () ->
     List.map
       (fun (artefact, f) ->
         Format.fprintf ppf "@.%s:@." artefact;
-        let once domains =
-          Obs_metrics.reset ();
-          let pool = Pool.create ~domains () in
-          let iterations, wall_s =
-            Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
-                time (fun () -> f (Some pool)))
-          in
-          let phases = phases_of_snapshot (Obs_metrics.snapshot ()) in
-          { domains = Pool.domains pool; wall_s; iterations; phases; spread = None }
-        in
         (* the median run stands for the row, phases included *)
         let median domains =
           let sorted =
             List.sort
               (fun a b -> Float.compare a.wall_s b.wall_s)
-              (List.init parallel_repeats (fun _ -> once domains))
+              (List.init parallel_repeats (fun _ -> measure ~domains f))
           in
           let fastest = List.hd sorted and slowest = List.nth sorted (parallel_repeats - 1) in
           { (List.nth sorted (parallel_repeats / 2)) with
             spread = Some (fastest.wall_s, slowest.wall_s) }
         in
         let runs = List.map median bench_domains in
-        let base = match runs with { wall_s; _ } :: _ -> wall_s | [] -> Float.nan in
+        let base = (List.hd runs).wall_s in
         List.iter
-          (fun ({ domains; wall_s; iterations; spread; _ } as run) ->
+          (fun ({ domains; wall_s; spread; value = iterations; _ } as run) ->
             let lo, hi = Option.value spread ~default:(wall_s, wall_s) in
             Format.fprintf ppf "  domains=%d  %8.3f s (%.3f-%.3f)  speedup %5.2fx%s@." domains
               wall_s lo hi (base /. wall_s)
@@ -251,44 +256,30 @@ let run_parallel () =
                else "");
             warn_phase_overruns artefact run)
           runs;
-        { artefact; runs })
+        Json.Obj [ ("name", Json.String artefact); ("runs", runs_json runs) ])
       (parallel_artefacts ())
   in
-  if not metrics_were_on then Ttsv_obs.Config.disable_metrics ();
-  let oc = open_out bench_json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (json_of_results results));
-  Format.fprintf ppf "@.wrote %s@." bench_json_path
+  write_bench "parallel"
+    [
+      ("host_domains", Json.Int (Domain.recommended_domain_count ()));
+      ("artefacts", Json.List artefacts);
+    ]
 
 (* ----------------------------------------------------------------- precond *)
-
-module Diagnostics = Ttsv_robust.Diagnostics
 
 (* Preconditioner shoot-out: the same artefacts solved with the ladder
    pinned to exactly one preconditioner, so the per-run iteration counts
    (and wall times) are attributable to that preconditioner alone.
-   Writes BENCH_precond.json with the same per-run phase-breakdown
-   schema as BENCH_parallel.json, one level deeper (artefact ->
-   preconditioner -> runs). *)
-let precond_json_path = "BENCH_precond.json"
-
+   Writes BENCH_precond.json with the same run rows as
+   BENCH_parallel.json, one level deeper (artefact -> preconditioner ->
+   runs). *)
 let precond_rungs =
   [
     ("ic0", [ Diagnostics.Cg_ic0 ]);
     ("jacobi", [ Diagnostics.Cg ]);
   ]
 
-type precond_result = {
-  p_artefact : string;
-  by_precond : (string * parallel_run list) list;
-}
-
-(* TTSV_BENCH_SMALL shrinks the bench to the resolution-1 2-D grid at
-   1/2 domains: seconds instead of minutes, for the CI perf-smoke job *)
-let precond_small () =
-  match Sys.getenv_opt "TTSV_BENCH_SMALL" with Some "" | None -> false | Some _ -> true
-
+(* small: the resolution-1 2-D grid at 1/2 domains *)
 let precond_artefacts ~small () =
   let stack = Params.fig5_stack (Units.um 1.) in
   ( "solve_fv_fig5",
@@ -305,44 +296,15 @@ let precond_artefacts ~small () =
            (Solver3.solve ?pool ~rungs p).Solver3.iterations );
      ])
 
-let json_of_precond_results results =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"bench\": \"precond\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ()));
-  Buffer.add_string buf "  \"artefacts\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\n      \"name\": \"%s\",\n" r.p_artefact);
-      Buffer.add_string buf "      \"preconds\": [\n";
-      List.iteri
-        (fun k (pname, runs) ->
-          Buffer.add_string buf
-            (Printf.sprintf "        {\n          \"name\": \"%s\",\n" pname);
-          buffer_runs buf ~indent:"          " runs;
-          Buffer.add_string buf
-            (Printf.sprintf "        }%s\n"
-               (if k = List.length r.by_precond - 1 then "" else ",")))
-        r.by_precond;
-      Buffer.add_string buf "      ]\n";
-      Buffer.add_string buf
-        (Printf.sprintf "    }%s\n" (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
 let run_precond () =
-  let small = precond_small () in
+  let small = bench_small () in
   E.Report.heading ppf
     (if small then "Preconditioner comparison (small CI grid)"
      else "Preconditioner comparison (iterations and wall time per rung)");
   ignore (E.Reference.block_coefficients ());
-  let domains = if small then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let metrics_were_on = Ttsv_obs.Flags.metrics_on () in
-  Ttsv_obs.Config.enable_metrics ();
-  let results =
+  let domain_counts = if small then [ 1; 2 ] else [ 1; 2; 4 ] in
+  let artefacts =
+    with_metrics @@ fun () ->
     List.map
       (fun (artefact, f) ->
         Format.fprintf ppf "@.%s:@." artefact;
@@ -351,23 +313,12 @@ let run_precond () =
             (fun (pname, rungs) ->
               let runs =
                 List.map
-                  (fun d ->
-                    Obs_metrics.reset ();
-                    let pool = Pool.create ~domains:d () in
-                    let iterations, wall_s =
-                      Fun.protect
-                        ~finally:(fun () -> Pool.shutdown pool)
-                        (fun () -> time (fun () -> f (Some pool) rungs))
-                    in
-                    let phases = phases_of_snapshot (Obs_metrics.snapshot ()) in
-                    { domains = d; wall_s; iterations; phases; spread = None })
-                  domains
+                  (fun domains -> measure ~domains (fun pool -> f pool rungs))
+                  domain_counts
               in
-              let base =
-                match runs with { wall_s; _ } :: _ -> wall_s | [] -> Float.nan
-              in
+              let base = (List.hd runs).wall_s in
               List.iter
-                (fun { domains; wall_s; iterations; _ } ->
+                (fun { domains; wall_s; value = iterations; _ } ->
                   Format.fprintf ppf
                     "  %-7s domains=%d  %8.3f s  speedup %5.2fx  (%d iterations)@." pname
                     domains wall_s (base /. wall_s) iterations)
@@ -376,24 +327,28 @@ let run_precond () =
             precond_rungs
         in
         (* the headline number: how far IC(0) cuts the Jacobi iteration count *)
-        (match
-           ( List.assoc_opt "ic0" by_precond,
-             List.assoc_opt "jacobi" by_precond )
-         with
-        | Some ({ iterations = ic0; _ } :: _), Some ({ iterations = jac; _ } :: _)
-          when ic0 > 0 ->
+        (match (List.assoc_opt "ic0" by_precond, List.assoc_opt "jacobi" by_precond) with
+        | Some ({ value = ic0; _ } :: _), Some ({ value = jac; _ } :: _) when ic0 > 0 ->
           Format.fprintf ppf "  ic0 vs jacobi: %d vs %d iterations (%.1fx fewer)@." ic0 jac
             (float_of_int jac /. float_of_int ic0)
         | _ -> ());
-        { p_artefact = artefact; by_precond })
+        Json.Obj
+          [
+            ("name", Json.String artefact);
+            ( "preconds",
+              Json.List
+                (List.map
+                   (fun (pname, runs) ->
+                     Json.Obj [ ("name", Json.String pname); ("runs", runs_json runs) ])
+                   by_precond) );
+          ])
       (precond_artefacts ~small ())
   in
-  if not metrics_were_on then Ttsv_obs.Config.disable_metrics ();
-  let oc = open_out precond_json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (json_of_precond_results results));
-  Format.fprintf ppf "@.wrote %s@." precond_json_path
+  write_bench "precond"
+    [
+      ("host_domains", Json.Int (Domain.recommended_domain_count ()));
+      ("artefacts", Json.List artefacts);
+    ]
 
 (* --------------------------------------------------------------- multigrid *)
 
@@ -404,18 +359,13 @@ let run_precond () =
    must stay near-constant.  The golden band test bounds that growth
    over resolutions 3-6, and [obs_check regress] holds the small
    sweep's iteration counts to the committed baseline; wall times are
-   informational.  Writes BENCH_multigrid.json. *)
-let multigrid_json_path = "BENCH_multigrid.json"
-
+   informational.  Each run's phases separate mg's one-time hierarchy
+   setup (mg.setup) from the per-iteration cycling (mg.cycle, with
+   mg.smooth nested inside).  Writes BENCH_multigrid.json. *)
 let multigrid_preconds =
   [ ("mg", [ Diagnostics.Cg_mg ]); ("ic0", [ Diagnostics.Cg_ic0 ]) ]
 
-(* per preconditioner: (iterations, wall seconds, span phase breakdown)
-   — the phases separate mg's one-time hierarchy setup (mg.setup) from
-   the per-iteration cycling (mg.cycle, with mg.smooth nested inside) *)
-type mg_point = { cells : int; by_rung : (string * (int * float * (string * int * float) list)) list }
-type mg_case = { m_artefact : string; points : (int * mg_point) list }
-
+(* each case maps a resolution and rungs to (cells, iterations) *)
 let multigrid_cases ~small () =
   let stack = Params.fig5_stack (Units.um 1.) in
   ( "solve_fv_fig5",
@@ -439,117 +389,75 @@ let multigrid_cases ~small () =
            (Array.length r.Solver3.temps, r.Solver3.iterations) );
      ])
 
-let json_of_multigrid_results results =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"bench\": \"multigrid\",\n";
-  Buffer.add_string buf "  \"artefacts\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\n      \"name\": \"%s\",\n      \"runs\": [\n" r.m_artefact);
-      List.iteri
-        (fun j (resolution, { cells; by_rung }) ->
-          let rungs_json =
-            String.concat ", "
-              (List.map
-                 (fun (pname, (iters, wall_s, phases)) ->
-                   let phases_json =
-                     String.concat ", "
-                       (List.map
-                          (fun (name, count, sum_s) ->
-                            Printf.sprintf
-                              "{ \"name\": \"%s\", \"count\": %d, \"sum_s\": %.6f }" name
-                              count sum_s)
-                          phases)
-                   in
-                   Printf.sprintf
-                     "{ \"name\": \"%s\", \"iterations\": %d, \"wall_s\": %.6f, \
-                      \"phases\": [%s] }"
-                     pname iters wall_s phases_json)
-                 by_rung)
-          in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "        { \"resolution\": %d, \"cells\": %d, \"preconds\": [%s] }%s\n"
-               resolution cells rungs_json
-               (if j = List.length r.points - 1 then "" else ",")))
-        r.points;
-      Buffer.add_string buf "      ]\n";
-      Buffer.add_string buf
-        (Printf.sprintf "    }%s\n" (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
 (* sum the seconds of one mg phase out of a harvested span breakdown *)
 let phase_sum phases name =
   List.fold_left (fun acc (n, _, s) -> if n = name then acc +. s else acc) 0. phases
 
 let run_multigrid () =
-  let small = precond_small () in
+  let small = bench_small () in
   E.Report.heading ppf
     (if small then "Multigrid mesh independence (small CI sweep)"
      else "Multigrid mesh independence (iterations vs resolution)");
   ignore (E.Reference.block_coefficients ());
-  let metrics_were_on = Ttsv_obs.Flags.metrics_on () in
-  Ttsv_obs.Config.enable_metrics ();
-  let results =
+  let artefacts =
+    with_metrics @@ fun () ->
     List.map
       (fun (artefact, resolutions, f) ->
         Format.fprintf ppf "@.%s:@." artefact;
-        let points =
+        (* per resolution: its JSON row and the mg iteration count *)
+        let rows =
           List.map
             (fun res ->
-              let ncells = ref 0 in
               let by_rung =
                 List.map
-                  (fun (pname, rungs) ->
-                    Obs_metrics.reset ();
-                    let (c, iters), wall_s = time (fun () -> f res rungs) in
-                    let phases = phases_of_snapshot (Obs_metrics.snapshot ()) in
-                    ncells := c;
-                    (pname, (iters, wall_s, phases)))
+                  (fun (pname, rungs) -> (pname, measure (fun _ -> f res rungs)))
                   multigrid_preconds
               in
-              let cells = !ncells in
+              let cells = fst (snd (List.hd by_rung)).value in
               Format.fprintf ppf "  resolution=%d  cells=%-8d %s@." res cells
                 (String.concat "  "
                    (List.map
-                      (fun (pname, (iters, wall_s, _)) ->
+                      (fun (pname, { wall_s; value = _, iters; _ }) ->
                         Printf.sprintf "%s %4d iters %7.3f s" pname iters wall_s)
                       by_rung));
-              (match List.assoc_opt "mg" by_rung with
-              | Some (_, wall_s, phases) when phases <> [] ->
-                let setup = phase_sum phases "mg.setup"
-                and cycle = phase_sum phases "mg.cycle" in
-                Format.fprintf ppf
-                  "    mg phases: setup %.3f s  cycle %.3f s  other %.3f s@." setup
-                  cycle
-                  (Float.max 0. (wall_s -. setup -. cycle))
-              | _ -> ());
-              (res, { cells; by_rung }))
+              let mg = List.assoc "mg" by_rung in
+              if mg.phases <> [] then begin
+                let setup = phase_sum mg.phases "mg.setup"
+                and cycle = phase_sum mg.phases "mg.cycle" in
+                Format.fprintf ppf "    mg phases: setup %.3f s  cycle %.3f s  other %.3f s@."
+                  setup cycle
+                  (Float.max 0. (mg.wall_s -. setup -. cycle))
+              end;
+              ( Json.Obj
+                  [
+                    ("resolution", Json.Int res);
+                    ("cells", Json.Int cells);
+                    ( "preconds",
+                      Json.List
+                        (List.map
+                           (fun (pname, { wall_s; value = _, iters; phases; _ }) ->
+                             Json.Obj
+                               [
+                                 ("name", Json.String pname);
+                                 ("iterations", Json.Int iters);
+                                 ("wall_s", Json.Float wall_s);
+                                 ("phases", phases_json phases);
+                               ])
+                           by_rung) );
+                  ],
+                snd mg.value ))
             resolutions
         in
-        (match (points, List.rev points) with
-        | ( (_, { by_rung = first; _ }) :: _,
-            (_, { by_rung = last; _ }) :: _ )
-          when List.length points > 1 -> (
-          match (List.assoc_opt "mg" first, List.assoc_opt "mg" last) with
-          | Some (i0, _, _), Some (i1, _, _) when i0 > 0 ->
-            Format.fprintf ppf "  mg growth coarsest -> finest: %d -> %d (%.2fx)@." i0 i1
-              (float_of_int i1 /. float_of_int i0)
-          | _ -> ())
+        (match List.map snd rows with
+        | i0 :: _ :: _ as mg when i0 > 0 ->
+          let i1 = List.nth mg (List.length mg - 1) in
+          Format.fprintf ppf "  mg growth coarsest -> finest: %d -> %d (%.2fx)@." i0 i1
+            (float_of_int i1 /. float_of_int i0)
         | _ -> ());
-        { m_artefact = artefact; points })
+        Json.Obj [ ("name", Json.String artefact); ("runs", Json.List (List.map fst rows)) ])
       (multigrid_cases ~small ())
   in
-  if not metrics_were_on then Ttsv_obs.Config.disable_metrics ();
-  let oc = open_out multigrid_json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (json_of_multigrid_results results));
-  Format.fprintf ppf "@.wrote %s@." multigrid_json_path
+  write_bench "multigrid" [ ("artefacts", Json.List artefacts) ]
 
 (* ----------------------------------------------------------------- service *)
 
@@ -572,17 +480,6 @@ let run_multigrid () =
 module Service_engine = Ttsv_service.Engine
 module Service_protocol = Ttsv_service.Protocol
 
-let service_json_path = "BENCH_service.json"
-
-type service_run = {
-  s_batch : int;
-  s_requests : int;
-  s_wall : float;
-  s_throughput : float;
-  s_hit_rate : float;
-  s_iterations : int;
-}
-
 (* n solve requests cycling 5 radius variants — any window of >= 10
    consecutive requests repeats every geometry in it *)
 let service_requests ~resolution n =
@@ -602,65 +499,36 @@ let service_requests ~resolution n =
 (* pooled hit rate of the service.cache.* counters in a registry
    snapshot — the same numbers [obs_check hitrate] reads off a trace *)
 let service_registry_hit_rate snap =
-  let prefixed name =
-    String.length name > 14 && String.sub name 0 14 = "service.cache."
-  in
-  let ends_with suffix s =
-    let ls = String.length suffix and l = String.length s in
-    l >= ls && String.sub s (l - ls) ls = suffix
-  in
   let hits = ref 0 and misses = ref 0 in
   List.iter
     (fun (name, sample) ->
       match sample with
-      | Obs_metrics.C n when prefixed name ->
-        if ends_with ".hits" name then hits := !hits + n
-        else if ends_with ".misses" name then misses := !misses + n
+      | Obs_metrics.C n when String.starts_with ~prefix:"service.cache." name ->
+        if String.ends_with ~suffix:".hits" name then hits := !hits + n
+        else if String.ends_with ~suffix:".misses" name then misses := !misses + n
       | _ -> ())
     snap;
   let total = !hits + !misses in
   if total = 0 then 0. else float_of_int !hits /. float_of_int total
 
-let json_of_service_results runs =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"bench\": \"service\",\n";
-  Buffer.add_string buf "  \"artefacts\": [\n";
-  Buffer.add_string buf "    {\n      \"name\": \"serve_fv_repeated\",\n      \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "        { \"name\": \"batch%d\", \"batch\": %d, \"requests\": %d, \
-            \"wall_s\": %.6f, \"throughput_rps\": %.3f, \"hit_rate\": %.4f, \
-            \"iterations\": %d }%s\n"
-           r.s_batch r.s_batch r.s_requests r.s_wall r.s_throughput r.s_hit_rate
-           r.s_iterations
-           (if i = List.length runs - 1 then "" else ",")))
-    runs;
-  Buffer.add_string buf "      ]\n    }\n  ]\n}\n";
-  Buffer.contents buf
-
 let run_service () =
-  let small = precond_small () in
+  let small = bench_small () in
   E.Report.heading ppf
     (if small then "Service batch engine (small CI workload)"
      else "Service batch engine (throughput vs batch size)");
   ignore (E.Reference.block_coefficients ());
-  let metrics_were_on = Ttsv_obs.Flags.metrics_on () in
-  Ttsv_obs.Config.enable_metrics ();
   let resolution = if small then 1 else 2 in
   let batches = if small then [ 1; 10; 100 ] else [ 1; 10; 100; 1000 ] in
+  (* per batch size: (batch, throughput, hit rate) and its JSON row *)
   let runs =
+    with_metrics @@ fun () ->
     List.map
       (fun batch ->
         let n = max batch 100 in
         let reqs = service_requests ~resolution n in
-        Obs_metrics.reset ();
-        let iterations = ref 0 in
-        let (), wall_s =
-          time (fun () ->
-              let i = ref 0 in
+        let { wall_s; value = iterations; _ } =
+          measure (fun _ ->
+              let iterations = ref 0 and i = ref 0 in
               while !i < n do
                 let group = Array.sub reqs !i (min batch (n - !i)) in
                 (* a fresh engine per group: batch 1 never reuses
@@ -680,47 +548,59 @@ let run_service () =
                         ^ e.Service_protocol.message))
                   responses;
                 i := !i + batch
-              done)
+              done;
+              !iterations)
         in
         let hit_rate = service_registry_hit_rate (Obs_metrics.snapshot ()) in
         let throughput = float_of_int n /. wall_s in
         Format.fprintf ppf
           "  batch=%-5d %4d requests  %8.3f s  %8.1f solves/s  hit rate %.2f  \
            (%d iterations)@."
-          batch n wall_s throughput hit_rate !iterations;
-        {
-          s_batch = batch;
-          s_requests = n;
-          s_wall = wall_s;
-          s_throughput = throughput;
-          s_hit_rate = hit_rate;
-          s_iterations = !iterations;
-        })
+          batch n wall_s throughput hit_rate iterations;
+        ( (batch, throughput, hit_rate),
+          Json.Obj
+            [
+              ("name", Json.String (Printf.sprintf "batch%d" batch));
+              ("batch", Json.Int batch);
+              ("requests", Json.Int n);
+              ("wall_s", Json.Float wall_s);
+              ("throughput_rps", Json.Float throughput);
+              ("hit_rate", Json.Float hit_rate);
+              ("iterations", Json.Int iterations);
+            ] ))
       batches
   in
-  let base = (List.hd runs).s_throughput in
+  let base = match runs with ((_, base, _), _) :: _ -> base | [] -> Float.nan in
   let missed =
-    List.filter
-      (fun r ->
-        let speedup = r.s_throughput /. base in
-        if r.s_batch >= 100 then
-          Format.fprintf ppf "  batch %d vs batch 1: %.1fx throughput@." r.s_batch speedup;
-        r.s_batch >= 100 && not (r.s_hit_rate > 0.5 && speedup >= 3.))
+    List.filter_map
+      (fun ((batch, throughput, hit_rate), _) ->
+        let speedup = throughput /. base in
+        if batch >= 100 then
+          Format.fprintf ppf "  batch %d vs batch 1: %.1fx throughput@." batch speedup;
+        if batch >= 100 && not (hit_rate > 0.5 && speedup >= 3.) then
+          Some (batch, throughput, hit_rate)
+        else None)
       runs
   in
-  if not metrics_were_on then Ttsv_obs.Config.disable_metrics ();
-  let oc = open_out service_json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (json_of_service_results runs));
-  Format.fprintf ppf "@.wrote %s@." service_json_path;
+  write_bench "service"
+    [
+      ( "artefacts",
+        Json.List
+          [
+            Json.Obj
+              [
+                ("name", Json.String "serve_fv_repeated");
+                ("runs", Json.List (List.map snd runs));
+              ];
+          ] );
+    ];
   if missed <> [] then begin
     List.iter
-      (fun r ->
+      (fun (batch, throughput, hit_rate) ->
         Format.eprintf
           "service bench: batch%d misses the floor: hit rate %.3f (> 0.50 needed), %.1f \
            solves/s = %.2fx batch 1 (>= 3x needed)@."
-          r.s_batch r.s_hit_rate r.s_throughput (r.s_throughput /. base))
+          batch hit_rate throughput (throughput /. base))
       missed;
     exit 1
   end

@@ -664,14 +664,9 @@ let serve_cmd =
             "requests read per batch; the batch is sharded across the worker domains and \
              answered in input order before the next one is read")
   in
-  let cap name default doc =
-    Arg.(value & opt (bounded 1) default & info [ name ] ~docv:"N" ~doc)
-  in
-  let operators_t = cap "cache-operators" 32 "assembled-operator cache capacity (LRU)" in
-  let solutions_t = cap "cache-solutions" 64 "warm-start solution cache capacity (LRU)" in
-  let run batch operators solutions domains () =
+  let run batch domains () =
     with_pool domains @@ fun pool ->
-    let engine = Engine.create ~pool ~operators ~solutions () in
+    let engine = Engine.create ~pool () in
     let answered = Engine.serve ~batch engine stdin stdout in
     Format.eprintf "served %d request(s), cache hit rate %.2f@." answered
       (Engine.hit_rate engine)
@@ -685,15 +680,13 @@ let serve_cmd =
           `P
             "Reads one ttsv.request.v1 JSON object per line from stdin and writes one \
              ttsv.response.v1 object per line to stdout, in input order.  Repeated or \
-             nearby geometries are served from bounded LRU caches (assembled operators and \
-             warm-start solutions); malformed lines yield typed \
+             nearby geometries are served from bounded LRU caches (32 assembled operators \
+             and 64 warm-start solutions); malformed lines yield typed \
              error responses, never a crash.  Combine with $(b,--trace)/$(b,--metrics) to \
              profile a serving session with obs_report.";
         ]
   in
-  Cmd.v info
-    Term.(
-      const run $ batch_t $ operators_t $ solutions_t $ domains_t $ obs_t)
+  Cmd.v info Term.(const run $ batch_t $ domains_t $ obs_t)
 
 (* ------------------------------------------------------------------ export *)
 

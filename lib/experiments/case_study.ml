@@ -12,7 +12,7 @@ let run_body ?resolution ?(segments = 1000) () =
   let coeffs = Reference.calibrate_for stack in
   let timed label paper_value f =
     let m = Timing.measure f in
-    { label; max_rise = m.Timing.result; time_ms = m.Timing.median_ms; paper_value }
+    { label; max_rise = m.Timing.result; time_ms = m.Timing.min_ms; paper_value }
   in
   let a =
     timed "Model A (fitted)" (Some 12.8) (fun () ->

@@ -18,7 +18,7 @@ let run_body ?resolution () =
       label;
       max_err = Stats.max_rel_error m.Timing.result fv;
       avg_err = Stats.mean_rel_error m.Timing.result fv;
-      time_ms = Some (m.Timing.median_ms /. float_of_int (List.length stacks));
+      time_ms = Some (m.Timing.min_ms /. float_of_int (List.length stacks));
     }
   in
   let b_rows =

@@ -5,14 +5,12 @@
     trace is open. *)
 
 type 'a measurement = {
-  result : 'a;  (** the value produced by the {e median} run *)
-  min_ms : float;
-  median_ms : float;
-  max_ms : float;
+  result : 'a;  (** the value produced by the first run *)
+  min_ms : float;  (** the fastest run's elapsed milliseconds *)
 }
 
-val measure : ?repeats:int -> ?name:string -> (unit -> 'a) -> 'a measurement
-(** [measure f] runs [f] [repeats] times (default 3) and reports the
-    min/median/max elapsed milliseconds together with the result of the
-    median run — so warm-up jitter is visible instead of hidden behind a
-    single number.  Raises [Invalid_argument] when [repeats < 1]. *)
+val measure : (unit -> 'a) -> 'a measurement
+(** [measure f] runs [f] 15 times and reports the fastest run, the
+    least noisy estimate of its cost on a shared host.  The timed
+    functions are deterministic, so the first run's result stands for
+    all of them. *)

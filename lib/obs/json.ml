@@ -142,6 +142,41 @@ let to_string j =
   add buf j;
   Buffer.contents buf
 
+let to_string_pretty j =
+  let buf = Buffer.create 4096 in
+  let scalar = function List _ | Obj _ -> false | _ -> true in
+  let rec pretty indent j =
+    (* one child per line, two spaces deeper than the brackets *)
+    let block opening closing children =
+      let inner = indent ^ "  " in
+      Buffer.add_char buf opening;
+      List.iteri
+        (fun i child ->
+          Buffer.add_string buf (if i > 0 then ",\n" else "\n");
+          Buffer.add_string buf inner;
+          child inner)
+        children;
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf indent;
+      Buffer.add_char buf closing
+    in
+    match j with
+    | List xs when not (List.for_all scalar xs) ->
+      block '[' ']' (List.map (fun x inner -> pretty inner x) xs)
+    | Obj kvs when not (List.for_all (fun (_, v) -> scalar v) kvs) ->
+      block '{' '}'
+        (List.map
+           (fun (k, v) inner ->
+             escape buf k;
+             Buffer.add_string buf ": ";
+             pretty inner v)
+           kvs)
+    | j -> add buf j
+  in
+  pretty "" j;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
 (* -------------------------------------------------------------- parsing *)
 
 exception Parse_error of string

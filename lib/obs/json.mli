@@ -1,10 +1,10 @@
 (** A minimal JSON value, printer, and parser.
 
     The build deliberately carries no third-party JSON dependency; this
-    covers exactly what the observability layer needs — emitting JSONL
-    trace lines and parsing them back in tests and the [obs_check]
-    schema validator.  Non-finite floats print as [null] (JSON has no
-    NaN/Inf literal).
+    covers exactly what the project needs — emitting JSONL lines
+    (traces, service responses, checkpoints), writing the
+    [BENCH_*.json] files, and parsing all of them back.  Non-finite
+    floats print as [null] (JSON has no NaN/Inf literal).
 
     Emitted strings are pure ASCII and lossless for arbitrary byte
     sequences: valid UTF-8 becomes [\uXXXX] escapes (surrogate pairs
@@ -26,6 +26,12 @@ type t =
 val to_string : t -> string
 (** Compact single-line rendering (never contains a newline), so one
     value per line is a valid JSONL record. *)
+
+val to_string_pretty : t -> string
+(** Multi-line rendering for files people read: a list or object that
+    holds only scalars prints on one line as {!to_string} would; any
+    other prints one child per line, indented two spaces per level.
+    Ends with a newline; [parse] reads it back to the same value. *)
 
 val parse : string -> (t, string) result
 (** Parse one complete JSON value; trailing non-whitespace is an error. *)

@@ -124,7 +124,12 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
     let attempts = ref [] in
     let total_iters = ref 0 in
     let trace = ref [||] in
-    let note a = attempts := a :: !attempts in
+    (* record one attempt, timed from [t0] *)
+    let note ?(iterations = 0) ?(residual = Float.nan) rung outcome t0 =
+      attempts :=
+        { Diagnostics.rung; outcome; iterations; residual; wall_time = Unix.gettimeofday () -. t0 }
+        :: !attempts
+    in
     let consider x res =
       if Float.is_finite res && res < !best_res then begin
         best := Some x;
@@ -182,14 +187,7 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
       let t0 = Unix.gettimeofday () in
       match precond_for ?budget rung with
       | Error why ->
-        note
-          {
-            Diagnostics.rung;
-            outcome = Diagnostics.Skipped why;
-            iterations = 0;
-            residual = Float.nan;
-            wall_time = Unix.gettimeofday () -. t0;
-          };
+        note rung (Diagnostics.Skipped why) t0;
         None
       | Ok precond ->
         let r =
@@ -203,42 +201,23 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
           if r.Iterative.converged then Diagnostics.Success
           else Diagnostics.Iterative_failure r.Iterative.status
         in
-        note
-          {
-            Diagnostics.rung;
-            outcome;
-            iterations = r.Iterative.iterations;
-            residual = r.Iterative.residual;
-            wall_time = Unix.gettimeofday () -. t0;
-          };
+        note ~iterations:r.Iterative.iterations ~residual:r.Iterative.residual rung outcome t0;
         if r.Iterative.converged then Some r.Iterative.solution else None
     in
     let run_direct () =
       let t0 = Unix.gettimeofday () in
       match solve_direct a b with
       | Error outcome ->
-        note
-          {
-            Diagnostics.rung = Direct;
-            outcome;
-            iterations = 0;
-            residual = Float.nan;
-            wall_time = Unix.gettimeofday () -. t0;
-          };
+        note Diagnostics.Direct outcome t0;
         None
       | Ok x ->
         let res = Iterative.relative_residual ?pool a b x in
         consider x res;
         let ok = Float.is_finite res && res <= direct_accept tol in
         trace := [| res |];
-        note
-          {
-            Diagnostics.rung = Direct;
-            outcome = (if ok then Success else Residual_too_large res);
-            iterations = 0;
-            residual = res;
-            wall_time = Unix.gettimeofday () -. t0;
-          };
+        note ~residual:res Diagnostics.Direct
+          (if ok then Success else Residual_too_large res)
+          t0;
         if ok then Some x else None
     in
     let rec climb = function
@@ -285,26 +264,12 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
               (* an injected fault escaped to the ladder (possible for
                  owner-side probes): contain it as a skipped attempt and
                  demote, upholding the no-uncaught-exception contract *)
-              note
-                {
-                  Diagnostics.rung;
-                  outcome = Diagnostics.Skipped ("injected fault at " ^ site);
-                  iterations = 0;
-                  residual = Float.nan;
-                  wall_time = Unix.gettimeofday () -. t0;
-                };
+              note rung (Diagnostics.Skipped ("injected fault at " ^ site)) t0;
               None
             | exception Budget.Expired v ->
-              note
-                {
-                  Diagnostics.rung;
-                  outcome =
-                    Diagnostics.Skipped
-                      (Format.asprintf "budget expired (%a)" Budget.pp_verdict v);
-                  iterations = 0;
-                  residual = Float.nan;
-                  wall_time = Unix.gettimeofday () -. t0;
-                };
+              note rung
+                (Diagnostics.Skipped (Format.asprintf "budget expired (%a)" Budget.pp_verdict v))
+                t0;
               None
           in
           match solution with
@@ -321,21 +286,14 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
       | first :: _, Some x when Array.length x = Array.length b ->
         let t0 = Unix.gettimeofday () in
         let res = Iterative.relative_residual ?pool a b x in
-        if res <= tol then Some (first, x, res, Unix.gettimeofday () -. t0) else None
+        if res <= tol then Some (first, x, res, t0) else None
       | _ -> None
     in
     match converged_start with
     | None -> climb rungs
-    | Some (rung, x, res, wall_time) ->
+    | Some (rung, x, res, t0) ->
       trace := [| res |];
-      note
-        {
-          Diagnostics.rung;
-          outcome = Diagnostics.Success;
-          iterations = 0;
-          residual = res;
-          wall_time;
-        };
+      note ~residual:res rung Diagnostics.Success t0;
       Ok (Vec.copy x, finish (Some rung) res)
 
 let solve_exn ?tol ?max_iter ?x0 ?stagnation_window ?divergence_factor ?pool ?rungs ?shape

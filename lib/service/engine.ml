@@ -30,11 +30,16 @@ type t = {
   solutions : Vec.t Cache.t;
 }
 
-let create ?pool ?(operators = 32) ?(solutions = 64) () =
+(* LRU capacities of the two cache levels.  No measurement set them yet:
+   serve_stream cycles 5 geometries, so neither level ever fills *)
+let operator_capacity = 32
+let solution_capacity = 64
+
+let create ?pool () =
   {
     pool;
-    operators = Cache.create ~name:"operator" ~capacity:operators ();
-    solutions = Cache.create ~name:"solution" ~capacity:solutions ();
+    operators = Cache.create ~name:"operator" ~capacity:operator_capacity ();
+    solutions = Cache.create ~name:"solution" ~capacity:solution_capacity ();
   }
 
 let level_stats c = (Cache.name c, (Cache.hits c, Cache.misses c, Cache.evictions c))

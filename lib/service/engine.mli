@@ -21,16 +21,10 @@
 
 type t
 
-val create :
-  ?pool:Ttsv_parallel.Pool.t ->
-  ?operators:int ->
-  ?solutions:int ->
-  unit ->
-  t
-(** [create ()] builds an engine with the given per-level cache
-    capacities (defaults: 32 operators, 64 solutions).  [pool], when
-    given, shards batches across its domains and parallelizes
-    assembly/solve kernels. *)
+val create : ?pool:Ttsv_parallel.Pool.t -> unit -> t
+(** [create ()] builds an engine with empty caches of fixed capacity:
+    32 operators and 64 solutions.  [pool], when given, shards batches
+    across its domains and parallelizes assembly/solve kernels. *)
 
 val handle : t -> Protocol.request -> Protocol.response
 (** Handle one request; total (never raises). *)

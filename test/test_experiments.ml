@@ -44,8 +44,8 @@ let report_tests =
         check_raises_invalid "ragged" (fun () ->
             Report.print_table (Format.make_formatter (fun _ _ _ -> ()) ignore) t));
     test "timing returns positive medians" (fun () ->
-        let m = Timing.measure ~repeats:3 (fun () -> ignore (Array.make 1000 0.)) in
-        Alcotest.(check bool) "nonnegative" true (m.Timing.median_ms >= 0.));
+        let m = Timing.measure (fun () -> ignore (Array.make 1000 0.)) in
+        Alcotest.(check bool) "nonnegative" true (m.Timing.min_ms >= 0.));
   ]
 
 let get_series fig label =

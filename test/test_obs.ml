@@ -187,7 +187,30 @@ let gen_json =
                map (fun kvs -> Json.Obj kvs) (list_size (int_range 0 4) (pair key (self (n / 2))));
              ])
 
-let prop_json_roundtrip j = Json.parse (Json.to_string j) = Ok j
+let prop_json_roundtrip j =
+  Json.parse (Json.to_string j) = Ok j && Json.parse (Json.to_string_pretty j) = Ok j
+
+(* the bench files' layout: a container of scalars stays on one line,
+   compact; any other container puts each child on its own line *)
+let test_json_pretty_layout () =
+  let row i = Json.Obj [ ("name", Json.String "r"); ("i", Json.Int i) ] in
+  Alcotest.(check string)
+    "scalar-only object" "{\"name\":\"r\",\"i\":1}\n" (Json.to_string_pretty (row 1));
+  Alcotest.(check string)
+    "list of objects"
+    (String.concat "\n"
+       [
+         "{";
+         "  \"runs\": [";
+         "    {\"name\":\"r\",\"i\":1},";
+         "    {\"name\":\"r\",\"i\":2}";
+         "  ],";
+         "  \"xs\": [1.5,null]";
+         "}\n";
+       ])
+    (Json.to_string_pretty
+       (Json.Obj
+          [ ("runs", Json.List [ row 1; row 2 ]); ("xs", Json.List [ Json.Float 1.5; Json.Null ]) ]))
 
 (* arbitrary byte strings — including invalid UTF-8 — must survive the
    surrogateescape emitter byte-for-byte, and the wire form must be pure
@@ -442,7 +465,10 @@ let suite =
       Helpers.qtest "histogram bucket bounds contain the sample"
         QCheck2.Gen.(float_range 1e-12 1e12)
         prop_bucket_contains;
-      Helpers.qtest "JSON values survive to_string/parse" gen_json prop_json_roundtrip;
+      Helpers.qtest "JSON values survive to_string/parse and to_string_pretty/parse" gen_json
+        prop_json_roundtrip;
+      Helpers.test "to_string_pretty breaks only containers of containers"
+        test_json_pretty_layout;
       Helpers.qtest ~count:500 "arbitrary byte strings round-trip through pure-ASCII JSON"
         gen_bytes prop_string_bytes_roundtrip;
       Helpers.test "histogram percentiles from log2 buckets" test_percentiles;
