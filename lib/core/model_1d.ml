@@ -55,4 +55,4 @@ let solve_with_heats stack qs =
 
 let solve stack = solve_with_heats stack (Stack.heat_inputs stack)
 
-let max_rise r = Array.fold_left Float.max r.t0 r.plane_tops
+let max_rise r = Ttsv_numerics.Vec.fold_max r.t0 r.plane_tops

@@ -1,5 +1,6 @@
 module Stack = Ttsv_geometry.Stack
 module Circuit = Ttsv_network.Circuit
+module Vec = Ttsv_numerics.Vec
 
 type result = {
   t0 : float;
@@ -76,8 +77,6 @@ let solve_with_heats ?coeffs stack qs =
 
 let solve ?coeffs stack = solve_with_heats ?coeffs stack (Stack.heat_inputs stack)
 
-let max_rise r =
-  let m = Array.fold_left Float.max r.t0 r.bulk in
-  Array.fold_left Float.max m r.tsv
+let max_rise r = Vec.fold_max (Vec.fold_max r.t0 r.bulk) r.tsv
 
 let sink_path_heat r = r.t0 /. r.resistances.Resistances.r_sink

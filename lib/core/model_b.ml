@@ -3,6 +3,7 @@ module Plane = Ttsv_geometry.Plane
 module Tsv = Ttsv_geometry.Tsv
 module Material = Ttsv_physics.Material
 module Banded = Ttsv_numerics.Banded
+module Vec = Ttsv_numerics.Vec
 module Circuit = Ttsv_network.Circuit
 
 type segmentation = (int * int) array
@@ -176,7 +177,7 @@ let solve ?cluster stack seg = solve_with_heats ?cluster stack seg (Stack.heat_i
 
 let solve_n ?cluster stack n = solve ?cluster stack (paper_segmentation stack n)
 
-let max_rise r = Array.fold_left Float.max 0. r.temps
+let max_rise r = Vec.fold_max 0. r.temps
 
 (* Test oracle: the same walk through the generic circuit solver. *)
 let solve_via_circuit stack seg =

@@ -5,6 +5,7 @@ module Material = Ttsv_physics.Material
 module Circuit = Ttsv_network.Circuit
 module Dense = Ttsv_numerics.Dense
 module Sparse = Ttsv_numerics.Sparse
+module Vec = Ttsv_numerics.Vec
 
 type result = {
   times : float array;
@@ -76,7 +77,7 @@ let solve ?coeffs ?(power = fun _ -> 1.) stack ~dt ~duration =
     let rhs = Array.init n (fun i -> (q0.(i) *. scale) +. (caps.(i) /. dt *. !t.(i))) in
     t := Dense.lu_solve lu rhs;
     times.(m) <- time;
-    maxes.(m) <- Array.fold_left Float.max 0. !t;
+    maxes.(m) <- Vec.fold_max 0. !t;
     for p = 0 to nplanes - 1 do
       bulk.(m).(p) <- !t.(bulk_idx.(p))
     done

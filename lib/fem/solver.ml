@@ -1,6 +1,7 @@
 module Grid = Grid
 module Robust = Ttsv_robust.Robust
 module Diagnostics = Ttsv_robust.Diagnostics
+module Vec = Ttsv_numerics.Vec
 
 type result = {
   problem : Problem.t;
@@ -50,7 +51,7 @@ let solve ?tol ?max_iter ?x0 ?pool ?rungs ?budget p =
   | Ok r -> r
   | Error f -> raise (Robust.Solve_failed f)
 
-let max_rise r = Array.fold_left Float.max 0. r.temps
+let max_rise r = Vec.fold_max 0. r.temps
 
 type transient = { times : float array; max_rises : float array; final : result }
 
@@ -87,7 +88,7 @@ let solve_transient ?(tol = 1e-10) ?pool ~materials ~dt ~steps p =
     total_iters := !total_iters + d.Diagnostics.iterations;
     last_diag := d;
     times.(m) <- float_of_int m *. dt;
-    maxes.(m) <- Array.fold_left Float.max 0. !temps
+    maxes.(m) <- Vec.fold_max 0. !temps
   done;
   {
     times;

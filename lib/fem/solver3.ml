@@ -1,5 +1,6 @@
 module Robust = Ttsv_robust.Robust
 module Diagnostics = Ttsv_robust.Diagnostics
+module Vec = Ttsv_numerics.Vec
 
 type result = {
   problem : Problem3.t;
@@ -52,7 +53,7 @@ let solve ?tol ?max_iter ?x0 ?pool ?rungs ?budget p =
   | Ok r -> r
   | Error f -> raise (Robust.Solve_failed f)
 
-let max_rise r = Array.fold_left Float.max 0. r.temps
+let max_rise r = Vec.fold_max 0. r.temps
 
 let rise_at res ~x ~y ~z =
   let g = res.problem.Problem3.grid in

@@ -49,9 +49,15 @@ type result = {
 val pp_status : Format.formatter -> status -> unit
 
 val relative_residual : ?pool:Ttsv_parallel.Pool.t -> Sparse.t -> Vec.t -> Vec.t -> float
-(** [relative_residual a b x] is [||b - A x|| / ||b||] computed with the
-    kernels of {!cg}'s start test (chunked, pool-independent norm), so
-    it equals bitwise the residual {!cg} would start from at [x0 = x]. *)
+(** [relative_residual a b x] is [||b - A x|| / ||b||] in one fused pass
+    over {!Sparse.csr}: per row it forms [r = b_i - (A x)_i], the row
+    summed in {!Sparse.mul}'s order, and adds [r *. r] into that row's
+    {!Vec.reduce_chunk} chunk; the chunks fold in order through
+    {!Ttsv_parallel.Pool.map_reduce}.  The value is therefore bitwise
+    [Vec.pnorm2 ?pool (Vec.sub b (Sparse.mul ?pool a x)) /. ||b||] — the
+    residual {!cg} would start from at [x0 = x] — with or without a
+    pool, and no n-vector is allocated.  Raises [Invalid_argument] when
+    [x] or [b] does not match [a]'s dimensions. *)
 
 val cg :
   ?tol:float ->

@@ -44,7 +44,9 @@ val of_csr :
     [Invalid_argument] otherwise. *)
 
 val mat_vec : t -> Vec.t -> Vec.t
-(** [mat_vec m x] is the product [m * x]. *)
+(** [mat_vec m x] is the product [m * x].  Each row is one left-to-right
+    accumulation over its stored entries in column order, written into
+    a fresh array by an index loop: no float is boxed. *)
 
 val mul : ?pool:Ttsv_parallel.Pool.t -> t -> Vec.t -> Vec.t
 (** Pool-aware {!mat_vec}: rows are computed across the pool in chunks.
@@ -76,7 +78,9 @@ val bandwidth : t -> int
     entries (0 for a diagonal or empty matrix). *)
 
 val all_finite : t -> bool
-(** [all_finite m] is [true] when no stored entry is NaN or infinite. *)
+(** [all_finite m] is [true] when no stored entry is NaN or infinite:
+    {!Vec.all_finite} over the stored values, scanned on every call
+    (no verdict is cached on the matrix). *)
 
 val to_dense : t -> Dense.t
 (** Expands to dense form (testing/debugging only). *)

@@ -92,15 +92,31 @@ let norm_inf x =
   done;
   !acc
 
+(* Index loops, not [Array] combinators: a combinator calls a closure
+   per element and boxes every float it passes or returns. *)
+
 let add x y =
   check_same_dim "add" x y;
-  Array.mapi (fun i xi -> xi +. y.(i)) x
+  let out = Array.make (Array.length x) 0. in
+  for i = 0 to Array.length x - 1 do
+    out.(i) <- x.(i) +. y.(i)
+  done;
+  out
 
 let sub x y =
   check_same_dim "sub" x y;
-  Array.mapi (fun i xi -> xi -. y.(i)) x
+  let out = Array.make (Array.length x) 0. in
+  for i = 0 to Array.length x - 1 do
+    out.(i) <- x.(i) -. y.(i)
+  done;
+  out
 
-let scale a x = Array.map (fun xi -> a *. xi) x
+let scale a x =
+  let out = Array.make (Array.length x) 0. in
+  for i = 0 to Array.length x - 1 do
+    out.(i) <- a *. x.(i)
+  done;
+  out
 
 let axpy a x y =
   check_same_dim "axpy" x y;
@@ -121,7 +137,39 @@ let map2 f x y =
 
 let sum x =
   let acc = ref 0. in
-  Array.iter (fun xi -> acc := !acc +. xi) x;
+  for i = 0 to Array.length x - 1 do
+    acc := !acc +. x.(i)
+  done;
+  !acc
+
+(* [v -. v] is [0.] for a finite [v] and NaN for NaN or ±inf
+   ([Float.is_finite v] is [v -. v = 0.]), and a NaN survives every
+   addition: the sum is [0.] exactly when every entry is finite.  No
+   branch per entry, so the scan runs at the add's latency. *)
+let all_finite (x : t) =
+  let acc = ref 0. in
+  for i = 0 to Array.length x - 1 do
+    acc := !acc +. (x.(i) -. x.(i))
+  done;
+  !acc = 0.
+
+(* [Array.fold_left Float.max]'s value, bit for bit: [Float.max acc y] is
+   [y] when [y > acc] and [acc] when [y < acc], so only ties (where +0.
+   must beat -0.) and NaNs take the full [Float.max], inlined unboxed *)
+let fold_max init (x : t) =
+  let acc = ref init in
+  for i = 0 to Array.length x - 1 do
+    let y = x.(i) in
+    if y > !acc then acc := y else if not (y < !acc) then acc := Float.max !acc y
+  done;
+  !acc
+
+let fold_min init (x : t) =
+  let acc = ref init in
+  for i = 0 to Array.length x - 1 do
+    let y = x.(i) in
+    if y < !acc then acc := y else if not (y > !acc) then acc := Float.min !acc y
+  done;
   !acc
 
 let nonempty name x =
@@ -129,11 +177,11 @@ let nonempty name x =
 
 let max_elt x =
   nonempty "max_elt" x;
-  Array.fold_left Float.max x.(0) x
+  fold_max x.(0) x
 
 let min_elt x =
   nonempty "min_elt" x;
-  Array.fold_left Float.min x.(0) x
+  fold_min x.(0) x
 
 let argmax x =
   nonempty "argmax" x;

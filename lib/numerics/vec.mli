@@ -4,7 +4,13 @@
     primitives the rest of the library needs (BLAS level-1 style operations,
     norms, elementwise maps, comparisons with tolerances).  All binary
     operations require equal lengths and raise [Invalid_argument]
-    otherwise. *)
+    otherwise.
+
+    Every operation that takes no function argument is a plain index
+    loop, never an [Array] combinator: a combinator calls a closure per
+    element, and each float crossing that call is boxed on the minor
+    heap.  The loops keep each operation's order of evaluation, so they
+    return the bits the combinator forms returned. *)
 
 type t = float array
 
@@ -37,6 +43,12 @@ val to_list : t -> float list
 
 val dot : t -> t -> float
 (** [dot x y] is the inner product {%html:Σ%}[x.(i) *. y.(i)]. *)
+
+val reduce_chunk : int
+(** The chunk size of every chunk-deterministic reduction ({!pdot},
+    {!pnorm2}, [Iterative.relative_residual]): 2048 elements, fixed and
+    never derived from the pool, so pooled and sequential runs fold the
+    identical per-chunk partials. *)
 
 val pdot : ?pool:Ttsv_parallel.Pool.t -> t -> t -> float
 (** Pool-aware inner product.  The summation is chunked with a fixed
@@ -90,15 +102,29 @@ val map2 : (float -> float -> float) -> t -> t -> t
 (** [map2 f x y] applies [f] to corresponding elements. *)
 
 val sum : t -> float
-(** [sum v] is the sum of all entries. *)
+(** [sum v] is the sum of all entries, added left to right. *)
+
+val all_finite : t -> bool
+(** [all_finite v] is [true] when no entry is NaN or infinite: the value
+    of [Array.for_all Float.is_finite v], without boxing.  It reads
+    every entry, a non-finite one included. *)
+
+val fold_max : float -> t -> float
+(** [fold_max init v] is [Array.fold_left Float.max init v] bit for bit
+    (a NaN anywhere gives NaN, [+0.] beats [-0.]), without boxing.  The
+    answer paths take their maximum rise through it. *)
+
+val fold_min : float -> t -> float
+(** [fold_min init v] is [Array.fold_left Float.min init v] bit for bit,
+    without boxing. *)
 
 val max_elt : t -> float
-(** [max_elt v] is the largest entry.  Raises [Invalid_argument] on the
-    empty vector. *)
+(** [max_elt v] is [fold_max v.(0) v], the largest entry.  Raises
+    [Invalid_argument] on the empty vector. *)
 
 val min_elt : t -> float
-(** [min_elt v] is the smallest entry.  Raises [Invalid_argument] on the
-    empty vector. *)
+(** [min_elt v] is [fold_min v.(0) v], the smallest entry.  Raises
+    [Invalid_argument] on the empty vector. *)
 
 val argmax : t -> int
 (** [argmax v] is the index of the largest entry (first occurrence). *)

@@ -57,7 +57,7 @@ let direct_accept tol = Float.max tol 1e-8
    still sensible. *)
 let dense_limit = 3000
 
-let preflight a b =
+let preflight ?x0 a b =
   let problems = ref [] in
   let push p = problems := p :: !problems in
   let n = Sparse.rows a in
@@ -66,7 +66,13 @@ let preflight a b =
   if Array.length b <> n then
     push (Printf.sprintf "rhs has dimension %d, expected %d" (Array.length b) n);
   if not (Sparse.all_finite a) then push "matrix contains NaN/Inf entries";
-  if not (Array.for_all Float.is_finite b) then push "rhs contains NaN/Inf entries";
+  if not (Vec.all_finite b) then push "rhs contains NaN/Inf entries";
+  Option.iter
+    (fun x ->
+      if Array.length x <> n then
+        push (Printf.sprintf "x0 has dimension %d, expected %d" (Array.length x) n);
+      if not (Vec.all_finite x) then push "x0 contains NaN/Inf entries")
+    x0;
   List.rev !problems
 
 let banded_of_sparse a bw =
@@ -109,7 +115,7 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
     ?shape ?budget a b =
   let rungs = Option.value rungs ~default:default_rungs in
   let start = Unix.gettimeofday () in
-  match preflight a b with
+  match preflight ?x0 a b with
   | _ :: _ as problems ->
     Error
       {
@@ -283,7 +289,7 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
        and no budget is polled, so even an expired deadline gets it *)
     let converged_start =
       match (rungs, x0) with
-      | first :: _, Some x when Array.length x = Array.length b ->
+      | first :: _, Some x ->
         let t0 = Unix.gettimeofday () in
         let res = Iterative.relative_residual ?pool a b x in
         if res <= tol then Some (first, x, res, t0) else None

@@ -16,7 +16,8 @@
     step, so it runs whenever every preconditioner above it fails to
     build.
     Inputs containing NaN/Inf (or with mismatched dimensions) are
-    rejected up front without spending a single iteration.
+    rejected up front without spending a single iteration: the matrix,
+    the right-hand side and the initial guess [x0] alike.
 
     Every failure path is a typed value: no [failwith], no silently
     non-converged result. *)
@@ -78,6 +79,10 @@ val solve :
     target; [max_iter] is the per-rung iteration budget of the iterative
     rungs (default [10 * n] each).  [x0] is the first iterative rung's
     initial guess; each later rung starts from the best iterate so far.
+    An [x0] whose length is not the matrix order, or that holds a NaN
+    or infinite entry, is rejected by the input scan as
+    [Invalid_input] with a problem naming [x0] — never an exception,
+    and never a ladder started from NaN.
     An [x0] that already meets [tol] (by
     {!Ttsv_numerics.Iterative.relative_residual}, checked after the
     input scan and before anything else) is the first rung's answer:

@@ -155,7 +155,7 @@ let solve_field t ?budget (s : P.solve) =
   | Ok (x, d) ->
     Cache.add t.solutions key x;
     Metrics.Counter.add m_iterations d.Diagnostics.iterations;
-    let max_rise_k = Array.fold_left Float.max 0. x in
+    let max_rise_k = Vec.fold_max 0. x in
     Ok
       {
         P.max_rise_k;

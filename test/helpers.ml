@@ -26,8 +26,8 @@ let check_raises_invalid msg f =
 
 let test name f = Alcotest.test_case name `Quick f
 
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 100) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* Adaptive Simpson quadrature: an oracle for closed forms stated as
    integrals (eq. 9).  Local tolerance 1e-12 of the running estimate,

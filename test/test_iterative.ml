@@ -117,6 +117,43 @@ let unit_tests =
           (r.Iterative.iterations < max_iter / 100));
   ]
 
+(* [relative_residual] is one fused pass; it must equal, bit for bit,
+   the composition it replaced: a matvec, a subtraction and the chunked
+   norm.  Lengths straddle Vec.reduce_chunk (2048) and span three
+   chunks; the pooled runs sit inside a region, where a kernel goes
+   parallel from 2048 elements up. *)
+let composed_residual ?pool a b x =
+  Vec.pnorm2 ?pool (Vec.sub b (Sparse.mul ?pool a x)) /. Float.max (Vec.norm2 b) 1e-300
+
+let residual_case =
+  QCheck2.Gen.(
+    oneofl [ 2047; 2048; 2049; 5000 ] >>= fun n ->
+    triple (gen_spd n) (gen_vec n) (gen_vec n))
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let residual_tests =
+  [
+    qtest ~count:12 "relative_residual is the composed residual bit for bit, sequential"
+      residual_case (fun (a, b, x) ->
+        same_bits (Iterative.relative_residual a b x) (composed_residual a b x));
+    qtest ~count:12 "relative_residual is the composed residual bit for bit, 2-domain pool"
+      residual_case (fun (a, b, x) ->
+        Ttsv_parallel.Pool.with_pool ~domains:2 (fun pool ->
+            Ttsv_parallel.Pool.with_region pool (fun () ->
+                let fused = Iterative.relative_residual ~pool a b x in
+                same_bits fused (composed_residual ~pool a b x)
+                && same_bits fused (composed_residual a b x))));
+    test "relative_residual rejects an x or b longer than the matrix" (fun () ->
+        (* the fused pass never indexes past the matrix's order, so only
+           the explicit length checks catch these *)
+        let m = Sparse.of_dense (Dense.identity 2) in
+        check_raises_invalid "x" (fun () ->
+            ignore (Iterative.relative_residual m [| 1.; 1. |] [| 1.; 1.; 1. |]));
+        check_raises_invalid "b" (fun () ->
+            ignore (Iterative.relative_residual m [| 1.; 1.; 1. |] [| 1.; 1. |])));
+  ]
+
 let property_tests =
   [
     qtest ~count:40 "cg solves SPD systems" (gen_spd_system 15)
@@ -144,4 +181,4 @@ let property_tests =
         && warm.Iterative.iterations <= cold'.Iterative.iterations);
   ]
 
-let suite = ("iterative", unit_tests @ property_tests)
+let suite = ("iterative", unit_tests @ residual_tests @ property_tests)

@@ -79,6 +79,22 @@ let solved_system () =
   let rhs = Array.init n (fun i -> 1. +. float_of_int (i mod 3)) in
   (m, rhs, Dense.solve (Sparse.to_dense m) rhs)
 
+(* a 3x3 SPD tridiagonal system *)
+let spd3 () =
+  Sparse.of_dense (Dense.of_arrays [| [| 4.; -1.; 0. |]; [| -1.; 4.; -1. |]; [| 0.; -1.; 4. |] |])
+
+let expect_x0_rejected = function
+  | Ok _ -> Alcotest.fail "expected rejection"
+  | Error f -> (
+    match f.Robust.reason with
+    | Robust.Invalid_input problems ->
+      Alcotest.(check bool)
+        (Printf.sprintf "a problem names x0 (%s)" (String.concat "; " problems))
+        true
+        (List.exists (fun p -> contains p "x0") problems);
+      Alcotest.(check int) "no iterations spent" 0 f.Robust.diagnostics.Diagnostics.iterations
+    | Robust.Exhausted | Robust.Deadline_exceeded -> Alcotest.fail "expected Invalid_input")
+
 let attempt_summary (d : Diagnostics.t) =
   List.map
     (fun a ->
@@ -260,6 +276,15 @@ let ladder_tests =
             Alcotest.(check bool) "at least one problem" true (problems <> [])
           | Robust.Exhausted | Robust.Deadline_exceeded ->
             Alcotest.fail "expected Invalid_input"));
+    test "a wrong-length x0 is Invalid_input naming x0, not an exception" (fun () ->
+        (* the ladder's first matvec used to raise Invalid_argument *)
+        let m = spd3 () in
+        expect_x0_rejected (Robust.solve ~x0:[| 0.; 0. |] m [| 1.; 2.; 3. |]));
+    test "a NaN x0 is Invalid_input naming x0, before any rung starts from it" (fun () ->
+        (* both CG rungs used to start from NaN, leaving the answer to
+           the direct rung, which a large matrix does not have *)
+        let m = spd3 () in
+        expect_x0_rejected (Robust.solve ~x0:[| 0.; Float.nan; 0. |] m [| 1.; 2.; 3. |]));
     test "a stagnating iterative-only ladder aborts far below the budget" (fun () ->
         (* unreachable tolerance + no direct rung: the Jacobi-CG rung
            hits the stagnation guard and the ladder spends a window or

@@ -207,6 +207,25 @@ let engine_tests =
         Alcotest.(check bool) "exact warm start" true (warm.P.cache.P.warm = P.Warm_exact);
         Alcotest.(check int) "zero iterations" 0 warm.P.iterations;
         close "same answer" cold.P.max_rise_k warm.P.max_rise_k);
+    test "an exact hit at res 3 runs 0 iterations and allocates <= 2,000 minor words"
+      (fun () ->
+        (* every per-element pass of an exact hit (the input scans, the
+           converged-start residual, the max) is an index loop, so no
+           float is boxed: this hit (7,650 cells, 37,820 nonzeros)
+           allocated 153,042 minor words when those passes went through
+           Array combinators, and 904 as loops *)
+        let engine = Engine.create () in
+        let req id = solve_request ~id ~resolution:3 () in
+        List.iter
+          (fun id -> ignore (expect_solved (Engine.handle engine (req id))))
+          [ "cold"; "r1"; "r2" ];
+        let before = Gc.minor_words () in
+        let response = Engine.handle engine (req "hit") in
+        let words = Gc.minor_words () -. before in
+        let hit = expect_solved response in
+        Alcotest.(check bool) "exact warm start" true (hit.P.cache.P.warm = P.Warm_exact);
+        Alcotest.(check int) "zero iterations" 0 hit.P.iterations;
+        Alcotest.(check bool) (Printf.sprintf "%.0f minor words <= 2000" words) true (words <= 2000.));
     test "a repeat at a tighter tol iterates from the cached field to the new tol" (fun () ->
         let engine = Engine.create () in
         ignore (expect_solved (Engine.handle engine (solve_request ())));

@@ -58,6 +58,58 @@ let unit_tests =
         Alcotest.(check bool) "far" false (Vec.approx_equal ~rtol:1e-6 [| 1.01 |] [| 1. |]));
   ]
 
+(* --- the boxing-free scans against the Array combinators they replace ---- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* values the scans must treat exactly as the combinators do: NaN of
+   either sign, the infinities, both zeros, subnormals and the extremes *)
+let gen_special =
+  QCheck2.Gen.oneofl
+    [
+      Float.nan;
+      -.Float.nan;
+      Float.infinity;
+      Float.neg_infinity;
+      -0.;
+      0.;
+      5e-324;
+      -.Float.min_float /. 3.;
+      Float.max_float;
+      -.Float.max_float;
+    ]
+
+let gen_any = QCheck2.Gen.(frequency [ (3, float_range (-1e3) 1e3); (1, gen_special) ])
+
+(* a vector of length 0-9 or ~1,000 whose entries are ordinary floats
+   with up to three special values dropped at random positions *)
+let gen_sprinkled =
+  let open QCheck2.Gen in
+  let* n = oneof [ int_range 0 9; int_range 995 1005 ] in
+  let* v = array_size (return n) (float_range (-1e6) 1e6) in
+  let* hits = list_size (int_range 0 3) (pair nat gen_special) in
+  if n > 0 then List.iter (fun (i, x) -> v.(i mod n) <- x) hits;
+  return v
+
+let pp_vec v = String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") v))
+
+let scan_tests =
+  [
+    qtest ~count:500 "all_finite is Array.for_all Float.is_finite"
+      ~print:pp_vec gen_sprinkled (fun v ->
+        Vec.all_finite v = Array.for_all Float.is_finite v);
+    qtest ~count:500 "fold_max/fold_min are Array.fold_left Float.max/min, bit for bit"
+      ~print:(fun (init, v) -> Printf.sprintf "%h | %s" init (pp_vec v))
+      QCheck2.Gen.(pair gen_any (oneof [ array_size (int_range 0 9) gen_any; gen_sprinkled ]))
+      (fun (init, v) ->
+        same_bits (Vec.fold_max init v) (Array.fold_left Float.max init v)
+        && same_bits (Vec.fold_min init v) (Array.fold_left Float.min init v));
+    qtest ~count:300 "max_elt/min_elt are the folds from the first entry, bit for bit"
+      ~print:pp_vec QCheck2.Gen.(array_size (int_range 1 9) gen_any) (fun v ->
+        same_bits (Vec.max_elt v) (Array.fold_left Float.max v.(0) v)
+        && same_bits (Vec.min_elt v) (Array.fold_left Float.min v.(0) v));
+  ]
+
 let property_tests =
   [
     qtest "dot is symmetric" QCheck2.Gen.(pair (gen_vec 8) (gen_vec 8)) (fun (x, y) ->
@@ -79,4 +131,4 @@ let property_tests =
         Vec.min_elt x -. 1e-12 <= m && m <= Vec.max_elt x +. 1e-12);
   ]
 
-let suite = ("vec", unit_tests @ property_tests)
+let suite = ("vec", unit_tests @ scan_tests @ property_tests)
