@@ -7,6 +7,7 @@
 module Units = Ttsv_physics.Units
 module Plane = Ttsv_geometry.Plane
 module Tsv = Ttsv_geometry.Tsv
+module Stack = Ttsv_geometry.Stack
 module Power_map = Ttsv_chip.Power_map
 module Chip_model = Ttsv_chip.Chip_model
 module Allocation = Ttsv_chip.Allocation
@@ -25,11 +26,13 @@ let () =
       ~t_bond:(Units.um (if first then 0. else 2.))
       ()
   in
-  let chip =
-    Chip_model.make ~width:(Units.mm 4.) ~height:(Units.mm 4.) ~nx ~ny
+  (* the unit cell every tile repeats; the chip uses its planes and TTSV *)
+  let cell =
+    Stack.make ~footprint:(Units.um2 (100. *. 100.))
       ~planes:[ plane ~first:true; plane ~first:false; plane ~first:false ]
       ~tsv ()
   in
+  let chip = Chip_model.make ~width:(Units.mm 4.) ~height:(Units.mm 4.) ~nx ~ny cell in
 
   (* floorplan: 6 W of background logic per plane; an 8 W core block in the
      top plane's north-east corner, and a 4 W memory controller mid-west *)

@@ -122,17 +122,14 @@ let allocate ?pool chip power o =
 type scenario = { chip : Chip_model.t; bare : Chip_model.result; allocation : outcome option }
 
 let hotspot_scenario ?pool ~size_mm ~grid ~power ~hotspot ?budget ~candidates
-    (stack : Ttsv_geometry.Stack.t) =
-  let planes = Array.to_list stack.planes in
+    stack =
   let side = Ttsv_physics.Units.mm size_mm in
-  let chip =
-    Chip_model.make ~width:side ~height:side ~nx:grid ~ny:grid ~planes ~tsv:stack.tsv ()
-  in
+  let chip = Chip_model.make ~width:side ~height:side ~nx:grid ~ny:grid stack in
   let base = Power_map.uniform ~nx:grid ~ny:grid ~total:power in
   let h = 2 * grid / 3 in
   let top = Power_map.add_hotspot base ~x0:h ~y0:h ~x1:(h + 1) ~y1:(h + 1) ~watts:hotspot in
-  let nplanes = List.length planes in
-  let maps = List.mapi (fun i _ -> if i = nplanes - 1 then top else base) planes in
+  let nplanes = Ttsv_geometry.Stack.num_planes stack in
+  let maps = List.init nplanes (fun i -> if i = nplanes - 1 then top else base) in
   let bare = Chip_model.solve chip (Chip_model.uniform_density chip 0.) maps in
   let allocation =
     Option.map

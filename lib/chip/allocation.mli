@@ -67,7 +67,7 @@ val hotspot_scenario :
   scenario
 (** The hotspot-allocation scenario of the CLI's [chip] command and the
     service's [chip_alloc] request: a square chip [size_mm] mm on a side
-    of [grid] × [grid] tiles, built from the stack's planes and TTSV;
+    of [grid] × [grid] tiles, each a copy of the unit-cell [stack];
     [power] W spread uniformly on every plane, plus [hotspot] W on the
     2×2 tile block at (2·grid/3, 2·grid/3) of the top plane.  The chip
     is solved bare, then, given a [budget], allocated greedily with

@@ -1,7 +1,9 @@
+module Stack = Ttsv_geometry.Stack
 module Plane = Ttsv_geometry.Plane
 module Tsv = Ttsv_geometry.Tsv
 module Material = Ttsv_physics.Material
 module Coefficients = Ttsv_core.Coefficients
+module Resistances = Ttsv_core.Resistances
 module Circuit = Ttsv_network.Circuit
 
 type t = {
@@ -9,28 +11,15 @@ type t = {
   height : float;
   nx : int;
   ny : int;
-  planes : Plane.t list;
-  tsv : Tsv.t;
+  stack : Stack.t;
   coeffs : Coefficients.t;
 }
 
-let make ?(coeffs = Coefficients.unity) ~width ~height ~nx ~ny ~planes ~tsv () =
+let make ?(coeffs = Coefficients.unity) ~width ~height ~nx ~ny stack =
   if not (width > 0.) || not (height > 0.) then
     invalid_arg "Chip_model.make: extent must be positive";
   if nx < 1 || ny < 1 then invalid_arg "Chip_model.make: grid must be positive";
-  (match planes with
-  | [] -> invalid_arg "Chip_model.make: at least one plane"
-  | first :: rest ->
-    if first.Plane.t_bond <> 0. then
-      invalid_arg "Chip_model.make: the first plane must have no bond";
-    List.iter
-      (fun p ->
-        if p.Plane.t_bond <= 0. then
-          invalid_arg "Chip_model.make: upper planes need a bonding layer")
-      rest;
-    if tsv.Tsv.extension >= first.Plane.t_substrate then
-      invalid_arg "Chip_model.make: TSV extension exceeds the first substrate");
-  { width; height; nx; ny; planes; tsv; coeffs }
+  { width; height; nx; ny; stack; coeffs }
 
 type densities = float array
 
@@ -48,26 +37,10 @@ type result = {
   sink_heat : float;
 }
 
-(* Vertical span of the TTSV segment in plane i (the eq. 7-16 spans). *)
-let span chip i (p : Plane.t) =
-  let n = List.length chip.planes in
-  if i = 0 then p.Plane.t_ild +. chip.tsv.Tsv.extension
-  else if i = n - 1 then p.Plane.t_bond +. p.Plane.t_substrate
-  else p.Plane.t_bond +. p.Plane.t_substrate +. p.Plane.t_ild
-
-(* Per-layer t/k sum over plane i's bulk path (eqs. 7, 10, 13). *)
-let bulk_layers chip i (p : Plane.t) =
-  let n = List.length chip.planes in
-  let k_of (m : Material.t) = m.Material.conductivity in
-  let ild = p.Plane.t_ild /. k_of p.Plane.ild in
-  let bond = p.Plane.t_bond /. k_of p.Plane.bond in
-  if i = 0 then ild +. (chip.tsv.Tsv.extension /. k_of p.Plane.substrate)
-  else if i = n - 1 then ild +. (p.Plane.t_substrate /. k_of p.Plane.substrate) +. bond
-  else ild +. (p.Plane.t_substrate /. k_of p.Plane.substrate) +. bond
-
 let solve chip ds power =
   let nx = chip.nx and ny = chip.ny in
-  let nplanes = List.length chip.planes in
+  let stack = chip.stack and coeffs = chip.coeffs in
+  let nplanes = Stack.num_planes stack in
   if Array.length ds <> nx * ny then invalid_arg "Chip_model.solve: densities length mismatch";
   Array.iter
     (fun d -> if d < 0. || d >= 1. then invalid_arg "Chip_model.solve: density outside [0, 1)")
@@ -80,11 +53,8 @@ let solve chip ds power =
         invalid_arg "Chip_model.solve: power-map grid mismatch")
     power;
   let at = tile_area chip in
-  let { Coefficients.k1; k2 } = chip.coeffs in
+  let fill = Tsv.fill_area stack.Stack.tsv in
   let k_of (m : Material.t) = m.Material.conductivity in
-  let k_fill = k_of chip.tsv.Tsv.filler and k_liner = k_of chip.tsv.Tsv.liner in
-  let fill = Tsv.fill_area chip.tsv and occupied = Tsv.occupied_area chip.tsv in
-  let first = List.hd chip.planes in
   let c = Circuit.create () in
   let ground = Circuit.ground c in
   let tile x y = (y * nx) + x in
@@ -104,47 +74,36 @@ let solve chip ds power =
   in
   (* the sink path through the thick first substrate, the same for every
      tile *)
-  let sink_r =
-    (first.Plane.t_substrate -. chip.tsv.Tsv.extension)
-    /. (k1 *. k_of first.Plane.substrate *. at)
-  in
-  (* per-tile vertical ladders *)
+  let sink_r = Resistances.sink ~coeffs stack ~footprint:at in
+  (* per-tile vertical ladders: the unit cell's eq. 7-16 ladder over the
+     tile, its via count entering as parallel conductance *)
   for y = 0 to ny - 1 do
     for x = 0 to nx - 1 do
       let i = tile x y in
-      let n_vias = ds.(i) *. at /. fill in
-      let a_eff = at -. (n_vias *. occupied) in
-      if a_eff <= 0. then
-        invalid_arg
-          (Printf.sprintf "Chip_model.solve: vias exceed tile (%d,%d) area" x y);
+      let vias = ds.(i) *. at /. fill in
+      let rs =
+        try Resistances.cell ~coeffs stack ~footprint:at ~vias
+        with Invalid_argument _ ->
+          invalid_arg (Printf.sprintf "Chip_model.solve: vias exceed tile (%d,%d) area" x y)
+      in
       Circuit.add_resistor c t0.(i) ground sink_r;
-      List.iteri
-        (fun j p ->
+      Array.iteri
+        (fun j (tr : Resistances.triple) ->
           let below_bulk = if j = 0 then t0.(i) else bulk.(j - 1).(i) in
-          Circuit.add_resistor c below_bulk bulk.(j).(i)
-            (bulk_layers chip j p /. (k1 *. a_eff));
-          if n_vias > 0. then begin
-            let sp = span chip j p in
-            let tsv_r = sp /. (k1 *. k_fill *. n_vias *. fill) in
-            let liner_r =
-              log (Tsv.outer_radius chip.tsv /. chip.tsv.Tsv.radius)
-              /. (2. *. Float.pi *. k2 *. k_liner *. sp *. n_vias)
-            in
+          Circuit.add_resistor c below_bulk bulk.(j).(i) tr.Resistances.bulk;
+          if vias > 0. then begin
+            let below_via = if j = 0 then t0.(i) else Option.get via.(j - 1).(i) in
             if j < nplanes - 1 then begin
               let v = Option.get via.(j).(i) in
-              let below_via = if j = 0 then t0.(i) else Option.get via.(j - 1).(i) in
-              Circuit.add_resistor c below_via v tsv_r;
-              Circuit.add_resistor c bulk.(j).(i) v liner_r
+              Circuit.add_resistor c below_via v tr.Resistances.tsv;
+              Circuit.add_resistor c bulk.(j).(i) v tr.Resistances.liner
             end
-            else if nplanes = 1 then
-              Circuit.add_resistor c t0.(i) bulk.(j).(i) (tsv_r +. liner_r)
             else
               (* top plane: filler + liner in series into the top bulk node *)
-              Circuit.add_resistor c
-                (Option.get via.(j - 1).(i))
-                bulk.(j).(i) (tsv_r +. liner_r)
+              Circuit.add_resistor c below_via bulk.(j).(i)
+                (tr.Resistances.tsv +. tr.Resistances.liner)
           end)
-        chip.planes
+        rs.Resistances.triples
     done
   done;
   (* lateral spreading within each silicon layer *)
@@ -166,14 +125,11 @@ let solve chip ds power =
     end
   in
   if nx > 1 || ny > 1 then begin
-    lateral t0
-      (first.Plane.t_substrate -. chip.tsv.Tsv.extension)
-      (k_of first.Plane.substrate);
-    List.iteri
+    lateral t0 (Resistances.sink_span stack) (k_of (Stack.plane stack 0).Plane.substrate);
+    Array.iteri
       (fun j (p : Plane.t) ->
-        let th = if j = 0 then chip.tsv.Tsv.extension else p.Plane.t_substrate in
-        lateral bulk.(j) th (k_of p.Plane.substrate))
-      chip.planes
+        lateral bulk.(j) (Resistances.substrate_span stack j) (k_of p.Plane.substrate))
+      stack.Stack.planes
   end;
   (* heat injection *)
   List.iteri

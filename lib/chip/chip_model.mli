@@ -1,14 +1,15 @@
 (** Full-chip compact thermal model (extension beyond the paper).
 
     The paper analyzes one TTSV unit cell; real floorplans have non-uniform
-    power and non-uniform via allocation.  This module tiles each plane
-    into an nx × ny grid and builds the compact network the paper's
-    related work ([10], [11]) describes, with the paper's TTSV model
-    embedded in every tile:
+    power and non-uniform via allocation.  This module tiles a unit-cell
+    stack's planes into an nx × ny grid and builds the compact network the
+    paper's related work ([10], [11]) describes, with the paper's TTSV
+    model embedded in every tile:
 
-    - per tile, the vertical eq. 7–16 ladder (bulk chain, TTSV chain where
-      the tile has vias, lateral liner rungs), with the tile's via count
-      entering as parallel conductance;
+    - per tile, the unit cell's vertical eq. 7–16 ladder
+      ({!Ttsv_core.Resistances.cell} over the tile's area: bulk chain,
+      TTSV chain where the tile has vias, lateral liner rungs), with the
+      tile's via count entering as parallel conductance;
     - per plane, lateral silicon-spreading resistors between adjacent
       tiles (and between the thick first-substrate nodes);
     - per tile, R_s to the isothermal heat sink.
@@ -16,15 +17,18 @@
     The via count per tile is real-valued: a density is a continuous
     design variable for the allocator, and conductances scale linearly in
     it.  A single-tile chip with one via degenerates exactly to Model A —
-    asserted by the test suite. *)
+    a property the test suite checks over the validated geometry
+    ranges. *)
 
 type t = {
   width : float;  (** chip extent in x, m *)
   height : float;  (** chip extent in y, m *)
   nx : int;
   ny : int;
-  planes : Ttsv_geometry.Plane.t list;  (** plane geometry (power fields unused) *)
-  tsv : Ttsv_geometry.Tsv.t;  (** via type used wherever the density is positive *)
+  stack : Ttsv_geometry.Stack.t;
+      (** the unit cell every tile repeats: its planes (power fields
+          unused) and its TTSV, used wherever the density is positive;
+          its footprint and sink temperature are unused *)
   coeffs : Ttsv_core.Coefficients.t;
 }
 
@@ -34,13 +38,13 @@ val make :
   height:float ->
   nx:int ->
   ny:int ->
-  planes:Ttsv_geometry.Plane.t list ->
-  tsv:Ttsv_geometry.Tsv.t ->
-  unit ->
+  Ttsv_geometry.Stack.t ->
   t
-(** Validates dimensions (positive extent and grid, at least one plane,
-    first plane bondless, the rest bonded — the {!Ttsv_geometry.Stack}
-    rules). *)
+(** [make ~width ~height ~nx ~ny stack] tiles [stack]'s planes and TTSV
+    over a [width] × [height] chip of [nx] × [ny] tiles.  Raises
+    [Invalid_argument] unless the extent is positive and the grid at
+    least 1 × 1; the plane and TTSV rules are {!Ttsv_geometry.Stack}'s,
+    already checked when the stack was made. *)
 
 type densities = float array
 (** Row-major per-tile TTSV area density (fraction of the tile's area that

@@ -12,8 +12,9 @@
 
 val divided_resistances : ?coeffs:Coefficients.t -> Ttsv_geometry.Stack.t -> int -> Resistances.t
 (** [divided_resistances ?coeffs stack n] evaluates eqs. 7–16 for the
-    stack's TTSV, then rewrites the liner entries per eq. 22 for a
-    division into [n] parts.  [n = 1] returns the plain resistances.
+    stack's TTSV, then rewrites the liner entries with
+    {!Resistances.cluster_liner} (eq. 22) for a division into [n]
+    parts.  [n = 1] gives the plain resistances, bit for bit.
     Raises [Invalid_argument] for [n < 1]. *)
 
 val solve : ?coeffs:Coefficients.t -> Ttsv_geometry.Stack.t -> int -> Model_a.result
@@ -23,5 +24,8 @@ val solve_naive : ?coeffs:Coefficients.t -> Ttsv_geometry.Stack.t -> int -> Mode
 (** Ablation variant: instead of eq. 22, rebuilds the unit cell with the
     TTSV radius set to r₀/√n and vertical/lateral resistances recomputed
     from first principles with all [n] vias in parallel (including the
-    larger displaced silicon area).  Comparing against {!solve} isolates
-    what eq. 22's "vertical resistances unchanged" approximation costs. *)
+    larger displaced silicon area): {!Resistances.cell} with [n] thin
+    vias.  Comparing against {!solve} isolates what eq. 22's "vertical
+    resistances unchanged" approximation costs.  [n = 1] is
+    {!Model_a.solve}, bit for bit.  Raises [Invalid_argument] for
+    [n < 1] or when the [n] vias no longer fit the footprint. *)

@@ -1,6 +1,5 @@
 module Stack = Ttsv_geometry.Stack
 module Plane = Ttsv_geometry.Plane
-module Tsv = Ttsv_geometry.Tsv
 module Material = Ttsv_physics.Material
 module Banded = Ttsv_numerics.Banded
 module Vec = Ttsv_numerics.Vec
@@ -25,10 +24,7 @@ let segmentation_for stack ~counts =
     (fun i count ->
       if count < 1 then invalid_arg "Model_b.segmentation_for: counts must be >= 1";
       let p = Stack.plane stack i in
-      let t_si_part =
-        if i = 0 then stack.Stack.tsv.Tsv.extension
-        else p.Plane.t_bond +. p.Plane.t_substrate
-      in
+      let t_si_part = p.Plane.t_bond +. Resistances.substrate_span stack i in
       let top = i = n - 1 in
       if count = 1 then if top then (1, 1) else (1, 0)
       else begin
@@ -57,22 +53,11 @@ let plane_totals ?(cluster = 1) stack i =
   let area = Stack.silicon_area stack in
   let k_of (m : Material.t) = m.Material.conductivity in
   let span = Resistances.plane_span stack i in
-  let t_si_part = if i = 0 then tsv.Tsv.extension else p.Plane.t_substrate in
   let r_ild = p.Plane.t_ild /. (k_of p.Plane.ild *. area) in
-  let r_si = t_si_part /. (k_of p.Plane.substrate *. area) in
+  let r_si = Resistances.substrate_span stack i /. (k_of p.Plane.substrate *. area) in
   let r_bond = p.Plane.t_bond /. (k_of p.Plane.bond *. area) in
-  let r_metal = span /. (k_of tsv.Tsv.filler *. Tsv.fill_area tsv) in
-  let r_liner =
-    if cluster = 1 then
-      log (Tsv.outer_radius tsv /. tsv.Tsv.radius)
-      /. (2. *. Float.pi *. k_of tsv.Tsv.liner *. span)
-    else begin
-      let fn = float_of_int cluster in
-      let r0 = tsv.Tsv.radius and t_l = tsv.Tsv.liner_thickness in
-      log (((t_l *. sqrt fn) +. r0) /. r0)
-      /. (2. *. fn *. Float.pi *. k_of tsv.Tsv.liner *. span)
-    end
-  in
+  let r_metal = Resistances.filler tsv ~span ~vias:1. in
+  let r_liner = Resistances.cluster_liner tsv ~span cluster in
   (r_ild, r_si, r_bond, r_metal, r_liner)
 
 (* Check a segmentation against its stack and count its ladder's nodes:
@@ -113,9 +98,9 @@ let walk ?cluster stack seg qs ~bulk ~metal ~resistor =
     let metal_segments = if top then n_si else n_total in
     let per_metal = r_metal /. float_of_int metal_segments in
     let per_rung = r_liner *. float_of_int metal_segments in
-    let t_si_part = if i = 0 then stack.Stack.tsv.Tsv.extension else p.Plane.t_substrate in
     let dz_si =
-      (p.Plane.t_bond +. t_si_part) /. float_of_int (Stdlib.max n_si 1)
+      (p.Plane.t_bond +. Resistances.substrate_span stack i)
+      /. float_of_int (Stdlib.max n_si 1)
     in
     let dz_ild = p.Plane.t_ild /. float_of_int n_ild in
     (* bond + substrate segments first, then the ILD ones; the first segment
@@ -149,7 +134,7 @@ let solve_with_heats ?cluster stack seg qs =
   let a = m.Banded.band and rhs = Array.make count 0. in
   (* T0 to ground through R_s: ground is eliminated, only the diagonal term
      remains *)
-  a.(2) <- 1. /. (Resistances.of_stack stack).Resistances.r_sink;
+  a.(2) <- 1. /. Resistances.sink stack ~footprint:stack.Stack.footprint;
   let bulk_nodes = ref [] and metal_nodes = ref [] in
   walk ?cluster stack seg qs
     ~bulk:(fun b q z ->
@@ -185,7 +170,8 @@ let solve_via_circuit stack seg =
   let c = Circuit.create () in
   let t0 = Circuit.add_node c "T0" in
   let nodes = Array.make (node_count stack seg qs) t0 in
-  Circuit.add_resistor c t0 (Circuit.ground c) (Resistances.of_stack stack).Resistances.r_sink;
+  Circuit.add_resistor c t0 (Circuit.ground c)
+    (Resistances.sink stack ~footprint:stack.Stack.footprint);
   let add i label = nodes.(i) <- Circuit.add_node c (Printf.sprintf "%s%d" label i) in
   walk stack seg qs
     ~bulk:(fun b q _ ->

@@ -5,7 +5,9 @@ module Material = Ttsv_physics.Material
 
 type triple = { bulk : float; tsv : float; liner : float }
 
-type t = { triples : triple array; r_sink : float; silicon_area : float }
+type t = { triples : triple array; r_sink : float }
+
+let k_of (m : Material.t) = m.Material.conductivity
 
 let plane_span stack i =
   let n = Stack.num_planes stack in
@@ -15,57 +17,48 @@ let plane_span stack i =
   else if i = n - 1 then p.Plane.t_bond +. p.Plane.t_substrate
   else p.Plane.t_bond +. p.Plane.t_substrate +. p.Plane.t_ild
 
-(* Vertical path of the surroundings: the per-layer t/k sum over the span of
-   plane i, divided by k1*A (eqs. 7, 10, 13). *)
-let bulk_layers stack i =
-  let n = Stack.num_planes stack in
-  let p = Stack.plane stack i in
-  let k_of (m : Material.t) = m.Material.conductivity in
-  let ild = p.Plane.t_ild /. k_of p.Plane.ild in
-  let bond = p.Plane.t_bond /. k_of p.Plane.bond in
-  if i = 0 then ild +. (stack.Stack.tsv.Tsv.extension /. k_of p.Plane.substrate)
-  else if i = n - 1 then ild +. (p.Plane.t_substrate /. k_of p.Plane.substrate) +. bond
-  else ild +. (p.Plane.t_substrate /. k_of p.Plane.substrate) +. bond
+let substrate_span stack i =
+  if i = 0 then stack.Stack.tsv.Tsv.extension else (Stack.plane stack i).Plane.t_substrate
 
-let of_stack ?(coeffs = Coefficients.unity) stack =
-  let { Coefficients.k1; k2 } = coeffs in
+let sink_span stack = (Stack.plane stack 0).Plane.t_substrate -. stack.Stack.tsv.Tsv.extension
+
+(* Plane 1 has no bond (t_b = 0), so adding its bond term is exact. *)
+let bulk_layers stack i =
+  let p = Stack.plane stack i in
+  (p.Plane.t_ild /. k_of p.Plane.ild)
+  +. (substrate_span stack i /. k_of p.Plane.substrate)
+  +. (p.Plane.t_bond /. k_of p.Plane.bond)
+
+let sink ?(coeffs = Coefficients.unity) stack ~footprint =
+  sink_span stack
+  /. (coeffs.Coefficients.k1 *. k_of (Stack.plane stack 0).Plane.substrate *. footprint)
+
+let filler ?(coeffs = Coefficients.unity) tsv ~span ~vias =
+  span /. (coeffs.Coefficients.k1 *. k_of tsv.Tsv.filler *. vias *. Tsv.fill_area tsv)
+
+(* The via count multiplies last, so one via's liner keeps its bits. *)
+let liner ?(coeffs = Coefficients.unity) tsv ~span ~vias =
+  log (Tsv.outer_radius tsv /. tsv.Tsv.radius)
+  /. (2. *. Float.pi *. coeffs.Coefficients.k2 *. k_of tsv.Tsv.liner *. span *. vias)
+
+let cluster_liner ?(coeffs = Coefficients.unity) tsv ~span n =
+  let fn = float_of_int n in
+  let r0 = tsv.Tsv.radius in
+  log (((tsv.Tsv.liner_thickness *. sqrt fn) +. r0) /. r0)
+  /. (2. *. fn *. Float.pi *. coeffs.Coefficients.k2 *. k_of tsv.Tsv.liner *. span)
+
+let cell ?(coeffs = Coefficients.unity) stack ~footprint ~vias =
   let tsv = stack.Stack.tsv in
-  let area = Stack.silicon_area stack in
-  let k_fill = tsv.Tsv.filler.Material.conductivity in
-  let k_liner = tsv.Tsv.liner.Material.conductivity in
-  let fill_area = Tsv.fill_area tsv in
+  let area = footprint -. (vias *. Tsv.occupied_area tsv) in
+  if not (area > 0.) then invalid_arg "Resistances.cell: the vias do not fit the footprint";
   let triple i =
     let span = plane_span stack i in
-    let bulk = bulk_layers stack i /. (k1 *. area) in
-    let tsv_r = span /. (k1 *. k_fill *. fill_area) in
-    let liner =
-      log (Tsv.outer_radius tsv /. tsv.Tsv.radius)
-      /. (2. *. Float.pi *. k2 *. k_liner *. span)
-    in
-    { bulk; tsv = tsv_r; liner }
+    {
+      bulk = bulk_layers stack i /. (coeffs.Coefficients.k1 *. area);
+      tsv = filler ~coeffs tsv ~span ~vias;
+      liner = liner ~coeffs tsv ~span ~vias;
+    }
   in
-  let n = Stack.num_planes stack in
-  let first = Stack.plane stack 0 in
-  let r_sink =
-    (first.Plane.t_substrate -. tsv.Tsv.extension)
-    /. (k1 *. first.Plane.substrate.Material.conductivity *. stack.Stack.footprint)
-  in
-  { triples = Array.init n triple; r_sink; silicon_area = area }
+  { triples = Array.init (Stack.num_planes stack) triple; r_sink = sink ~coeffs stack ~footprint }
 
-let pp ppf t =
-  let n = Array.length t.triples in
-  if n = 3 then begin
-    let r1 = t.triples.(0) and r2 = t.triples.(1) and r3 = t.triples.(2) in
-    Format.fprintf ppf
-      "@[<v>R1=%.4g R2=%.4g R3=%.4g@,R4=%.4g R5=%.4g R6=%.4g@,R7=%.4g R8=%.4g R9=%.4g@,Rs=%.4g@]"
-      r1.bulk r1.tsv r1.liner r2.bulk r2.tsv r2.liner r3.bulk r3.tsv r3.liner t.r_sink
-  end
-  else begin
-    Format.fprintf ppf "@[<v>";
-    Array.iteri
-      (fun i tr ->
-        Format.fprintf ppf "plane %d: bulk=%.4g tsv=%.4g liner=%.4g@," (i + 1) tr.bulk tr.tsv
-          tr.liner)
-      t.triples;
-    Format.fprintf ppf "Rs=%.4g@]" t.r_sink
-  end
+let of_stack ?coeffs stack = cell ?coeffs stack ~footprint:stack.Stack.footprint ~vias:1.

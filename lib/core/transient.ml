@@ -23,18 +23,15 @@ let capacities stack (net : Model_a.network) n_nodes =
   let tsv = stack.Stack.tsv in
   let area = Stack.silicon_area stack in
   let rc (m : Material.t) = m.Material.volumetric_heat_capacity in
-  let first = Stack.plane stack 0 in
   put net.Model_a.t0_node
-    (stack.Stack.footprint
-    *. (first.Plane.t_substrate -. tsv.Tsv.extension)
-    *. rc first.Plane.substrate);
+    (stack.Stack.footprint *. Resistances.sink_span stack
+    *. rc (Stack.plane stack 0).Plane.substrate);
   for i = 0 to n - 1 do
     let p = Stack.plane stack i in
-    let si_span = if i = 0 then tsv.Tsv.extension else p.Plane.t_substrate in
     let vol_rc =
       area
       *. ((p.Plane.t_ild *. rc p.Plane.ild)
-         +. (si_span *. rc p.Plane.substrate)
+         +. (Resistances.substrate_span stack i *. rc p.Plane.substrate)
          +. (p.Plane.t_bond *. rc p.Plane.bond))
     in
     put net.Model_a.bulk_nodes.(i) vol_rc;

@@ -149,8 +149,6 @@ let temperature s nd =
   check_node "temperature" s.circuit nd;
   if nd.idx = -1 then 0. else s.temps.(nd.idx)
 
-let temperatures s = Array.copy s.temps
-
 let max_temperature s = if Array.length s.temps = 0 then 0. else Vec.max_elt s.temps
 
 let branch_heat_flow s a b =
@@ -167,7 +165,3 @@ let branch_heat_flow s a b =
 let residual_norm s =
   if Array.length s.temps = 0 then 0.
   else Vec.norm_inf (Vec.sub (Sparse.mat_vec s.matrix s.temps) s.rhs)
-
-let pp ppf c =
-  Format.fprintf ppf "circuit(%d nodes, %d resistors, %.4g W injected)" c.n
-    (List.length c.resistors) (total_injected c)

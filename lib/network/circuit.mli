@@ -7,8 +7,11 @@
     temperature rises above the ground (heat-sink) node by stamping a
     conductance matrix and solving the resulting SPD system.
 
-    Both Model A and Model B are built on this module, as is the
-    traditional 1-D baseline, so all three share one audited solver. *)
+    Model A stamps its network here, and so do the transient extension
+    (through {!assembled}) and the full-chip model.  Model B solves its
+    ladder through [Ttsv_numerics.Banded] and uses this module only as a
+    test oracle; the 1-D baseline is a series chain and needs no
+    network. *)
 
 type t
 (** A mutable circuit under construction. *)
@@ -51,9 +54,6 @@ val solve : t -> solution
 val temperature : solution -> node -> float
 (** [temperature s n] is the temperature rise of [n] above ground, K. *)
 
-val temperatures : solution -> float array
-(** All non-ground nodal rises, indexed by creation order. *)
-
 val max_temperature : solution -> float
 (** Largest nodal rise (0 for an empty circuit). *)
 
@@ -86,6 +86,3 @@ val equivalent_resistance : t -> node -> node -> float
     ground.  [a = b] gives 0.  The circuit must be connected to ground.
     Useful for reducing a subnetwork to the single resistor a
     coarser-grained model wants. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints a summary (node count, resistor count, total heat). *)

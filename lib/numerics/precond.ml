@@ -38,7 +38,10 @@ let apply ?pool t r =
    division blow-up here. *)
 let jacobi_of_diagonal d =
   let n = Array.length d in
-  let inv = Array.map (fun di -> if Float.abs di > 1e-300 then 1. /. di else 1.) d in
+  let inv = Array.make n 1. in
+  for i = 0 to n - 1 do
+    if Float.abs d.(i) > 1e-300 then inv.(i) <- 1. /. d.(i)
+  done;
   let apply_fn ?pool r =
     let z = Array.make n 0. in
     Pool.for_chunks ~chunk:2048

@@ -154,12 +154,13 @@ let mul ?pool m x =
     out
 
 let diagonal m =
-  Array.init m.nrows (fun i ->
-      let acc = ref 0. in
-      for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-        if m.col_idx.(k) = i then acc := !acc +. m.values.(k)
-      done;
-      !acc)
+  let d = Array.make m.nrows 0. in
+  for i = 0 to m.nrows - 1 do
+    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
+      if m.col_idx.(k) = i then d.(i) <- d.(i) +. m.values.(k)
+    done
+  done;
+  d
 
 let csr m = (m.row_ptr, m.col_idx, m.values)
 

@@ -4,9 +4,6 @@ let create n x = Array.make n x
 let zeros n = create n 0.
 let init = Array.init
 let copy = Array.copy
-let dim = Array.length
-let get (v : t) i = v.(i)
-let set (v : t) i x = v.(i) <- x
 let of_list = Array.of_list
 let to_list = Array.to_list
 
@@ -128,8 +125,6 @@ let scale_in_place a x =
   for i = 0 to Array.length x - 1 do
     x.(i) <- a *. x.(i)
   done
-
-let map = Array.map
 
 let map2 f x y =
   check_same_dim "map2" x y;

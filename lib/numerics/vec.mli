@@ -26,15 +26,6 @@ val init : int -> (int -> float) -> t
 val copy : t -> t
 (** [copy v] is a fresh copy of [v]. *)
 
-val dim : t -> int
-(** [dim v] is the length of [v]. *)
-
-val get : t -> int -> float
-(** [get v i] is [v.(i)]. *)
-
-val set : t -> int -> float -> unit
-(** [set v i x] assigns [v.(i) <- x]. *)
-
 val of_list : float list -> t
 (** [of_list xs] converts a list to a vector. *)
 
@@ -94,9 +85,6 @@ val pxpby : ?pool:Ttsv_parallel.Pool.t -> t -> float -> t -> unit
 
 val scale_in_place : float -> t -> unit
 (** [scale_in_place a x] performs [x <- a*x] in place. *)
-
-val map : (float -> float) -> t -> t
-(** [map f v] applies [f] elementwise. *)
 
 val map2 : (float -> float -> float) -> t -> t -> t
 (** [map2 f x y] applies [f] to corresponding elements. *)

@@ -18,8 +18,6 @@ let with_conductivity m k =
   if k <= 0. then invalid_arg "Material.with_conductivity: conductivity must be positive";
   { m with conductivity = k; conductivity_of_t = None }
 
-let pp ppf m = Format.fprintf ppf "%s (k=%g W/m.K)" m.name m.conductivity
-
 let equal a b =
   String.equal a.name b.name
   && a.conductivity = b.conductivity

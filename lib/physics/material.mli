@@ -34,9 +34,6 @@ val with_conductivity : t -> float -> t
     used e.g. to adapt the ILD conductivity to include the embedded metal
     (§IV of the paper). *)
 
-val pp : Format.formatter -> t -> unit
-(** Prints e.g. ["silicon (k=130 W/m.K)"]. *)
-
 val equal : t -> t -> bool
 (** Name and constant-property equality (the k(T) closure is not
     compared). *)

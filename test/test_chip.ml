@@ -6,6 +6,8 @@ module Tsv = Ttsv_geometry.Tsv
 module Stack = Ttsv_geometry.Stack
 module Model_a = Ttsv_core.Model_a
 module Coefficients = Ttsv_core.Coefficients
+module Cluster = Ttsv_core.Cluster
+module Params = Ttsv_core.Params
 module Power_map = Ttsv_chip.Power_map
 module Chip_model = Ttsv_chip.Chip_model
 module Allocation = Ttsv_chip.Allocation
@@ -34,45 +36,16 @@ let power_map_tests =
             ignore (Power_map.uniform ~nx:1 ~ny:1 ~total:(-1.))));
   ]
 
-(* a chip whose single tile matches the paper block exactly *)
-let block_planes () =
-  let plane ~first =
-    Plane.make
-      ~t_substrate:(Units.um (if first then 500. else 45.))
-      ~t_ild:(Units.um 4.)
-      ~t_bond:(Units.um (if first then 0. else 1.))
-      ()
-  in
-  [ plane ~first:true; plane ~first:false; plane ~first:false ]
-
-let block_tsv () =
-  Tsv.make ~radius:(Units.um 5.) ~liner_thickness:(Units.um 1.) ~extension:(Units.um 1.) ()
-
-let single_tile_chip coeffs =
-  Chip_model.make ~coeffs ~width:(Units.um 100.) ~height:(Units.um 100.) ~nx:1 ~ny:1
-    ~planes:(block_planes ()) ~tsv:(block_tsv ()) ()
+(* one tile the size of the paper block's 100 um x 100 um unit cell *)
+let single_tile_chip ?(coeffs = Coefficients.unity) stack =
+  Chip_model.make ~coeffs ~width:(Units.um 100.) ~height:(Units.um 100.) ~nx:1 ~ny:1 stack
 
 let chip_tests =
   [
-    test "single tile with one via degenerates to Model A" (fun () ->
-        let coeffs = Coefficients.paper_block in
-        let chip = single_tile_chip coeffs in
-        (* density putting exactly one via in the tile *)
-        let d = Tsv.fill_area (block_tsv ()) /. Units.um2 (100. *. 100.) in
-        let ds = Chip_model.uniform_density chip d in
-        let stack = Ttsv_core.Params.block () in
-        let qs = Stack.heat_inputs stack in
-        let power = List.init 3 (fun j -> Power_map.uniform ~nx:1 ~ny:1 ~total:qs.(j)) in
-        let r = Chip_model.solve chip ds power in
-        let a = Model_a.solve_with_heats ~coeffs stack qs in
-        close_rel ~tol:1e-9 "same max" (Model_a.max_rise a) r.Chip_model.max_rise;
-        Array.iteri
-          (fun j t -> close_rel ~tol:1e-9 "plane rise" t r.Chip_model.rises.(j).(0))
-          a.Model_a.bulk);
     test "energy conservation through the sink" (fun () ->
         let chip =
           Chip_model.make ~width:(Units.mm 1.) ~height:(Units.mm 1.) ~nx:4 ~ny:4
-            ~planes:(block_planes ()) ~tsv:(block_tsv ()) ()
+            (Params.block ())
         in
         let ds = Chip_model.uniform_density chip 0.005 in
         let power = List.init 3 (fun _ -> Power_map.uniform ~nx:4 ~ny:4 ~total:0.5) in
@@ -81,7 +54,7 @@ let chip_tests =
     test "a hotspot heats its own column the most" (fun () ->
         let chip =
           Chip_model.make ~width:(Units.mm 2.) ~height:(Units.mm 2.) ~nx:8 ~ny:8
-            ~planes:(block_planes ()) ~tsv:(block_tsv ()) ()
+            (Params.block ())
         in
         let ds = Chip_model.uniform_density chip 0.002 in
         let base = Power_map.uniform ~nx:8 ~ny:8 ~total:0.5 in
@@ -92,7 +65,7 @@ let chip_tests =
     test "adding vias under the hotspot cools it" (fun () ->
         let chip =
           Chip_model.make ~width:(Units.mm 2.) ~height:(Units.mm 2.) ~nx:4 ~ny:4
-            ~planes:(block_planes ()) ~tsv:(block_tsv ()) ()
+            (Params.block ())
         in
         let power =
           List.init 3 (fun _ ->
@@ -108,7 +81,7 @@ let chip_tests =
     test "lateral spreading: neighbours of a hotspot warm up" (fun () ->
         let chip =
           Chip_model.make ~width:(Units.mm 1.) ~height:(Units.mm 1.) ~nx:5 ~ny:5
-            ~planes:(block_planes ()) ~tsv:(block_tsv ()) ()
+            (Params.block ())
         in
         let power =
           List.init 3 (fun _ ->
@@ -123,7 +96,7 @@ let chip_tests =
         Alcotest.(check bool) "neighbour > corner" true (neighbour > corner);
         Alcotest.(check bool) "corner still warm" true (corner > 0.));
     test "validation" (fun () ->
-        let chip = single_tile_chip Coefficients.unity in
+        let chip = single_tile_chip (Params.block ()) in
         check_raises_invalid "densities length" (fun () ->
             ignore (Chip_model.solve chip [| 0.; 0. |] [ Power_map.zero ~nx:1 ~ny:1 ]));
         check_raises_invalid "plane count" (fun () ->
@@ -145,7 +118,7 @@ let chip_tests =
 let alloc_fixture () =
   let chip =
     Chip_model.make ~width:(Units.mm 1.) ~height:(Units.mm 1.) ~nx:4 ~ny:4
-      ~planes:(block_planes ()) ~tsv:(block_tsv ()) ()
+      (Params.block ())
   in
   let power =
     List.init 3 (fun _ ->
@@ -202,14 +175,62 @@ let allocation_tests =
             ignore (Allocation.default_options ~budget:0.)));
   ]
 
+(* Block geometries across Params.block_checked's ranges, valid by
+   construction (all in um): a quarter of the outer radii r + t_L come
+   within 6 um of the 100 x 100 footprint's limit (56.42), and a fifth of
+   the liners are 5-50 nm thin. *)
+let gen_block =
+  let open QCheck2.Gen in
+  let* outer = frequency [ (3, float_range 1. 50.); (1, float_range 50. 56.4) ] in
+  let* t_liner = frequency [ (4, float_range 0.05 5.); (1, float_range 0.005 0.05) ] in
+  let* t_ild = float_range 0.5 20. in
+  let* t_bond = float_range 0.1 10. in
+  let* t_si23 = float_range 2. 200. in
+  let* t_si1 = float_range 20. 800. in
+  let t_liner = Float.min t_liner (outer /. 2.) in
+  match
+    Params.block_checked
+      ~r:(Units.um (outer -. t_liner))
+      ~t_liner:(Units.um t_liner) ~t_ild:(Units.um t_ild) ~t_bond:(Units.um t_bond)
+      ~t_si23:(Units.um t_si23) ~t_si1:(Units.um t_si1) ()
+  with
+  | Ok stack -> return stack
+  | Error vs -> failwith (Ttsv_robust.Validate.to_string vs)
+
+let print_block (s : Stack.t) =
+  let tsv = s.Stack.tsv and p = Stack.plane s 1 in
+  Printf.sprintf "r=%h t_L=%h t_D=%h t_b=%h t_Si23=%h t_Si1=%h" tsv.Tsv.radius
+    tsv.Tsv.liner_thickness p.Plane.t_ild p.Plane.t_bond p.Plane.t_substrate
+    (Stack.plane s 0).Plane.t_substrate
+
 let property_tests =
   [
+    qtest ~count:200 ~print:print_block "single tile with one via degenerates to Model A"
+      gen_block (fun stack ->
+        let coeffs = Coefficients.paper_block in
+        let chip = single_tile_chip ~coeffs stack in
+        (* density putting exactly one via in the tile *)
+        let d = Tsv.fill_area stack.Stack.tsv /. Units.um2 (100. *. 100.) in
+        let qs = Stack.heat_inputs stack in
+        let power = List.init 3 (fun j -> Power_map.uniform ~nx:1 ~ny:1 ~total:qs.(j)) in
+        let r = Chip_model.solve chip (Chip_model.uniform_density chip d) power in
+        let a = Model_a.solve ~coeffs stack in
+        let near x y = Float.abs (x -. y) <= 1e-9 *. Float.abs x in
+        (* the first-principles cluster of one via is the unit cell itself *)
+        let naive = Cluster.solve_naive ~coeffs stack 1 in
+        let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+        near (Model_a.max_rise a) r.Chip_model.max_rise
+        && Array.for_all2 (fun t rises -> near t rises.(0)) a.Model_a.bulk r.Chip_model.rises
+        && same naive.Model_a.t0 a.Model_a.t0
+        && Array.for_all2 same naive.Model_a.bulk a.Model_a.bulk
+        && Array.for_all2 same naive.Model_a.tsv a.Model_a.tsv
+        && same naive.Model_a.tsv_heat a.Model_a.tsv_heat);
     qtest ~count:10 "uniform chip is symmetric under 90-degree rotation"
       (QCheck2.Gen.float_range 0.001 0.02)
       (fun d ->
         let chip =
           Chip_model.make ~width:(Units.mm 1.) ~height:(Units.mm 1.) ~nx:3 ~ny:3
-            ~planes:(block_planes ()) ~tsv:(block_tsv ()) ()
+            (Params.block ())
         in
         let power = List.init 3 (fun _ -> Power_map.uniform ~nx:3 ~ny:3 ~total:0.3) in
         let r = Chip_model.solve chip (Chip_model.uniform_density chip d) power in

@@ -1,21 +1,7 @@
-(* Tests for the resistive-network substrate (Reduce + Circuit). *)
+(* Tests for the resistive-network substrate (Circuit). *)
 
-module Reduce = Ttsv_network.Reduce
 module Circuit = Ttsv_network.Circuit
 open Helpers
-
-let reduce_tests =
-  [
-    test "parallel of equal pair halves" (fun () -> close "p" 5. (Reduce.parallel [ 10.; 10. ]));
-    test "parallel hand computed" (fun () ->
-        close ~tol:1e-12 "p" 2. (Reduce.parallel [ 3.; 6. ]));
-    test "parallel rejects empty and nonpositive" (fun () ->
-        check_raises_invalid "empty" (fun () -> ignore (Reduce.parallel []));
-        check_raises_invalid "neg" (fun () -> ignore (Reduce.parallel [ -1. ])));
-    test "cylinder axial formula" (fun () ->
-        close_rel "cyl" (1e-4 /. (400. *. Float.pi *. 1e-10))
-          (Reduce.cylinder_axial ~length:1e-4 ~conductivity:400. ~radius:1e-5));
-  ]
 
 (* A two-resistor divider: q flows through r1 then r2 to ground. *)
 let divider r1 r2 q =
@@ -142,4 +128,4 @@ let property_tests =
         Float.abs (Circuit.temperature s top -. (r1 +. r2)) < 1e-9);
   ]
 
-let suite = ("network", reduce_tests @ circuit_tests @ property_tests)
+let suite = ("network", circuit_tests @ property_tests)

@@ -415,9 +415,7 @@ let sweep_tests =
     test "look-ahead allocation pooled equals sequential" (fun () ->
         let stack = Params.fig5_stack (Units.um 1.) in
         let chip =
-          Chip_model.make ~width:(Units.mm 1.) ~height:(Units.mm 1.) ~nx:4 ~ny:4
-            ~planes:(Array.to_list stack.Stack.planes)
-            ~tsv:stack.Stack.tsv ()
+          Chip_model.make ~width:(Units.mm 1.) ~height:(Units.mm 1.) ~nx:4 ~ny:4 stack
         in
         let power =
           List.init

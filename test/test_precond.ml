@@ -177,6 +177,17 @@ let test_ic0_halves_jacobi_iterations () =
     true
     (ic0 > 0 && 2 * ic0 < jacobi)
 
+(* Sparse.diagonal and the inverse diagonal are index loops: as
+   closure-returning Array.init and Array.map they boxed one float per row
+   each, 45,914 minor words for this operator (n = 7,650) *)
+let test_jacobi_setup_allocation () =
+  let a = Solver.assemble (Problem.of_stack ~resolution:3 (Params.block ())) in
+  let before = Gc.minor_words () in
+  let m = Precond.jacobi a in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "dimension" (Sparse.rows a) (Precond.dim m);
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words <= 1000" words) true (words <= 1000.)
+
 let suite =
   ( "precond",
     [
@@ -193,4 +204,6 @@ let suite =
       test "cg rejects mismatched preconditioner" test_cg_precond_dimension_mismatch;
       test "IC(0)-CG needs under half the Jacobi-CG iterations on fig. 5"
         test_ic0_halves_jacobi_iterations;
+      test "Jacobi setup of the res-3 operator allocates <= 1,000 minor words"
+        test_jacobi_setup_allocation;
     ] )

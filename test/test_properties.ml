@@ -68,7 +68,6 @@ let property_tests =
         in
         let scaled =
           {
-            rs with
             Resistances.triples = Array.map (scale_triple 2.5) rs.Resistances.triples;
             r_sink = 2.5 *. rs.Resistances.r_sink;
           }

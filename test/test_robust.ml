@@ -448,7 +448,7 @@ let validate_tests =
         let nan = Float.nan in
         let stack = Params.block () in
         let planes = Array.to_list stack.Stack.planes and tsv = stack.Stack.tsv in
-        let chip ~width ~height = Chip_model.make ~width ~height ~nx:1 ~ny:1 ~planes ~tsv () in
+        let chip ~width ~height = Chip_model.make ~width ~height ~nx:1 ~ny:1 stack in
         let tile = Power_map.zero ~nx:1 ~ny:1 in
         let allocate o =
           let maps = List.map (fun _ -> tile) planes in
@@ -464,6 +464,15 @@ let validate_tests =
             ("Transient.solve dt", fun () -> ignore (Transient.solve stack ~dt:nan ~duration:1e-3));
             ( "Transient.solve duration",
               fun () -> ignore (Transient.solve stack ~dt:1e-4 ~duration:nan) );
+            (* a chip tiles a made stack, so these guards are the chip's too *)
+            ( "Stack.with_tsv extension",
+              fun () ->
+                ignore (Stack.with_tsv stack { tsv with Ttsv_geometry.Tsv.extension = nan }) );
+            ( "Stack.map_planes bond",
+              fun () ->
+                ignore
+                  (Stack.map_planes stack (fun i p ->
+                       if i = 2 then { p with Ttsv_geometry.Plane.t_bond = nan } else p)) );
             ("Chip_model.make width", fun () -> ignore (chip ~width:nan ~height:1e-4));
             ("Chip_model.make height", fun () -> ignore (chip ~width:1e-4 ~height:nan));
             ("Power_map.uniform", fun () -> ignore (Power_map.uniform ~nx:1 ~ny:1 ~total:nan));
