@@ -14,6 +14,7 @@ module Interp = Ttsv_numerics.Interp
 let () =
   let stack = Params.block () in
   let b = Model_b.solve_n stack 200 in
+  let bulk = Model_b.bulk_profile b in
 
   (* the FV axis profile starts at the heat sink (z=0); Model B's profile
      starts at the TSV foot, tSi1 - lext above the sink *)
@@ -22,7 +23,7 @@ let () =
   let fv_axis = Solver.axis_profile fv in
   let fv_interp = Interp.of_points (Array.to_list (Array.map (fun (z, t) -> (z, t)) fv_axis)) in
 
-  let metal = Interp.of_points (Array.to_list b.Model_b.tsv_profile) in
+  let metal = Interp.of_points (Array.to_list (Model_b.tsv_profile b)) in
 
   Format.printf "z above TSV foot [um] | bulk column [K] | TTSV metal [K] | FV axis [K]@.";
   Format.printf "----------------------+-----------------+----------------+-------------@.";
@@ -32,8 +33,8 @@ let () =
       let t_fv = Interp.eval fv_interp (z +. foot) in
       Format.printf "%21.1f | %15.3f | %14.3f | %11.3f@." (Units.to_um z) t_bulk t_metal t_fv)
     (Array.init 12 (fun i ->
-         let n = Array.length b.Model_b.bulk_profile in
-         b.Model_b.bulk_profile.(i * (n - 1) / 11)));
+         let n = Array.length bulk in
+         bulk.(i * (n - 1) / 11)));
 
   (* where does the lateral heat enter the via? the rung flow is largest
      where bulk and metal differ most *)
@@ -42,7 +43,7 @@ let () =
     (fun (z, t_bulk) ->
       let gap = t_bulk -. Interp.eval metal z in
       if gap > snd !max_gap then max_gap := (z, gap))
-    b.Model_b.bulk_profile;
+    bulk;
   let z_star, gap = !max_gap in
   Format.printf
     "@.largest bulk-to-metal temperature gap: %.2f K at z = %.1f um above the TSV foot —@."

@@ -10,10 +10,9 @@ type segmentation = (int * int) array
 type result = {
   t0 : float;
   temps : float array;
-  bulk_profile : (float * float) array;
-  tsv_profile : (float * float) array;
   nodes : int;
   segmentation : segmentation;
+  stack : Stack.t;
 }
 
 let segmentation_for stack ~counts =
@@ -126,43 +125,54 @@ let walk ?cluster stack seg qs ~bulk ~metal ~resistor =
     done
   done
 
-(* Conductances go straight into the flat band: with half-bandwidth 2,
-   node i's diagonal sits at 5i + 2 and (i, j) at 5i + 2 + j - i. *)
+(* Band and rhs of the largest ladder this domain solved: arrays over 256
+   words go to the major heap, whose collections stop every domain.  Node
+   i's diagonal sits at 5i + 2 and (i, j) at 5i + 2 + j - i; the prefix a
+   solve uses is zeroed first, so a solve that raised leaves nothing. *)
+let scratch = Domain.DLS.new_key (fun () -> ref ([||], [||]))
+
 let solve_with_heats ?cluster stack seg qs =
   let count = node_count ?cluster stack seg qs in
-  let m = Banded.create ~n:count ~bw:2 in
-  let a = m.Banded.band and rhs = Array.make count 0. in
+  let s = Domain.DLS.get scratch in
+  if Array.length (snd !s) < count then s := (Array.make (5 * count) 0., Array.make count 0.);
+  let a, rhs = !s in
+  Array.fill a 0 (5 * count) 0.;
+  Array.fill rhs 0 count 0.;
   (* T0 to ground through R_s: ground is eliminated, only the diagonal term
      remains *)
   a.(2) <- 1. /. Resistances.sink stack ~footprint:stack.Stack.footprint;
-  let bulk_nodes = ref [] and metal_nodes = ref [] in
   walk ?cluster stack seg qs
-    ~bulk:(fun b q z ->
-      rhs.(b) <- q;
-      bulk_nodes := (z, b) :: !bulk_nodes)
-    ~metal:(fun m z -> metal_nodes := (z, m) :: !metal_nodes)
+    ~bulk:(fun b q _ -> rhs.(b) <- q)
+    ~metal:(fun _ _ -> ())
     ~resistor:(fun i j r ->
       let g = 1. /. r and ii = (5 * i) + 2 and jj = (5 * j) + 2 in
       a.(ii) <- a.(ii) +. g;
       a.(jj) <- a.(jj) +. g;
       a.(ii + j - i) <- a.(ii + j - i) -. g;
       a.(jj + i - j) <- a.(jj + i - j) -. g);
-  let temps = Banded.solve m rhs in
-  let profile nodes = Array.of_list (List.rev_map (fun (z, i) -> (z, temps.(i))) nodes) in
-  {
-    t0 = temps.(0);
-    temps;
-    bulk_profile = profile !bulk_nodes;
-    tsv_profile = profile !metal_nodes;
-    nodes = count;
-    segmentation = seg;
-  }
+  Banded.solve_in_place ~n:count ~bw:2 a rhs;
+  let temps = Array.sub rhs 0 count in
+  { t0 = temps.(0); temps; nodes = count; segmentation = seg; stack }
 
 let solve ?cluster stack seg = solve_with_heats ?cluster stack seg (Stack.heat_inputs stack)
 
 let solve_n ?cluster stack n = solve ?cluster stack (paper_segmentation stack n)
 
 let max_rise r = Vec.fold_max 0. r.temps
+
+(* Re-walk the solved ladder and pair each node one callback announces
+   with its rise; the heights do not depend on the heats or the cluster. *)
+let profile r ~bulk ~metal =
+  let acc = ref [] in
+  let keep on i z = if on then acc := (z, r.temps.(i)) :: !acc in
+  walk r.stack r.segmentation (Stack.heat_inputs r.stack)
+    ~bulk:(fun b _ z -> keep bulk b z)
+    ~metal:(keep metal)
+    ~resistor:(fun _ _ _ -> ());
+  Array.of_list (List.rev !acc)
+
+let bulk_profile r = profile r ~bulk:true ~metal:false
+let tsv_profile r = profile r ~bulk:false ~metal:true
 
 (* Test oracle: the same walk through the generic circuit solver. *)
 let solve_via_circuit stack seg =

@@ -30,13 +30,10 @@ type segmentation = (int * int) array
 
 type result = {
   t0 : float;  (** rise at the TTSV foot node (above R_s), K *)
-  temps : float array;  (** every nodal rise, assembly order *)
-  bulk_profile : (float * float) array;
-      (** (z, ΔT) along the bulk column, z measured upward in metres from
-          the TSV foot level; one sample per segment top *)
-  tsv_profile : (float * float) array;  (** (z, ΔT) along the metal column *)
+  temps : float array;  (** every nodal rise, assembly order; a fresh array *)
   nodes : int;  (** system order 2·n_A (+1 for T0) actually assembled *)
   segmentation : segmentation;  (** the segmentation actually used *)
+  stack : Ttsv_geometry.Stack.t;  (** the stack solved, which the profiles re-walk *)
 }
 
 val segmentation_for : Ttsv_geometry.Stack.t -> counts:int array -> segmentation
@@ -55,7 +52,14 @@ val solve : ?cluster:int -> Ttsv_geometry.Stack.t -> segmentation -> result
 (** [solve stack seg] assembles and solves the distributed network using
     the stack's heat inputs.  [cluster] (default 1) divides the TTSV
     into that many equal-metal-area vias, applying eq. 22 to every
-    distributed liner rung (the Fig. 7 workload). *)
+    distributed liner rung (the Fig. 7 workload).
+
+    Memory: the band and right-hand side are stamped into a scratch
+    kept per domain and solved in place, so a solve allocates on the
+    major heap only its [temps].  The scratch grows to the largest ladder
+    its domain solved and is kept: 6 words per node, ~5 MB for
+    B(25600)'s ~104k nodes.  Two systhreads of one domain must not solve
+    at once. *)
 
 val solve_with_heats :
   ?cluster:int -> Ttsv_geometry.Stack.t -> segmentation -> Ttsv_numerics.Vec.t -> result
@@ -66,6 +70,13 @@ val solve_n : ?cluster:int -> Ttsv_geometry.Stack.t -> int -> result
 
 val max_rise : result -> float
 (** The paper's Max ΔT: the largest nodal rise. *)
+
+val bulk_profile : result -> (float * float) array
+(** (z, ΔT) along the bulk column, z upward in metres from the TSV foot
+    level, one sample per segment top; re-walks the ladder on demand. *)
+
+val tsv_profile : result -> (float * float) array
+(** (z, ΔT) along the metal column, built like {!bulk_profile}. *)
 
 val solve_via_circuit : Ttsv_geometry.Stack.t -> segmentation -> float
 (** Max ΔT computed by routing the same network through the generic

@@ -49,10 +49,10 @@ let mat_vec m x =
 
 (* Row r's slots start at r·w, its diagonal at r·w + bw, and (r, c) sits
    at (r, r) + c − r, so a row's entries right of any slot are contiguous. *)
-let solve m b =
-  if Array.length b <> m.n then invalid_arg "Banded.solve: dimension mismatch";
-  let n = m.n and bw = m.bw and w = (2 * m.bw) + 1 in
-  let a = Array.copy m.band and x = Array.copy b in
+let solve_in_place ~n ~bw a x =
+  let w = (2 * bw) + 1 in
+  if n < 0 || bw < 0 || Array.length a < n * w || Array.length x < n then
+    invalid_arg "Banded.solve_in_place: array shorter than the order";
   (* forward elimination within the band *)
   for k = 0 to n - 1 do
     let kk = (k * w) + bw in
@@ -78,5 +78,10 @@ let solve m b =
       acc := !acc -. (a.(ii + d) *. x.(i + d))
     done;
     x.(i) <- !acc /. a.(ii)
-  done;
+  done
+
+let solve m b =
+  if Array.length b <> m.n then invalid_arg "Banded.solve: dimension mismatch";
+  let x = Array.copy b in
+  solve_in_place ~n:m.n ~bw:m.bw (Array.copy m.band) x;
   x

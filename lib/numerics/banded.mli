@@ -40,8 +40,16 @@ val to_dense : t -> Dense.t
 val mat_vec : t -> Vec.t -> Vec.t
 
 val solve : t -> Vec.t -> Vec.t
-(** [solve m b] performs an in-band Gaussian elimination *without
-    pivoting* — valid for the diagonally dominant conductance matrices this
-    library builds — on copies of [m]'s band and of [b], which it leaves
-    unchanged.  O(n·bw²) flops over the flat band.  Raises
-    {!Dense.Singular} when a pivot underflows or is not finite. *)
+(** [solve m b] runs {!solve_in_place} on copies of [m]'s band and of
+    [b], which it leaves unchanged, and returns the solution. *)
+
+val solve_in_place : n:int -> bw:int -> float array -> float array -> unit
+(** [solve_in_place ~n ~bw a x] eliminates in band, *without pivoting*
+    (valid for the diagonally dominant conductance matrices this library
+    builds), the order-[n] matrix whose band fills the first
+    [n * (2 * bw + 1)] entries of [a] in the layout above.  It overwrites
+    them with the factors and the first [n] entries of [x] (the
+    right-hand side) with the solution, keeps longer arrays' tails and
+    allocates nothing: O(n·bw²) flops.  Raises [Invalid_argument] when
+    an array is too short and {!Dense.Singular} when a pivot underflows
+    or is not finite, leaving both arrays partly eliminated. *)

@@ -75,11 +75,16 @@ let preflight ?x0 a b =
     x0;
   List.rev !problems
 
+(* one index loop into the readable band: [Banded.add_to] boxes a float *)
 let banded_of_sparse a bw =
-  let n = Sparse.rows a in
+  let n = Sparse.rows a and w = (2 * bw) + 1 in
   let m = Banded.create ~n ~bw in
+  let band = m.Banded.band and row_ptr, col_idx, values = Sparse.csr a in
   for i = 0 to n - 1 do
-    Sparse.iter_row a i (fun j v -> Banded.add_to m i j v)
+    for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      let k = (i * w) + col_idx.(p) - i + bw in
+      band.(k) <- band.(k) +. values.(p)
+    done
   done;
   m
 
@@ -95,12 +100,14 @@ let direct_candidate a =
   else if n > dense_limit then Error (Diagnostics.Skipped "matrix too large for dense fallback")
   else Ok (`Dense (Sparse.to_dense a))
 
+(* the band is this solve's own: factor it in place and copy only [b] *)
 let solve_direct a b =
   match direct_candidate a with
   | Error e -> Error e
   | Ok (`Banded m) -> (
-    match Banded.solve m b with
-    | x -> Ok x
+    let x = Array.copy b in
+    match Banded.solve_in_place ~n:(Banded.order m) ~bw:(Banded.bandwidth m) m.Banded.band x with
+    | () -> Ok x
     | exception Dense.Singular -> (
       (* the band needed pivoting; retry densely when affordable *)
       if Sparse.rows a > dense_limit then Error Diagnostics.Singular

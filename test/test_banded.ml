@@ -74,6 +74,17 @@ let property_tests =
         let x = Banded.solve m b in
         m.Banded.band = band && b = rhs
         && Vec.approx_equal ~rtol:1e-8 ~atol:1e-10 x (Dense.solve (Banded.to_dense m) b));
+    qtest ~count:30 "solve_in_place on a longer scratch equals solve and keeps the tails"
+      (gen_banded 12 2)
+      (fun (m, b) ->
+        let n = Banded.order m and w = 5 in
+        let a = Array.append m.Banded.band (Array.make (3 * w) 7.) in
+        let x = Array.append b [| 7.; 7. |] in
+        Banded.solve_in_place ~n ~bw:2 a x;
+        let tail v k = Array.sub v k (Array.length v - k) in
+        Array.sub x 0 n = Banded.solve m b
+        && tail a (n * w) = Array.make (3 * w) 7.
+        && tail x n = [| 7.; 7. |]);
     qtest ~count:40 "bw=1 equals tridiagonal structure" (gen_banded 10 1) (fun (m, b) ->
         let x = Banded.solve m b in
         Vec.norm_inf (Vec.sub (Banded.mat_vec m x) b) < 1e-8);

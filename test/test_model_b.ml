@@ -41,7 +41,7 @@ let unit_tests =
     test "temperature profile rises with z on the bulk column" (fun () ->
         let s = Params.block () in
         let r = Model_b.solve_n s 50 in
-        let profile = r.Model_b.bulk_profile in
+        let profile = Model_b.bulk_profile r in
         let n = Array.length profile in
         Alcotest.(check bool) "top hotter than bottom" true
           (snd profile.(n - 1) > snd profile.(0));
@@ -95,8 +95,10 @@ let unit_tests =
     test "B(100) allocates at most a third of the boxed-band assembly" (fun () ->
         (* Stamping through cross-module Banded.add_to calls boxed every
            float: 37,422-37,719 minor words per B(100).  Stamping into the
-           flat band leaves the result's profiles, the walk's callback
-           arguments and their lists: 8,540 words. *)
+           flat band left the result's profiles, the walk's callback
+           arguments and their lists: 8,540 words.  With the profiles
+           built on demand, the walk's boxed callback arguments are most
+           of what is left: 2,246 words. *)
         let s = Params.block () in
         ignore (Model_b.solve_n s 100);
         let before = Gc.minor_words () in
@@ -106,6 +108,41 @@ let unit_tests =
           (Printf.sprintf "%.0f minor words <= 37422 / 3" words)
           true
           (words <= 37422. /. 3.));
+    test "B(100) allocates on the major heap only its temps" (fun () ->
+        (* Arrays over 256 words go straight to the major heap.  Stamping
+           into a fresh band and right-hand side, which Banded.solve then
+           copied, put 4,960 words there per B(100) (413 nodes); the
+           per-domain scratch leaves just the result's temps: 414 words,
+           header included. *)
+        let s = Params.block () in
+        ignore (Model_b.solve_n s 100);
+        let direct_major () =
+          let _, promoted, major = Gc.counters () in
+          major -. promoted
+        in
+        let before = direct_major () in
+        let r = Sys.opaque_identity (Model_b.solve_n s 100) in
+        let words = direct_major () -. before in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f major words <= %d nodes + 16" words r.Model_b.nodes)
+          true
+          (words <= float_of_int (r.Model_b.nodes + 16)));
+    test "B(100) does not depend on what the domain solved before" (fun () ->
+        (* the scratch band is reused across solves: a prefix left dirty
+           by a larger ladder, or too short after a smaller one, would
+           show here *)
+        let s = Params.block () in
+        let fresh = Domain.join (Domain.spawn (fun () -> Model_b.solve_n s 100)) in
+        let after n =
+          ignore (Model_b.solve_n s n);
+          Model_b.solve_n s 100
+        in
+        let bits (r : Model_b.result) =
+          Array.map Int64.bits_of_float (Array.append [| r.Model_b.t0 |] r.Model_b.temps)
+        in
+        let reference = bits fresh in
+        Alcotest.(check (array int64)) "after B(2000)" reference (bits (after 2000));
+        Alcotest.(check (array int64)) "after B(1)" reference (bits (after 1)));
     test "B(1) is close to unity-coefficient Model A" (fun () ->
         (* same physics, different lumping: they should agree within ~15% *)
         let s = Params.block () in

@@ -107,8 +107,8 @@ let property_tests =
           Array.for_all (fun t -> t <= a.Model_a.bulk.(2) +. 1e-12) a.Model_a.bulk
         in
         let b = Model_b.solve_n s 50 in
-        let nb = Array.length b.Model_b.bulk_profile in
-        let top_b = snd b.Model_b.bulk_profile.(nb - 1) in
+        let profile = Model_b.bulk_profile b in
+        let top_b = snd profile.(Array.length profile - 1) in
         let b_top_near_max = top_b > 0.95 *. Model_b.max_rise b in
         top_is_max && b_top_near_max);
     qtest ~count:6 "FV and Model B(200) stay within 20% on random blocks" gen_stack3 (fun s ->

@@ -4,6 +4,7 @@
 
 module Sparse = Ttsv_numerics.Sparse
 module Dense = Ttsv_numerics.Dense
+module Banded = Ttsv_numerics.Banded
 module Vec = Ttsv_numerics.Vec
 module Iterative = Ttsv_numerics.Iterative
 module Budget = Ttsv_parallel.Budget
@@ -228,6 +229,51 @@ let ladder_tests =
               ("direct", 0, "ok");
             ]
             (attempt_summary d));
+    test "the direct rung factors its private band in place" (fun () ->
+        (* the band built for the direct rung is the solve's own, so only
+           b is copied: Banded.solve's copy of the band made the rung
+           allocate it twice (a band may hold 50M entries) *)
+        let n = 2000 and bw = 2 in
+        let triplets = Sparse.builder n n in
+        let banded = Banded.create ~n ~bw in
+        let stamp i j v =
+          Sparse.add triplets i j v;
+          Banded.set banded i j v
+        in
+        for i = 0 to n - 1 do
+          stamp i i (5. +. Float.of_int (i mod 7));
+          for d = 1 to bw do
+            if i + d < n then begin
+              let v = -1. /. Float.of_int (d + (i mod 3)) in
+              stamp i (i + d) v;
+              stamp (i + d) i v
+            end
+          done
+        done;
+        let m = Sparse.finalize triplets in
+        let b = Array.init n (fun i -> Float.of_int ((i * 37) mod 101) -. 50.) in
+        let b_before = Array.copy b in
+        let direct () =
+          match Robust.solve ~rungs:[ Diagnostics.Direct ] m b with
+          | Ok (x, _) -> x
+          | Error f -> Alcotest.failf "direct rung failed: %a" Robust.pp_failure f
+        in
+        ignore (direct ());
+        let direct_major () =
+          let _, promoted, major = Gc.counters () in
+          major -. promoted
+        in
+        let before = direct_major () in
+        let x = direct () in
+        let words = direct_major () -. before in
+        let bits v = Array.map Int64.bits_of_float v in
+        Alcotest.(check (array int64)) "b untouched" (bits b_before) (bits b);
+        Alcotest.(check (array int64)) "same bits as Banded.solve"
+          (bits (Banded.solve banded b)) (bits x);
+        let limit = (1.2 *. Float.of_int (n * ((2 * bw) + 1))) +. Float.of_int n in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f major words <= 1.2 x band + n = %.0f" words limit)
+          true (words <= limit));
     test "ill-conditioned Hilbert system ends with a usable answer" (fun () ->
         let n = 10 in
         let m = hilbert n in
