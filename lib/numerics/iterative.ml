@@ -42,6 +42,13 @@ let pp_status ppf = function
 
 let norm_b_floor b = Float.max (Vec.norm2 b) 1e-300
 
+(* the partials of a chunked reduction, one per [Vec.reduce_chunk]
+   chunk, folded in chunk order: the grouping [Vec.pdot] uses *)
+let chunk_sum ?pool n map =
+  Ttsv_parallel.Pool.map_reduce ~chunk:Vec.reduce_chunk
+    (Option.value pool ~default:Ttsv_parallel.Pool.seq)
+    ~n ~map ~reduce:( +. ) ~init:0.
+
 (* sum of r_i * r_i, r_i = b_i - (A x)_i, over the rows [lo, hi): each
    row summed in [Sparse.mul]'s order.  A top-level function, so the
    CSR arrays stay in registers; as a closure reading them from its
@@ -70,13 +77,55 @@ let relative_residual ?pool a b x =
   if Array.length b <> n then invalid_arg "Iterative.relative_residual: b dimension mismatch";
   let row_ptr, col_idx, values = Sparse.csr a in
   let sum_sq =
-    Ttsv_parallel.Pool.map_reduce ~chunk:Vec.reduce_chunk
-      (Option.value pool ~default:Ttsv_parallel.Pool.seq)
-      ~n
-      ~map:(fun ~lo ~hi -> residual_squares row_ptr col_idx values x b lo hi)
-      ~reduce:( +. ) ~init:0.
+    chunk_sum ?pool n (fun ~lo ~hi -> residual_squares row_ptr col_idx values x b lo hi)
   in
   sqrt sum_sq /. norm_b_floor b
+
+(* The two fused passes of a CG iteration.  Each is a top-level
+   function of the arrays it reads, like [residual_squares], and returns
+   one chunk's partial sum; [chunk_sum] folds them, so each reduction
+   equals [Vec.pdot]'s bit for bit, pooled or not. *)
+
+(* ap.(i) <- (A p)_i, summed in [Sparse.mul]'s order, and the partial
+   of p . Ap over the rows [lo, hi) *)
+let matvec_dot (row_ptr : int array) (col_idx : int array) (values : float array)
+    (p : float array) (ap : float array) lo hi =
+  let acc = ref 0. in
+  for i = lo to hi - 1 do
+    let s = ref 0. in
+    for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      s := !s +. (values.(k) *. p.(col_idx.(k)))
+    done;
+    ap.(i) <- !s;
+    acc := !acc +. (p.(i) *. !s)
+  done;
+  !acc
+
+(* x += alpha p and r -= alpha Ap over [lo, hi), and the partial of
+   r . r after the update *)
+let update_norm alpha (p : float array) (ap : float array) (x : float array)
+    (r : float array) lo hi =
+  let acc = ref 0. in
+  for i = lo to hi - 1 do
+    x.(i) <- (alpha *. p.(i)) +. x.(i);
+    let ri = r.(i) -. (alpha *. ap.(i)) in
+    r.(i) <- ri;
+    acc := !acc +. (ri *. ri)
+  done;
+  !acc
+
+let mul_dot ?pool a p ap =
+  let n = Sparse.rows a in
+  if Array.length p <> Sparse.cols a || Array.length ap <> n || Sparse.cols a <> n then
+    invalid_arg "Iterative.mul_dot: dimension mismatch";
+  let row_ptr, col_idx, values = Sparse.csr a in
+  chunk_sum ?pool n (fun ~lo ~hi -> matvec_dot row_ptr col_idx values p ap lo hi)
+
+let update_sumsq ?pool alpha p ap x r =
+  let n = Array.length x in
+  if Array.length p <> n || Array.length ap <> n || Array.length r <> n then
+    invalid_arg "Iterative.update_sumsq: dimension mismatch";
+  chunk_sum ?pool n (fun ~lo ~hi -> update_norm alpha p ap x r lo hi)
 
 (* Budget poll, once per Krylov iteration: overshoot past a deadline is
    bounded by a single iteration (plus the final true-residual matvec). *)
@@ -160,11 +209,14 @@ let cg ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window
       let trace = ref [ !res ] in
       let iter = ref 0 in
       let status = ref (if !res <= tol then Some Converged else None) in
-      (* M^-1 r0 is built only when the loop will run: a start that is
-         already converged (an exact warm start) never reads it *)
+      (* the workspace M^-1 r, p and Ap is built only when the loop will
+         run (an exact warm start never reads it), once per solve: every
+         iteration fills it in place *)
       if !status = None then begin
-        let z = Precond.apply ?pool m r in
+        let z = Vec.zeros n in
+        Precond.apply_into ?pool m r z;
         let p = Vec.copy z in
+        let ap = Vec.zeros n in
         let rz = ref (Vec.pdot ?pool r z) in
         let best = ref !res and best_iter = ref 0 in
         while !status = None && !iter < max_iter do
@@ -172,16 +224,22 @@ let cg ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window
           | Some s -> status := Some s
           | None ->
           incr iter;
-          let ap = Sparse.mul ?pool a p in
+          (* fused: Ap and p.Ap in one pass *)
+          let pap = mul_dot ?pool a p ap in
           budget_tick budget;
-          Fault.poison "matvec" ap;
-          let pap = Vec.pdot ?pool p ap in
+          (* the chaos site poisons both values the iteration reads *)
+          let pap =
+            if Fault.fire "matvec" && n > 0 then begin
+              ap.(0) <- Float.nan;
+              Float.nan
+            end
+            else pap
+          in
           if Float.abs pap < 1e-300 then status := Some (Breakdown "p.Ap underflow")
           else begin
             let alpha = !rz /. pap in
-            (* fused: x += alpha p and r -= alpha Ap in one pass *)
-            Vec.paxpy2 ?pool alpha p ap x r;
-            res := Vec.pnorm2 ?pool r /. nb;
+            (* fused: x += alpha p, r -= alpha Ap and ||r||^2 in one pass *)
+            res := sqrt (update_sumsq ?pool alpha p ap x r) /. nb;
             trace := !res :: !trace;
             if !res <= tol then status := Some Converged
             else begin
@@ -192,12 +250,12 @@ let cg ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window
               | Some s -> status := Some s
               | None -> ());
               if !status = None then begin
-                let z' = Precond.apply ?pool m r in
-                let rz' = Vec.pdot ?pool r z' in
+                Precond.apply_into ?pool m r z;
+                let rz' = Vec.pdot ?pool r z in
                 let beta = rz' /. !rz in
                 rz := rz';
-                (* fused: p <- z' + beta p in one pass *)
-                Vec.pxpby ?pool z' beta p
+                (* fused: p <- z + beta p in one pass *)
+                Vec.pxpby ?pool z beta p
               end
             end
           end

@@ -59,6 +59,27 @@ val relative_residual : ?pool:Ttsv_parallel.Pool.t -> Sparse.t -> Vec.t -> Vec.t
     pool, and no n-vector is allocated.  Raises [Invalid_argument] when
     [x] or [b] does not match [a]'s dimensions. *)
 
+val mul_dot : ?pool:Ttsv_parallel.Pool.t -> Sparse.t -> Vec.t -> Vec.t -> float
+(** [mul_dot a p ap] writes [A p] into [ap] and returns [p . Ap], in one
+    pass over {!Sparse.csr}: each row summed in {!Sparse.mul}'s order,
+    and [p_i *. (A p)_i] added into that row's {!Vec.reduce_chunk}
+    chunk, the chunks folded in order.  [ap] is therefore bitwise
+    [Sparse.mul a p] and the value bitwise
+    [Vec.pdot ?pool p (Sparse.mul ?pool a p)], with or without a pool.
+    Raises [Invalid_argument] unless [a] is square of the order of [p]
+    and [ap]. *)
+
+val update_sumsq :
+  ?pool:Ttsv_parallel.Pool.t -> float -> Vec.t -> Vec.t -> Vec.t -> Vec.t -> float
+(** [update_sumsq alpha p ap x r] performs CG's update [x <- alpha p + x]
+    and [r <- r - alpha ap] in one pass, and returns the updated
+    [r . r] summed per {!Vec.reduce_chunk} chunk in chunk order.  [x]
+    and [r] end bitwise as after
+    [Vec.paxpy alpha p x; Vec.paxpy (-. alpha) ap r], and the value is
+    bitwise [Vec.pdot ?pool r r] on that [r] (so its [sqrt] is
+    [Vec.pnorm2 ?pool r]), with or without a pool.  Raises
+    [Invalid_argument] unless the four vectors have one length. *)
+
 val cg :
   ?tol:float ->
   ?max_iter:int ->
@@ -76,9 +97,15 @@ val cg :
     a stronger {!Precond.t} (multigrid, IC(0)) instead — the Jacobi array
     is then never built.  [tol] is the relative residual
     target (default [1e-10]); [max_iter] defaults to [10 * n];
-    [x0] defaults to the zero vector; an [x0] that already meets [tol]
+    [x0] defaults to the zero vector and is never written: [cg] iterates
+    on a copy.  An [x0] that already meets [tol]
     costs one matvec and returns at iteration 0 without applying the
-    preconditioner.  The per-iteration residuals are in [trace].
+    preconditioner.  A solve allocates its vectors once, before the
+    first iteration ([x], [r], [M^-1 r], [p], [Ap]); each iteration
+    fills them in place ({!Precond.apply_into}, {!mul_dot},
+    {!update_sumsq}, {!Vec.pxpby}) and allocates no n-vector beyond
+    what an {!Precond.mg} V-cycle builds.  The per-iteration residuals
+    are in [trace].
     [stagnation_window] (default [max 250 (max_iter / 10)] — Krylov
     residuals legitimately plateau for long stretches before the
     superlinear phase, so the default scales with the budget) and
@@ -90,7 +117,8 @@ val cg :
     [pool], when given, runs the matvec and the BLAS-1 kernels across
     the domain pool, inside one persistent {!Ttsv_parallel.Pool.with_region}
     spanning the whole solve (the workers stay resident; no per-kernel
-    wake-up and join).  All reductions are chunk-deterministic ({!Vec.pdot})
+    wake-up and join).  All reductions are chunk-deterministic
+    ({!Vec.pdot}, {!mul_dot}, {!update_sumsq})
     and preconditioner applications pool-independent, so a pooled run
     observes the exact residual sequence of a sequential run — same
     iterates, same guard decisions, same iteration count.  When called

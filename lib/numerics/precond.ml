@@ -10,10 +10,12 @@ let injected_error = "injected construction fault"
 
 type kind = Jacobi | Ic0 of float | Mg of int
 
+(* [apply_into ?pool r z] writes [M^-1 r] into [z]: every construction
+   fills the caller's vector, so a Krylov solve reuses one workspace *)
 type t = {
   kind : kind;
   dim : int;
-  apply_fn : ?pool:Pool.t -> Vec.t -> Vec.t;
+  apply_into : ?pool:Pool.t -> Vec.t -> Vec.t -> unit;
 }
 
 let name t =
@@ -23,12 +25,17 @@ let dim t = t.dim
 let ic0_shift t = match t.kind with Ic0 s -> Some s | _ -> None
 let mg_levels t = match t.kind with Mg l -> Some l | _ -> None
 
-let apply ?pool t r =
-  if Array.length r <> t.dim then
+let apply_into ?pool t r z =
+  if Array.length r <> t.dim || Array.length z <> t.dim then
     invalid_arg
-      (Printf.sprintf "Precond.apply: vector has dimension %d, expected %d" (Array.length r)
-         t.dim);
-  t.apply_fn ?pool r
+      (Printf.sprintf "Precond.apply_into: vectors have dimensions %d and %d, expected %d"
+         (Array.length r) (Array.length z) t.dim);
+  t.apply_into ?pool r z
+
+let apply ?pool t r =
+  let z = Array.make t.dim 0. in
+  apply_into ?pool t r z;
+  z
 
 (* ------------------------------------------------------------- Jacobi *)
 
@@ -42,22 +49,47 @@ let jacobi_of_diagonal d =
   for i = 0 to n - 1 do
     if Float.abs d.(i) > 1e-300 then inv.(i) <- 1. /. d.(i)
   done;
-  let apply_fn ?pool r =
-    let z = Array.make n 0. in
+  let apply_into ?pool r z =
     Pool.for_chunks ~chunk:2048
       (Option.value pool ~default:Pool.seq)
       n
       (fun ~lo ~hi ->
         for i = lo to hi - 1 do
           z.(i) <- inv.(i) *. r.(i)
-        done);
-    z
+        done)
   in
-  { kind = Jacobi; dim = n; apply_fn }
+  { kind = Jacobi; dim = n; apply_into }
 
 let jacobi a = jacobi_of_diagonal (Sparse.diagonal a)
 
 (* -------------------------------------------------------------- IC(0) *)
+
+(* z = (L L^T)^-1 r for the IC(0) factor whose diagonal entries hold
+   the reciprocal pivots 1 / L[i,i].  Forward substitution L y = r
+   writes y into z; backward substitution L^T z = y then runs in place
+   on z, as a column saxpy over L's rows.  Every z.(i) is written before
+   it is read, so [z]'s prior contents never matter.  A top-level
+   function of the factor's arrays, like [Sparse.mul_rows]: a closure
+   reading them from its environment keeps them out of registers. *)
+let ic0_sweeps (l_ptr : int array) (l_col : int array) (l_val : float array)
+    (r : float array) (z : float array) n =
+  for i = 0 to n - 1 do
+    let acc = ref r.(i) in
+    let di = l_ptr.(i + 1) - 1 in
+    for k = l_ptr.(i) to di - 1 do
+      acc := !acc -. (l_val.(k) *. z.(l_col.(k)))
+    done;
+    z.(i) <- !acc *. l_val.(di)
+  done;
+  for i = n - 1 downto 0 do
+    let di = l_ptr.(i + 1) - 1 in
+    let zi = z.(i) *. l_val.(di) in
+    z.(i) <- zi;
+    for k = l_ptr.(i) to di - 1 do
+      let j = l_col.(k) in
+      z.(j) <- z.(j) -. (l_val.(k) *. zi)
+    done
+  done
 
 (* Incomplete Cholesky with zero fill: L has exactly the lower-triangle
    sparsity of A.  Entries are produced row by row,
@@ -161,31 +193,14 @@ let ic0 ?budget a =
       match attempt [ 0.; 1e-3; 1e-2; 1e-1; 1. ] with
       | Error _ as e -> e
       | Ok shift ->
-        let apply_fn ?pool:_ r =
-          (* forward substitution: L y = r *)
-          let y = Array.make n 0. in
-          for i = 0 to n - 1 do
-            let acc = ref r.(i) in
-            let di = l_ptr.(i + 1) - 1 in
-            for k = l_ptr.(i) to di - 1 do
-              acc := !acc -. (l_val.(k) *. y.(l_col.(k)))
-            done;
-            y.(i) <- !acc /. l_val.(di)
-          done;
-          (* backward substitution: L^T z = y, via column saxpy on L's
-             rows (in place on y) *)
-          for i = n - 1 downto 0 do
-            let di = l_ptr.(i + 1) - 1 in
-            let zi = y.(i) /. l_val.(di) in
-            y.(i) <- zi;
-            for k = l_ptr.(i) to di - 1 do
-              let j = l_col.(k) in
-              y.(j) <- y.(j) -. (l_val.(k) *. zi)
-            done
-          done;
-          y
-        in
-        Ok { kind = Ic0 shift; dim = n; apply_fn }
+        (* the sweeps multiply by 1 / L[i,i]: inverted once here, the
+           pivot leaves the serial dependency chain of every apply *)
+        for i = 0 to n - 1 do
+          let di = l_ptr.(i + 1) - 1 in
+          l_val.(di) <- 1. /. l_val.(di)
+        done;
+        let apply_into ?pool:_ r z = ic0_sweeps l_ptr l_col l_val r z n in
+        Ok { kind = Ic0 shift; dim = n; apply_into }
     end
   end
 
@@ -203,5 +218,6 @@ let mg ?pool ?budget ~shape a =
     match Multigrid.build ?pool ?budget ~shape a with
     | Error _ as e -> e
     | Ok hierarchy ->
-      let apply_fn ?pool r = Multigrid.cycle ?pool hierarchy r in
-      Ok { kind = Mg (Multigrid.num_levels hierarchy); dim = Sparse.rows a; apply_fn }
+      let n = Sparse.rows a in
+      let apply_into ?pool r z = Array.blit (Multigrid.cycle ?pool hierarchy r) 0 z 0 n in
+      Ok { kind = Mg (Multigrid.num_levels hierarchy); dim = n; apply_into }

@@ -15,7 +15,10 @@
       of magnitude over Jacobi.  Construction can {e break down} (a
       non-positive pivot) on SPD matrices that are not H-matrices; the
       constructor retries internally with growing relative diagonal
-      shifts and only then reports an error.
+      shifts and only then reports an error.  Once a factorization
+      succeeds, each stored pivot [L[i,i]] is replaced by [1 / L[i,i]],
+      so both triangular sweeps of an application multiply where they
+      would divide.
     - {!jacobi} — diagonal scaling.  Weakest, but total: defined for
       every matrix, zero construction cost.  The rung to fall back on
       when neither of the others can be built.
@@ -34,11 +37,18 @@ val name : t -> string
 val dim : t -> int
 (** The order of the matrix the preconditioner was built from. *)
 
+val apply_into : ?pool:Ttsv_parallel.Pool.t -> t -> Vec.t -> Vec.t -> unit
+(** [apply_into m r z] writes [M^-1 r] into [z], whose prior contents
+    are ignored; nothing of length [dim m] is allocated except by {!mg},
+    whose V-cycle builds its result and copies it into [z].  This is how
+    {!Iterative.cg} applies the preconditioner, into one workspace per
+    solve.  [pool] is used by the {!jacobi} scaling and by {!mg}'s
+    kernels; the result never depends on it.  Raises
+    [Invalid_argument] when [r] or [z] does not have length [dim m]. *)
+
 val apply : ?pool:Ttsv_parallel.Pool.t -> t -> Vec.t -> Vec.t
-(** [apply m r] computes [M^-1 r] (a fresh vector).  [pool] is used only
-    by the embarrassingly parallel {!jacobi} scaling; the result never
-    depends on it.  Raises [Invalid_argument] on a dimension
-    mismatch. *)
+(** [apply m r] is {!apply_into} on a fresh zero vector, returned:
+    bitwise the same [M^-1 r]. *)
 
 val jacobi : Sparse.t -> t
 (** Diagonal (Jacobi) scaling.  Total: zero or denormal diagonal entries
@@ -55,7 +65,10 @@ val ic0 : ?budget:Ttsv_parallel.Budget.t -> Sparse.t -> (t, string) result
     [0, 1e-3, 1e-2, 1e-1, 1] (the diagonal becomes
     [a_ii * (1 + shift)]); [Error] when
     every shift breaks down, when the matrix is not square, or when some
-    row has no stored diagonal entry.  [budget] is polled between shift
+    row has no stored diagonal entry.  An application is one forward and
+    one backward sweep over [L], which stores the reciprocal pivots
+    [1 / L[i,i]] on its diagonal: [M^-1 r] agrees with divide-form
+    sweeps to rounding, not bit for bit.  [budget] is polled between shift
     retries (each is a full refactorization): an expired budget reports
     as [Error "budget expired (...)"], and the caller demotes exactly as
     for a breakdown.
@@ -88,7 +101,7 @@ val mg :
     constructor is a ["precond"] chaos site like {!ic0}.
     [budget] is polled during setup {e and} captured into the returned
     preconditioner: an expiry mid-V-cycle raises
-    {!Ttsv_parallel.Budget.Expired} from {!apply}, which the Robust
+    {!Ttsv_parallel.Budget.Expired} from {!apply_into}, which the Robust
     ladder converts to a typed deadline failure with the best iterate.
     Applications are bitwise deterministic across pool sizes. *)
 

@@ -54,23 +54,9 @@ let paxpy ?pool a x y =
         y.(i) <- (a *. x.(i)) +. y.(i)
       done)
 
-(* Fused CG update kernels: one pass over the index space instead of
-   two, one pool dispatch instead of two.  Element-wise (no reduction),
-   so pooled and sequential results are bitwise identical. *)
-
-let paxpy2 ?pool a p q x r =
-  check_same_dim "paxpy2" p x;
-  check_same_dim "paxpy2" q r;
-  check_same_dim "paxpy2" p q;
-  Pool.for_chunks ~chunk:reduce_chunk
-    (Option.value pool ~default:Pool.seq)
-    (Array.length x)
-    (fun ~lo ~hi ->
-      for i = lo to hi - 1 do
-        x.(i) <- (a *. p.(i)) +. x.(i);
-        r.(i) <- r.(i) -. (a *. q.(i))
-      done)
-
+(* Fused CG direction update: one pass, one pool dispatch.  Element-wise
+   (no reduction), so pooled and sequential results are bitwise
+   identical. *)
 let pxpby ?pool z b p =
   check_same_dim "pxpby" z p;
   Pool.for_chunks ~chunk:reduce_chunk

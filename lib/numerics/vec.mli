@@ -37,7 +37,8 @@ val dot : t -> t -> float
 
 val reduce_chunk : int
 (** The chunk size of every chunk-deterministic reduction ({!pdot},
-    {!pnorm2}, [Iterative.relative_residual]): 2048 elements, fixed and
+    {!pnorm2}, and [Iterative]'s fused [relative_residual], [mul_dot]
+    and [update_sumsq]): 2048 elements, fixed and
     never derived from the pool, so pooled and sequential runs fold the
     identical per-chunk partials. *)
 
@@ -72,12 +73,6 @@ val axpy : float -> t -> t -> unit
 val paxpy : ?pool:Ttsv_parallel.Pool.t -> float -> t -> t -> unit
 (** Pool-aware {!axpy}.  Elementwise with disjoint writes, hence bitwise
     identical to the sequential update for any domain count. *)
-
-val paxpy2 : ?pool:Ttsv_parallel.Pool.t -> float -> t -> t -> t -> t -> unit
-(** [paxpy2 a p q x r] performs the fused CG update
-    [x <- a*p + x] and [r <- r - a*q] in a single pass (one pool
-    dispatch instead of two).  Bitwise identical to the two separate
-    {!paxpy} calls [paxpy a p x; paxpy (-.a) q r]. *)
 
 val pxpby : ?pool:Ttsv_parallel.Pool.t -> t -> float -> t -> unit
 (** [pxpby z b p] performs the fused direction update [p <- z + b*p] in

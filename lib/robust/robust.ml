@@ -293,7 +293,10 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
     in
     (* a start that already meets [tol] (an exact warm start) is the
        first rung's answer at 0 iterations: no preconditioner is built
-       and no budget is polled, so even an expired deadline gets it *)
+       and no budget is polled, so even an expired deadline gets it.
+       The answer is [x0] itself, not a copy: no caller writes into a
+       solution, and the copy was a fresh n-vector on the major heap
+       per exact hit *)
     let converged_start =
       match (rungs, x0) with
       | first :: _, Some x ->
@@ -307,7 +310,7 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
     | Some (rung, x, res, t0) ->
       trace := [| res |];
       note ~residual:res rung Diagnostics.Success t0;
-      Ok (Vec.copy x, finish (Some rung) res)
+      Ok (x, finish (Some rung) res)
 
 let solve_exn ?tol ?max_iter ?x0 ?stagnation_window ?divergence_factor ?pool ?rungs ?shape
     ?budget a b =

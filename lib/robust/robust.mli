@@ -88,7 +88,10 @@ val solve :
     input scan and before anything else) is the first rung's answer:
     one [Success] attempt at 0 iterations, no preconditioner built, no
     budget polled — an exact warm start is answered even under an
-    expired budget.  [stagnation_window] and
+    expired budget.  That answer is [x0] itself (physically equal, not
+    a copy), so a caller that writes into the returned vector writes
+    into its [x0]; every other answer is a fresh vector, and [x0] is
+    never written by the ladder.  [stagnation_window] and
     [divergence_factor] are passed through to
     {!Ttsv_numerics.Iterative.cg} for every iterative rung.  The direct rung builds a pivotless banded LU
     when the bandwidth is narrow, retries with dense partial-pivoting LU

@@ -1,13 +1,14 @@
 (** Bounded, thread-safe LRU cache — one instance per cache level.
 
     The engine keeps two of these (assembled operators and previous
-    solutions), both keyed by the canonical
-    {!Protocol.solve_key} string.  Capacity is a hard bound: inserting
-    into a full cache evicts the least-recently-used entry.  Every
-    operation takes the cache's mutex, so batch workers on different
-    domains share one cache safely; a concurrent miss may compute the
-    same value twice (last writer wins), which costs duplicate work but
-    never a wrong answer.
+    solutions), both keyed by the canonical {!Protocol.solve_key}
+    string, the bit patterns of the request's geometry and resolution.
+    Capacity is a hard bound: inserting into a full cache evicts the
+    least-recently-used entry.  Every operation takes the cache's
+    mutex, so batch workers on different domains share one cache
+    safely; a concurrent miss may compute the same value twice (last
+    writer wins), which costs duplicate work but never a wrong
+    answer.
 
     Hit/miss/eviction counts are kept in plain fields (always on, read
     by the bench harness) and mirrored into the metrics registry as

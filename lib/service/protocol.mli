@@ -163,7 +163,11 @@ val response_to_string : response -> string
 (** One line, no trailing newline. *)
 
 val solve_key : solve -> string
-(** Canonical geometry/params cache key: the seven geometry fields plus
-    the resolution, each float printed with 17 significant digits —
-    requests that mesh to the same operator share a key, [tol] and
-    [deadline_s] (which don't change the operator) are excluded. *)
+(** Canonical geometry/params cache key: the 64-bit patterns of the
+    seven geometry floats ({!Int64.bits_of_float}) followed by the
+    resolution, 8 bytes each — a 64-byte binary string, not meant for
+    printing.  Two keys are equal exactly when all eight fields are
+    bit-equal: requests that mesh to the same operator share a key, and
+    [+0.] and [-0.] differ (a NaN never reaches a key, validation runs
+    first).  [tol] and [deadline_s] (which don't change the operator)
+    are excluded. *)

@@ -154,6 +154,74 @@ let residual_tests =
             ignore (Iterative.relative_residual m [| 1.; 1.; 1. |] [| 1.; 1. |])));
   ]
 
+(* CG's two fused passes against the kernels they replaced, bit for bit:
+   [mul_dot] against [Sparse.mul] then [Vec.pdot], [update_sumsq]
+   against the fused axpy pair CG ran before (kept here as the
+   reference) then [Vec.pnorm2].  Same lengths and pool as the residual
+   properties above. *)
+let reference_axpy2 ?pool alpha p q x r =
+  Ttsv_parallel.Pool.for_chunks ~chunk:Vec.reduce_chunk
+    (Option.value pool ~default:Ttsv_parallel.Pool.seq)
+    (Array.length x)
+    (fun ~lo ~hi ->
+      for i = lo to hi - 1 do
+        x.(i) <- (alpha *. p.(i)) +. x.(i);
+        r.(i) <- r.(i) -. (alpha *. q.(i))
+      done)
+
+let same_vec a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) a b
+
+let mul_dot_matches ?pool (a, p, _) =
+  let ap = Array.make (Array.length p) Float.nan in
+  let fused = Iterative.mul_dot ?pool a p ap in
+  let reference = Sparse.mul ?pool a p in
+  same_vec ap reference && same_bits fused (Vec.pdot ?pool p reference)
+
+let update_case =
+  QCheck2.Gen.(
+    oneofl [ 2047; 2048; 2049; 5000 ] >>= fun n ->
+    quad (float_range (-2.) 2.) (gen_vec n) (gen_vec n) (pair (gen_vec n) (gen_vec n)))
+
+(* the fused pass under [pool] against the reference composition run
+   under [pool] and run sequentially *)
+let update_sumsq_matches ?pool (alpha, p, ap, (x, r)) =
+  let reference pool =
+    let x' = Array.copy x and r' = Array.copy r in
+    reference_axpy2 ?pool alpha p ap x' r';
+    (x', r', Vec.pdot ?pool r' r', Vec.pnorm2 ?pool r')
+  in
+  let refs = [ reference pool; reference None ] in
+  let sumsq = Iterative.update_sumsq ?pool alpha p ap x r in
+  List.for_all
+    (fun (x', r', dot, norm) ->
+      same_vec x x' && same_vec r r' && same_bits sumsq dot && same_bits (sqrt sumsq) norm)
+    refs
+
+let pooled f =
+  Ttsv_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      Ttsv_parallel.Pool.with_region pool (fun () -> f pool))
+
+let fused_tests =
+  [
+    qtest ~count:12 "mul_dot is Sparse.mul then Vec.pdot bit for bit, sequential" residual_case
+      (fun c -> mul_dot_matches c);
+    qtest ~count:12 "mul_dot is Sparse.mul then Vec.pdot bit for bit, 2-domain pool"
+      residual_case (fun c -> pooled (fun pool -> mul_dot_matches ~pool c && mul_dot_matches c));
+    qtest ~count:12 "update_sumsq is the axpy pair then Vec.pnorm2 bit for bit, sequential"
+      update_case (fun c -> update_sumsq_matches c);
+    qtest ~count:12 "update_sumsq is the axpy pair then Vec.pnorm2 bit for bit, 2-domain pool"
+      update_case (fun c -> pooled (fun pool -> update_sumsq_matches ~pool c));
+    test "the fused kernels reject mismatched lengths" (fun () ->
+        let m = Sparse.of_dense (Dense.identity 2) in
+        let v2 = [| 1.; 1. |] and v3 = [| 1.; 1.; 1. |] in
+        check_raises_invalid "mul_dot p" (fun () -> ignore (Iterative.mul_dot m v3 v2));
+        check_raises_invalid "mul_dot ap" (fun () -> ignore (Iterative.mul_dot m v2 v3));
+        check_raises_invalid "update_sumsq" (fun () ->
+            ignore (Iterative.update_sumsq 1. v2 v2 v3 v2)));
+  ]
+
 let property_tests =
   [
     qtest ~count:40 "cg solves SPD systems" (gen_spd_system 15)
@@ -181,4 +249,4 @@ let property_tests =
         && warm.Iterative.iterations <= cold'.Iterative.iterations);
   ]
 
-let suite = ("iterative", unit_tests @ residual_tests @ property_tests)
+let suite = ("iterative", unit_tests @ residual_tests @ fused_tests @ property_tests)

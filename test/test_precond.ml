@@ -188,6 +188,121 @@ let test_jacobi_setup_allocation () =
   Alcotest.(check int) "dimension" (Sparse.rows a) (Precond.dim m);
   Alcotest.(check bool) (Printf.sprintf "%.0f minor words <= 1000" words) true (words <= 1000.)
 
+(* --- one workspace, reciprocal pivots ---------------------------------- *)
+
+(* [apply_into] writes the bits [apply] returns, whatever [z] held
+   before, for every construction, sequentially and on a 2-domain pool.
+   The operators are gen_spd's 1-D chains, so mg builds on shape [|n|]. *)
+let same_vec a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) a b
+
+let apply_case =
+  QCheck2.Gen.(
+    oneofl [ 2047; 2048; 2049; 5000 ] >>= fun n -> pair (gen_spd n) (gen_vec n))
+
+let constructions a =
+  [
+    Precond.jacobi a;
+    get_ok "ic0" (Precond.ic0 a);
+    get_ok "mg" (Precond.mg ~shape:[| Sparse.rows a |] a);
+  ]
+
+let apply_into_matches ?pool (a, r) =
+  List.for_all
+    (fun m ->
+      let z = Array.make (Array.length r) Float.nan in
+      Precond.apply_into ?pool m r z;
+      same_vec z (Precond.apply ?pool m r) && same_vec z (Precond.apply m r))
+    (constructions a)
+
+let test_apply_into_rejects_lengths () =
+  let m = get_ok "ic0" (Precond.ic0 (tridiag_spd 6)) in
+  check_raises_invalid "short z" (fun () ->
+      Precond.apply_into m (Array.make 6 1.) (Array.make 5 0.));
+  check_raises_invalid "short r" (fun () ->
+      Precond.apply_into m (Array.make 5 1.) (Array.make 6 0.))
+
+(* The reference IC(0) of the test: the factorization on a dense copy,
+   restricted to A's stored lower pattern, then both triangular sweeps
+   dividing by the pivot L[i,i].  The library's sweeps multiply by a
+   stored 1 / L[i,i] instead; the two must agree to rounding. *)
+let ic0_divide_reference a r =
+  let n = Sparse.rows a in
+  let l = Array.make_matrix n n 0. in
+  for i = 0 to n - 1 do
+    Sparse.iter_row a i (fun j v ->
+        if j <= i then begin
+          let s = ref 0. in
+          for k = 0 to j - 1 do
+            s := !s +. (l.(i).(k) *. l.(j).(k))
+          done;
+          l.(i).(j) <- (if j < i then (v -. !s) /. l.(j).(j) else sqrt (v -. !s))
+        end)
+  done;
+  let y = Array.make n 0. in
+  for i = 0 to n - 1 do
+    let acc = ref r.(i) in
+    for k = 0 to i - 1 do
+      acc := !acc -. (l.(i).(k) *. y.(k))
+    done;
+    y.(i) <- !acc /. l.(i).(i)
+  done;
+  for i = n - 1 downto 0 do
+    let zi = y.(i) /. l.(i).(i) in
+    y.(i) <- zi;
+    for k = 0 to i - 1 do
+      y.(k) <- y.(k) -. (l.(i).(k) *. zi)
+    done
+  done;
+  y
+
+let test_reciprocal_pivots_match_divide_form () =
+  List.iter
+    (fun (what, a) ->
+      let m = get_ok what (Precond.ic0 a) in
+      Alcotest.(check (option (float 0.))) (what ^ ": unshifted") (Some 0.) (Precond.ic0_shift m);
+      let n = Sparse.rows a in
+      let r = Array.init n (fun i -> 1. +. float_of_int (i mod 7)) in
+      let z = Precond.apply m r and reference = ic0_divide_reference a r in
+      let err = Vec.norm_inf (Vec.sub z reference) /. Vec.norm_inf reference in
+      Alcotest.(check bool) (Printf.sprintf "%s: relative difference %.3g <= 1e-13" what err) true
+        (err <= 1e-13))
+    [
+      ( "fig5 res 1",
+        Solver.assemble (Problem.of_stack ~resolution:1 (Params.fig5_stack (Units.um 1.))) );
+      ("tridiagonal", tridiag_spd 50);
+    ]
+
+(* reciprocal pivots move M^-1 r in its last bits only: IC(0)-CG on the
+   fig. 5 stack takes the iterations it took with divide-form sweeps *)
+let test_ic0_iteration_counts () =
+  List.iter
+    (fun (resolution, expected) ->
+      let p = Problem.of_stack ~resolution (Params.fig5_stack (Units.um 1.)) in
+      let r = Solver.solve ~rungs:[ Ttsv_robust.Diagnostics.Cg_ic0 ] p in
+      Alcotest.(check int) (Printf.sprintf "res %d iterations" resolution) expected
+        r.Solver.iterations)
+    [ (1, 69); (2, 119); (3, 161) ]
+
+(* a cold IC(0)-CG solve allocates its vectors once: x, r, M^-1 r, p,
+   Ap and the start's matvec, ~6n words on the major heap.  With two
+   fresh n-vectors per iteration it put ~326n there (161 iterations). *)
+let test_cg_workspace_allocation () =
+  let p = Problem.of_stack ~resolution:3 (Params.fig5_stack (Units.um 1.)) in
+  let a = Solver.assemble p in
+  let n = Sparse.rows a in
+  let m = get_ok "ic0" (Precond.ic0 a) in
+  let _, _, major_before = Gc.counters () in
+  let r = Iterative.cg ~precond:m a p.Problem.source in
+  let _, _, major_after = Gc.counters () in
+  let words = major_after -. major_before in
+  Alcotest.(check bool) "converged" true r.Iterative.converged;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words <= 8n = %d" words (8 * n))
+    true
+    (words <= float_of_int (8 * n))
+
 let suite =
   ( "precond",
     [
@@ -206,4 +321,16 @@ let suite =
         test_ic0_halves_jacobi_iterations;
       test "Jacobi setup of the res-3 operator allocates <= 1,000 minor words"
         test_jacobi_setup_allocation;
+      qtest ~count:8 "apply_into writes apply's bits, sequential" apply_case (fun c ->
+          apply_into_matches c);
+      qtest ~count:8 "apply_into writes apply's bits, 2-domain pool" apply_case (fun c ->
+          Ttsv_parallel.Pool.with_pool ~domains:2 (fun pool ->
+              Ttsv_parallel.Pool.with_region pool (fun () -> apply_into_matches ~pool c)));
+      test "apply_into rejects a vector of the wrong length" test_apply_into_rejects_lengths;
+      test "IC(0) with reciprocal pivots matches divide-form sweeps to 1e-13"
+        test_reciprocal_pivots_match_divide_form;
+      test "IC(0)-CG iteration counts on fig. 5 at res 1-3 are 69, 119, 161"
+        test_ic0_iteration_counts;
+      test "a cold IC(0)-CG solve at res 3 puts <= 8n words on the major heap"
+        test_cg_workspace_allocation;
     ] )

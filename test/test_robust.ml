@@ -381,6 +381,16 @@ let ladder_tests =
         | Ok (_, d) ->
           Alcotest.(check (list (triple string int string)))
             "one cg-ic0 attempt at 0 iterations" [ ("cg-ic0", 0, "ok") ] (attempt_summary d));
+    test "an exact warm start is answered with x0 itself, not a copy" (fun () ->
+        (* the copy was a fresh n-vector on the major heap per exact
+           service hit; no caller writes into an answer *)
+        let m, rhs, x0 = solved_system () in
+        let before = Array.copy x0 in
+        match Robust.solve ~x0 m rhs with
+        | Error f -> Alcotest.failf "ladder failed: %a" Robust.pp_failure f
+        | Ok (x, _) ->
+          Alcotest.(check bool) "physically x0" true (x == x0);
+          Alcotest.(check (array (float 0.))) "x0 unchanged" before x0);
     qtest ~count:30 "SPD fast path: IC(0)-CG alone, one successful attempt" (gen_spd_system 12)
       (fun (m, b) ->
         match Robust.solve ~tol:1e-10 m b with

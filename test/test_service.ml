@@ -138,6 +138,45 @@ let protocol_tests =
           (P.solve_key (s 5. 1e-6 (Some 9.)));
         Alcotest.(check bool) "different radius, different key" true
           (P.solve_key (s 5. 1e-10 None) <> P.solve_key (s 6. 1e-10 None)));
+    (* fields from a small pool so that equal and unequal pairs both
+       occur: -0. against 0., neighbours one ulp apart, a subnormal *)
+    qtest ~count:500 "two keys are equal exactly when all eight fields are bit-equal"
+      QCheck2.Gen.(
+        let field =
+          oneofl [ 0.; -0.; 1.; Float.succ 1.; 5.; 4.9999999999999991; 45.; 5e-324 ]
+        in
+        let solve =
+          let* fields = array_size (return 7) field in
+          let* resolution = int_range 1 3 in
+          let* tol = oneofl [ 1e-10; 1e-6 ] in
+          return
+            {
+              P.geometry =
+                {
+                  P.radius_um = fields.(0);
+                  liner_um = fields.(1);
+                  ild_um = fields.(2);
+                  bond_um = fields.(3);
+                  tsi_um = fields.(4);
+                  tsi1_um = fields.(5);
+                  lext_um = fields.(6);
+                };
+              resolution;
+              tol;
+              deadline_s = None;
+            }
+        in
+        let* a = solve in
+        let* same = bool in
+        if same then return (a, { a with P.tol = 1e-8 }) else map (fun b -> (a, b)) solve)
+      (fun (a, b) ->
+        let bits (s : P.solve) =
+          let g = s.P.geometry in
+          List.map Int64.bits_of_float
+            [ g.radius_um; g.liner_um; g.ild_um; g.bond_um; g.tsi_um; g.tsi1_um; g.lext_um ]
+          @ [ Int64.of_int s.P.resolution ]
+        in
+        String.equal (P.solve_key a) (P.solve_key b) = (bits a = bits b));
   ]
 
 (* ------------------------------------------------------------------- cache *)
@@ -226,6 +265,25 @@ let engine_tests =
         Alcotest.(check bool) "exact warm start" true (hit.P.cache.P.warm = P.Warm_exact);
         Alcotest.(check int) "zero iterations" 0 hit.P.iterations;
         Alcotest.(check bool) (Printf.sprintf "%.0f minor words <= 2000" words) true (words <= 2000.));
+    test "a repeated exact hit at res 3 puts fewer than n words on the major heap" (fun () ->
+        (* the converged start answers with the cached field itself: a
+           copy of it (7,650 cells) went straight to the major heap on
+           every hit *)
+        let engine = Engine.create () in
+        let req id = solve_request ~id ~resolution:3 () in
+        List.iter
+          (fun id -> ignore (expect_solved (Engine.handle engine (req id))))
+          [ "cold"; "r1"; "r2" ];
+        let _, promoted0, major0 = Gc.counters () in
+        let hit = expect_solved (Engine.handle engine (req "hit")) in
+        let _, promoted1, major1 = Gc.counters () in
+        let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+        Alcotest.(check bool) "exact warm start" true (hit.P.cache.P.warm = P.Warm_exact);
+        let n = 7650 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f words straight to the major heap < n = %d" direct n)
+          true
+          (direct < float_of_int n));
     test "a repeat at a tighter tol iterates from the cached field to the new tol" (fun () ->
         let engine = Engine.create () in
         ignore (expect_solved (Engine.handle engine (solve_request ())));
