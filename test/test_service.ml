@@ -138,45 +138,6 @@ let protocol_tests =
           (P.solve_key (s 5. 1e-6 (Some 9.)));
         Alcotest.(check bool) "different radius, different key" true
           (P.solve_key (s 5. 1e-10 None) <> P.solve_key (s 6. 1e-10 None)));
-    (* fields from a small pool so that equal and unequal pairs both
-       occur: -0. against 0., neighbours one ulp apart, a subnormal *)
-    qtest ~count:500 "two keys are equal exactly when all eight fields are bit-equal"
-      QCheck2.Gen.(
-        let field =
-          oneofl [ 0.; -0.; 1.; Float.succ 1.; 5.; 4.9999999999999991; 45.; 5e-324 ]
-        in
-        let solve =
-          let* fields = array_size (return 7) field in
-          let* resolution = int_range 1 3 in
-          let* tol = oneofl [ 1e-10; 1e-6 ] in
-          return
-            {
-              P.geometry =
-                {
-                  P.radius_um = fields.(0);
-                  liner_um = fields.(1);
-                  ild_um = fields.(2);
-                  bond_um = fields.(3);
-                  tsi_um = fields.(4);
-                  tsi1_um = fields.(5);
-                  lext_um = fields.(6);
-                };
-              resolution;
-              tol;
-              deadline_s = None;
-            }
-        in
-        let* a = solve in
-        let* same = bool in
-        if same then return (a, { a with P.tol = 1e-8 }) else map (fun b -> (a, b)) solve)
-      (fun (a, b) ->
-        let bits (s : P.solve) =
-          let g = s.P.geometry in
-          List.map Int64.bits_of_float
-            [ g.radius_um; g.liner_um; g.ild_um; g.bond_um; g.tsi_um; g.tsi1_um; g.lext_um ]
-          @ [ Int64.of_int s.P.resolution ]
-        in
-        String.equal (P.solve_key a) (P.solve_key b) = (bits a = bits b));
   ]
 
 (* ------------------------------------------------------------------- cache *)
@@ -444,6 +405,52 @@ let serve_tests =
         check_raises_invalid "batch" (fun () -> ignore (serve_lines ~batch:0 [])));
   ]
 
+(* The key property is its own list, run after the engine and serve
+   cases, so that every earlier case keeps its index
+   (`test service 18` is the exact hit at res 3). *)
+let key_tests =
+  [
+    (* fields from a small pool so that equal and unequal pairs both
+       occur: -0. against 0., neighbours one ulp apart, a subnormal *)
+    qtest ~count:500 "two keys are equal exactly when all eight fields are bit-equal"
+      QCheck2.Gen.(
+        let field =
+          oneofl [ 0.; -0.; 1.; Float.succ 1.; 5.; 4.9999999999999991; 45.; 5e-324 ]
+        in
+        let solve =
+          let* fields = array_size (return 7) field in
+          let* resolution = int_range 1 3 in
+          let* tol = oneofl [ 1e-10; 1e-6 ] in
+          return
+            {
+              P.geometry =
+                {
+                  P.radius_um = fields.(0);
+                  liner_um = fields.(1);
+                  ild_um = fields.(2);
+                  bond_um = fields.(3);
+                  tsi_um = fields.(4);
+                  tsi1_um = fields.(5);
+                  lext_um = fields.(6);
+                };
+              resolution;
+              tol;
+              deadline_s = None;
+            }
+        in
+        let* a = solve in
+        let* same = bool in
+        if same then return (a, { a with P.tol = 1e-8 }) else map (fun b -> (a, b)) solve)
+      (fun (a, b) ->
+        let bits (s : P.solve) =
+          let g = s.P.geometry in
+          List.map Int64.bits_of_float
+            [ g.radius_um; g.liner_um; g.ild_um; g.bond_um; g.tsi_um; g.tsi1_um; g.lext_um ]
+          @ [ Int64.of_int s.P.resolution ]
+        in
+        String.equal (P.solve_key a) (P.solve_key b) = (bits a = bits b));
+  ]
+
 let suite =
   ( "service",
-    protocol_tests @ cache_tests @ engine_tests @ serve_tests )
+    protocol_tests @ cache_tests @ engine_tests @ serve_tests @ key_tests )
