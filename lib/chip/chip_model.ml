@@ -4,6 +4,7 @@ module Tsv = Ttsv_geometry.Tsv
 module Material = Ttsv_physics.Material
 module Coefficients = Ttsv_core.Coefficients
 module Resistances = Ttsv_core.Resistances
+module Model_a = Ttsv_core.Model_a
 module Circuit = Ttsv_network.Circuit
 
 type t = {
@@ -75,8 +76,9 @@ let solve chip ds power =
   (* the sink path through the thick first substrate, the same for every
      tile *)
   let sink_r = Resistances.sink ~coeffs stack ~footprint:at in
-  (* per-tile vertical ladders: the unit cell's eq. 7-16 ladder over the
-     tile, its via count entering as parallel conductance *)
+  (* per-tile vertical ladders: the unit cell's eq. 1-6 walk over the
+     tile, its via count entering as parallel conductance; a tile without
+     vias walks infinite filler and liner resistances, left unstamped *)
   for y = 0 to ny - 1 do
     for x = 0 to nx - 1 do
       let i = tile x y in
@@ -86,24 +88,14 @@ let solve chip ds power =
         with Invalid_argument _ ->
           invalid_arg (Printf.sprintf "Chip_model.solve: vias exceed tile (%d,%d) area" x y)
       in
-      Circuit.add_resistor c t0.(i) ground sink_r;
-      Array.iteri
-        (fun j (tr : Resistances.triple) ->
-          let below_bulk = if j = 0 then t0.(i) else bulk.(j - 1).(i) in
-          Circuit.add_resistor c below_bulk bulk.(j).(i) tr.Resistances.bulk;
-          if vias > 0. then begin
-            let below_via = if j = 0 then t0.(i) else Option.get via.(j - 1).(i) in
-            if j < nplanes - 1 then begin
-              let v = Option.get via.(j).(i) in
-              Circuit.add_resistor c below_via v tr.Resistances.tsv;
-              Circuit.add_resistor c bulk.(j).(i) v tr.Resistances.liner
-            end
-            else
-              (* top plane: filler + liner in series into the top bulk node *)
-              Circuit.add_resistor c below_via bulk.(j).(i)
-                (tr.Resistances.tsv +. tr.Resistances.liner)
-          end)
-        rs.Resistances.triples
+      let node k =
+        if k < 0 then ground
+        else if k = 0 then t0.(i)
+        else if k land 1 = 1 then bulk.(k / 2).(i)
+        else Option.get via.((k / 2) - 1).(i)
+      in
+      Model_a.walk rs ~resistor:(fun a b r ->
+          if Float.is_finite r then Circuit.add_resistor c (node a) (node b) r)
     done
   done;
   (* lateral spreading within each silicon layer *)

@@ -6,13 +6,14 @@
     paper's related work ([10], [11]) describes, with the paper's TTSV
     model embedded in every tile:
 
-    - per tile, the unit cell's vertical eq. 7–16 ladder
-      ({!Ttsv_core.Resistances.cell} over the tile's area: bulk chain,
-      TTSV chain where the tile has vias, lateral liner rungs), with the
-      tile's via count entering as parallel conductance;
+    - per tile, the unit cell's eq. 1–6 network as {!Ttsv_core.Model_a.walk}
+      stamps it, with the eq. 7–16 values of
+      {!Ttsv_core.Resistances.cell} over the tile's area: R_s to the
+      isothermal heat sink, the bulk chain, and the TTSV chain with its
+      liner rungs where the tile has vias, the tile's via count entering
+      as parallel conductance;
     - per plane, lateral silicon-spreading resistors between adjacent
-      tiles (and between the thick first-substrate nodes);
-    - per tile, R_s to the isothermal heat sink.
+      tiles (and between the thick first-substrate nodes).
 
     The via count per tile is real-valued: a density is a continuous
     design variable for the allocator, and conductances scale linearly in

@@ -9,10 +9,11 @@
     temperature is therefore a finite rational expression in the nine
     resistances and three heats — no matrix factorization involved.
 
-    The test suite verifies this module against the generic network
-    solver of {!Model_a} to machine precision; it exists both as an
-    independent oracle and as the fast path for the planner example,
-    which evaluates millions of candidate geometries. *)
+    The test suite verifies this module against {!Model_a}'s band solve
+    to machine precision.  Written from the equations rather than from
+    {!Model_a.walk}, it is the walk's independent check at three planes,
+    and the fast path (~35 ns) for the planner example, which evaluates
+    millions of candidate geometries, and the variation study. *)
 
 type temperatures = {
   t0 : float;  (** T0: rise above the sink at the TSV foot level *)

@@ -1,5 +1,5 @@
 module Stack = Ttsv_geometry.Stack
-module Circuit = Ttsv_network.Circuit
+module Banded = Ttsv_numerics.Banded
 module Vec = Ttsv_numerics.Vec
 
 type result = {
@@ -10,65 +10,56 @@ type result = {
   resistances : Resistances.t;
 }
 
-type network = {
-  circuit : Circuit.t;
-  t0_node : Circuit.node;
-  bulk_nodes : Circuit.node array;
-  tsv_nodes : Circuit.node array;
-}
-
-(* Stamp the eq. 1-6 network from per-plane triples. *)
-let build_network (rs : Resistances.t) qs =
+(* T0 is the foot of both rails: plane 1's bulk and filler resistors both
+   start there. *)
+let walk (rs : Resistances.t) ~resistor =
   let n = Array.length rs.Resistances.triples in
-  if n = 0 then invalid_arg "Model_a.build_network: no planes";
-  if Array.length qs <> n then
-    invalid_arg "Model_a.build_network: heat vector length mismatch";
-  let c = Circuit.create () in
-  let ground = Circuit.ground c in
-  let t0 = Circuit.add_node c "T0" in
-  Circuit.add_resistor c t0 ground rs.Resistances.r_sink;
-  let bulk = Array.init n (fun i -> Circuit.add_node c (Printf.sprintf "bulk%d" (i + 1))) in
-  let tsv =
-    Array.init (Stdlib.max (n - 1) 0) (fun i -> Circuit.add_node c (Printf.sprintf "tsv%d" (i + 1)))
-  in
-  (* bulk chain: T0 - B1 - B2 - ... - BN *)
+  resistor 0 (-1) rs.Resistances.r_sink;
   Array.iteri
     (fun i (tr : Resistances.triple) ->
-      let below = if i = 0 then t0 else bulk.(i - 1) in
-      Circuit.add_resistor c below bulk.(i) tr.Resistances.bulk)
-    rs.Resistances.triples;
-  (* TTSV chain: T0 - V1 - ... - V(N-1), closed at the top through R8+R9 *)
-  if n = 1 then begin
-    (* single plane: the TSV foot at T0 reaches the bulk node through the
-       filler and liner in series *)
-    let tr = rs.Resistances.triples.(0) in
-    Circuit.add_resistor c t0 bulk.(0) (tr.Resistances.tsv +. tr.Resistances.liner)
-  end
-  else begin
-    for i = 0 to n - 2 do
-      let tr = rs.Resistances.triples.(i) in
-      let below = if i = 0 then t0 else tsv.(i - 1) in
-      Circuit.add_resistor c below tsv.(i) tr.Resistances.tsv;
-      Circuit.add_resistor c bulk.(i) tsv.(i) tr.Resistances.liner
-    done;
-    let top = rs.Resistances.triples.(n - 1) in
-    Circuit.add_resistor c tsv.(n - 2) bulk.(n - 1) (top.Resistances.tsv +. top.Resistances.liner)
-  end;
-  Array.iteri (fun i q -> Circuit.add_heat_source c bulk.(i) q) qs;
-  { circuit = c; t0_node = t0; bulk_nodes = bulk; tsv_nodes = tsv }
+      let b = (2 * i) + 1 in
+      let below_bulk = if i = 0 then 0 else b - 2 and below_tsv = if i = 0 then 0 else b - 1 in
+      resistor below_bulk b tr.Resistances.bulk;
+      if i < n - 1 then begin
+        resistor below_tsv (b + 1) tr.Resistances.tsv;
+        resistor b (b + 1) tr.Resistances.liner
+      end
+      else resistor below_tsv b (tr.Resistances.tsv +. tr.Resistances.liner))
+    rs.Resistances.triples
+
+(* Node i's diagonal sits at 5i + 2 and (i, j) at 5i + 2 + j - i; the sink
+   is eliminated, so R_s leaves only its diagonal term. *)
+let band rs =
+  let n = Array.length rs.Resistances.triples in
+  if n = 0 then invalid_arg "Model_a.band: no planes";
+  let a = Array.make (10 * n) 0. in
+  walk rs ~resistor:(fun i j r ->
+      let g = 1. /. r and ii = (5 * i) + 2 in
+      a.(ii) <- a.(ii) +. g;
+      if j >= 0 then begin
+        let jj = (5 * j) + 2 in
+        a.(jj) <- a.(jj) +. g;
+        a.(ii + j - i) <- a.(ii + j - i) -. g;
+        a.(jj + i - j) <- a.(jj + i - j) -. g
+      end);
+  a
 
 let solve_triples (rs : Resistances.t) qs =
   let n = Array.length rs.Resistances.triples in
-  let { circuit; t0_node; bulk_nodes; tsv_nodes } = build_network rs qs in
-  let sol = Circuit.solve circuit in
-  let temp = Circuit.temperature sol in
+  if Array.length qs <> n then invalid_arg "Model_a.solve_triples: heat vector length mismatch";
+  let a = band rs and x = Array.make (2 * n) 0. in
+  for i = 0 to n - 1 do
+    x.((2 * i) + 1) <- qs.(i)
+  done;
+  Banded.solve_in_place ~n:(2 * n) ~bw:2 a x;
+  let foot = rs.Resistances.triples.(0) in
   {
-    t0 = temp t0_node;
-    bulk = Array.map temp bulk_nodes;
-    tsv = Array.map temp tsv_nodes;
+    t0 = x.(0);
+    bulk = Array.init n (fun i -> x.((2 * i) + 1));
+    tsv = Array.init (n - 1) (fun i -> x.((2 * i) + 2));
     tsv_heat =
-      (if n = 1 then Circuit.branch_heat_flow sol bulk_nodes.(0) t0_node
-       else Circuit.branch_heat_flow sol tsv_nodes.(0) t0_node);
+      (if n = 1 then (x.(1) -. x.(0)) /. (foot.Resistances.tsv +. foot.Resistances.liner)
+       else (x.(2) -. x.(0)) /. foot.Resistances.tsv);
     resistances = rs;
   }
 

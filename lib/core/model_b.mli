@@ -9,10 +9,11 @@
     coefficients are used.
 
     The resulting KCL system A·T = b (eq. 19) is assembled directly into
-    a half-bandwidth-2 banded matrix (bulk and metal nodes interleaved)
-    and solved in O(n): the library's equivalent of the paper's sparse
-    solve, which lets Table I's largest configuration run in
-    milliseconds.
+    a half-bandwidth-2 banded matrix (bulk and metal nodes interleaved,
+    as in {!Model_a.walk}) and solved in O(n) by
+    {!Ttsv_numerics.Banded.solve_in_place}: the library's equivalent of
+    the paper's sparse solve, which lets Table I's largest configuration
+    run in milliseconds.
 
     Faithfulness notes (documented deviations, both more physical than
     the lumped alternative):
@@ -79,6 +80,7 @@ val tsv_profile : result -> (float * float) array
 (** (z, ΔT) along the metal column, built like {!bulk_profile}. *)
 
 val solve_via_circuit : Ttsv_geometry.Stack.t -> segmentation -> float
-(** Max ΔT computed by routing the same network through the generic
-    {!Ttsv_network.Circuit} solver — a test oracle for the banded
-    assembly. *)
+(** Max ΔT computed by routing the same walk through the generic
+    {!Ttsv_network.Circuit} solver — the reference for the banded
+    assembly, as the test suite's walk-through-[Circuit] property is
+    for Model A's band.  The only [Circuit] user in [ttsv_core]. *)

@@ -2,9 +2,7 @@ module Stack = Ttsv_geometry.Stack
 module Plane = Ttsv_geometry.Plane
 module Tsv = Ttsv_geometry.Tsv
 module Material = Ttsv_physics.Material
-module Circuit = Ttsv_network.Circuit
-module Dense = Ttsv_numerics.Dense
-module Sparse = Ttsv_numerics.Sparse
+module Banded = Ttsv_numerics.Banded
 module Vec = Ttsv_numerics.Vec
 
 type result = {
@@ -14,31 +12,25 @@ type result = {
   steady : Model_a.result;
 }
 
-(* Lumped nodal heat capacities, J/K: each node absorbs the thermal mass of
-   the layers its resistances span. *)
-let capacities stack (net : Model_a.network) n_nodes =
-  let caps = Array.make n_nodes 0. in
-  let put node c = caps.(Circuit.node_index net.Model_a.circuit node) <- c in
+(* Lumped nodal heat capacities, J/K, at Model_a.walk's node numbers: each
+   node absorbs the thermal mass of the layers its resistances span. *)
+let capacities stack =
   let n = Stack.num_planes stack in
+  let caps = Array.make (2 * n) 0. in
   let tsv = stack.Stack.tsv in
   let area = Stack.silicon_area stack in
   let rc (m : Material.t) = m.Material.volumetric_heat_capacity in
-  put net.Model_a.t0_node
-    (stack.Stack.footprint *. Resistances.sink_span stack
-    *. rc (Stack.plane stack 0).Plane.substrate);
+  caps.(0) <-
+    stack.Stack.footprint *. Resistances.sink_span stack *. rc (Stack.plane stack 0).Plane.substrate;
   for i = 0 to n - 1 do
     let p = Stack.plane stack i in
-    let vol_rc =
+    caps.((2 * i) + 1) <-
       area
       *. ((p.Plane.t_ild *. rc p.Plane.ild)
          +. (Resistances.substrate_span stack i *. rc p.Plane.substrate)
-         +. (p.Plane.t_bond *. rc p.Plane.bond))
-    in
-    put net.Model_a.bulk_nodes.(i) vol_rc;
-    if i < n - 1 then begin
-      let span = Resistances.plane_span stack i in
-      put net.Model_a.tsv_nodes.(i) (Tsv.fill_area tsv *. span *. rc tsv.Tsv.filler)
-    end
+         +. (p.Plane.t_bond *. rc p.Plane.bond));
+    if i < n - 1 then
+      caps.((2 * i) + 2) <- Tsv.fill_area tsv *. Resistances.plane_span stack i *. rc tsv.Tsv.filler
   done;
   caps
 
@@ -50,33 +42,33 @@ let solve ?coeffs ?(power = fun _ -> 1.) stack ~dt ~duration =
   let rs = Resistances.of_stack ?coeffs stack in
   let qs = Stack.heat_inputs stack in
   let steady = Model_a.solve_triples rs qs in
-  let net = Model_a.build_network rs qs in
-  let g, q0 = Circuit.assembled net.Model_a.circuit in
-  let n = Sparse.rows g in
-  let caps = capacities stack net n in
-  let system = Sparse.to_dense g in
+  let caps = capacities stack in
+  let n = Array.length caps in
+  (* G + C/dt, eliminated afresh from a copy at every step *)
+  let system = Model_a.band rs in
   for i = 0 to n - 1 do
-    Dense.add_to system i i (caps.(i) /. dt)
+    system.((5 * i) + 2) <- system.((5 * i) + 2) +. (caps.(i) /. dt)
   done;
-  let lu = Dense.lu_factor system in
+  let q0 = Array.make n 0. in
+  Array.iteri (fun p q -> q0.((2 * p) + 1) <- q) qs;
   let steps = int_of_float (Float.ceil (duration /. dt)) in
   let nplanes = Stack.num_planes stack in
-  let bulk_idx =
-    Array.map (Circuit.node_index net.Model_a.circuit) net.Model_a.bulk_nodes
-  in
-  let t = ref (Array.make n 0.) in
+  let a = Array.make (5 * n) 0. and t = Array.make n 0. in
   let times = Array.make (steps + 1) 0. in
   let maxes = Array.make (steps + 1) 0. in
   let bulk = Array.make_matrix (steps + 1) nplanes 0. in
   for m = 1 to steps do
     let time = float_of_int m *. dt in
     let scale = power time in
-    let rhs = Array.init n (fun i -> (q0.(i) *. scale) +. (caps.(i) /. dt *. !t.(i))) in
-    t := Dense.lu_solve lu rhs;
+    for i = 0 to n - 1 do
+      t.(i) <- (q0.(i) *. scale) +. (caps.(i) /. dt *. t.(i))
+    done;
+    Array.blit system 0 a 0 (5 * n);
+    Banded.solve_in_place ~n ~bw:2 a t;
     times.(m) <- time;
-    maxes.(m) <- Vec.fold_max 0. !t;
+    maxes.(m) <- Vec.fold_max 0. t;
     for p = 0 to nplanes - 1 do
-      bulk.(m).(p) <- !t.(bulk_idx.(p))
+      bulk.(m).(p) <- t.((2 * p) + 1)
     done
   done;
   { times; max_rise = maxes; bulk; steady }

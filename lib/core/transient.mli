@@ -7,12 +7,13 @@
 
       C·dT/dt + G·T = q(t),
 
-    integrated with backward Euler (unconditionally stable; the system
-    matrix G + C/Δt is factored once and reused across steps).  With a
-    step from zero, the response converges to the steady Model A solution
-    — asserted by the test suite — and yields the unit cell's thermal
-    time constant, the quantity a dynamic-thermal-management study would
-    need next. *)
+    integrated with backward Euler (unconditionally stable).  G is
+    Model A's own band ({!Model_a.band}, nodes numbered by
+    {!Model_a.walk}); each step eliminates a copy of G + C/Δt in place,
+    a 2N-node band for N planes.  With a step from zero, the response
+    converges to the steady Model A solution — asserted by the test
+    suite — and yields the unit cell's thermal time constant, the
+    quantity a dynamic-thermal-management study would need next. *)
 
 type result = {
   times : float array;  (** sample instants, s *)

@@ -48,8 +48,6 @@ let add_heat_source c nd q =
     Hashtbl.replace c.sources nd.idx (prev +. q)
   end
 
-let total_injected c = Hashtbl.fold (fun _ q acc -> acc +. q) c.sources 0.
-
 type solution = { circuit : t; temps : float array; matrix : Sparse.t; rhs : float array }
 
 let check_connected c =
@@ -100,15 +98,6 @@ let assemble c =
   Hashtbl.iter (fun i q -> rhs.(i) <- rhs.(i) +. q) c.sources;
   (Sparse.finalize b, rhs)
 
-let assembled c =
-  check_connected c;
-  assemble c
-
-let node_index c nd =
-  check_node "node_index" c nd;
-  if nd.idx = -1 then invalid_arg "Circuit.node_index: ground node has no row";
-  nd.idx
-
 (* Dense LU up to 256 nodes; above that, conjugate gradients, falling back
    to LU when CG stagnates on extreme conductance ratios. *)
 let solve_system c matrix rhs =
@@ -150,17 +139,6 @@ let temperature s nd =
   if nd.idx = -1 then 0. else s.temps.(nd.idx)
 
 let max_temperature s = if Array.length s.temps = 0 then 0. else Vec.max_elt s.temps
-
-let branch_heat_flow s a b =
-  check_node "branch_heat_flow" s.circuit a;
-  check_node "branch_heat_flow" s.circuit b;
-  let temp i = if i = -1 then 0. else s.temps.(i) in
-  List.fold_left
-    (fun acc { a = ra; b = rb; r } ->
-      if ra = a.idx && rb = b.idx then acc +. ((temp ra -. temp rb) /. r)
-      else if ra = b.idx && rb = a.idx then acc -. ((temp ra -. temp rb) /. r)
-      else acc)
-    0. s.circuit.resistors
 
 let residual_norm s =
   if Array.length s.temps = 0 then 0.

@@ -7,10 +7,12 @@
     temperature rises above the ground (heat-sink) node by stamping a
     conductance matrix and solving the resulting SPD system.
 
-    Model A stamps its network here, and so do the transient extension
-    (through {!assembled}) and the full-chip model.  Model B solves its
-    ladder through [Ttsv_numerics.Banded] and uses this module only as a
-    test oracle; the 1-D baseline is a series chain and needs no
+    The full-chip model stamps its network here, Model A's eq. 1–6 walk
+    in every tile.  Model A, its transient extension and Model B solve
+    their two-rail ladders as bands through [Ttsv_numerics.Banded] and
+    meet this module only as a reference: [Model_b.solve_via_circuit],
+    and the test suite's check of Model A's band against the same walk
+    fed to a circuit.  The 1-D baseline is a series chain and needs no
     network. *)
 
 type t
@@ -57,27 +59,9 @@ val temperature : solution -> node -> float
 val max_temperature : solution -> float
 (** Largest nodal rise (0 for an empty circuit). *)
 
-val branch_heat_flow : solution -> node -> node -> float
-(** [branch_heat_flow s a b] is the heat flowing from [a] to [b] through
-    the (parallel-combined) resistors directly connecting them, in watts;
-    0 when no direct branch exists. *)
-
 val residual_norm : solution -> float
 (** [residual_norm s] is ‖G·T − q‖∞ — the KCL violation of the computed
     solution; the test suite asserts it is tiny.  *)
-
-val total_injected : t -> float
-(** Sum of all heat sources, W. *)
-
-val assembled : t -> Ttsv_numerics.Sparse.t * float array
-(** [assembled c] is the ground-eliminated conductance matrix G and the
-    source vector q, nodes ordered by creation — the raw G·T = q system
-    that {!solve} factors.  Exposed for clients that augment the system
-    (e.g. the transient extension adds nodal heat capacities). *)
-
-val node_index : t -> node -> int
-(** [node_index c n] is the creation-order row of [n] in {!assembled}.
-    Raises [Invalid_argument] for the ground node. *)
 
 val equivalent_resistance : t -> node -> node -> float
 (** [equivalent_resistance c a b] is the Thevenin resistance seen between

@@ -75,18 +75,17 @@ let preflight ?x0 a b =
     x0;
   List.rev !problems
 
-(* one index loop into the readable band: [Banded.add_to] boxes a float *)
-let banded_of_sparse a bw =
+(* the rung's own flat band in [Banded]'s layout, filled by one index loop *)
+let band_of_sparse a bw =
   let n = Sparse.rows a and w = (2 * bw) + 1 in
-  let m = Banded.create ~n ~bw in
-  let band = m.Banded.band and row_ptr, col_idx, values = Sparse.csr a in
+  let band = Array.make (n * w) 0. and row_ptr, col_idx, values = Sparse.csr a in
   for i = 0 to n - 1 do
     for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
       let k = (i * w) + col_idx.(p) - i + bw in
       band.(k) <- band.(k) +. values.(p)
     done
   done;
-  m
+  band
 
 (* The direct rung: a pivotless banded LU when the band is narrow enough
    to pay off, falling back to dense LU with partial pivoting when the
@@ -96,7 +95,7 @@ let direct_candidate a =
   let n = Sparse.rows a in
   let bw = Sparse.bandwidth a in
   let banded_ok = n * ((2 * bw) + 1) <= 50_000_000 && (2 * bw) + 1 < n in
-  if banded_ok then Ok (`Banded (banded_of_sparse a bw))
+  if banded_ok then Ok (`Banded (band_of_sparse a bw, bw))
   else if n > dense_limit then Error (Diagnostics.Skipped "matrix too large for dense fallback")
   else Ok (`Dense (Sparse.to_dense a))
 
@@ -104,9 +103,9 @@ let direct_candidate a =
 let solve_direct a b =
   match direct_candidate a with
   | Error e -> Error e
-  | Ok (`Banded m) -> (
+  | Ok (`Banded (band, bw)) -> (
     let x = Array.copy b in
-    match Banded.solve_in_place ~n:(Banded.order m) ~bw:(Banded.bandwidth m) m.Banded.band x with
+    match Banded.solve_in_place ~n:(Sparse.rows a) ~bw band x with
     | () -> Ok x
     | exception Dense.Singular -> (
       (* the band needed pivoting; retry densely when affordable *)
@@ -118,7 +117,7 @@ let solve_direct a b =
   | Ok (`Dense d) -> (
     match Dense.solve d b with x -> Ok x | exception Dense.Singular -> Error Diagnostics.Singular)
 
-let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?pool ?rungs
+let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?pool ?rungs
     ?shape ?budget a b =
   let rungs = Option.value rungs ~default:default_rungs in
   let start = Unix.gettimeofday () in
@@ -204,7 +203,7 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
         None
       | Ok precond ->
         let r =
-          Iterative.cg ~tol ?max_iter ?x0:!best ?stagnation_window ?divergence_factor ?pool
+          Iterative.cg ~tol ?max_iter ?x0:!best ?stagnation_window ?pool
             ?precond ?budget a b
         in
         total_iters := !total_iters + r.Iterative.iterations;
@@ -312,10 +311,10 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?stagnation_window ?divergence_factor ?po
       note ~residual:res rung Diagnostics.Success t0;
       Ok (x, finish (Some rung) res)
 
-let solve_exn ?tol ?max_iter ?x0 ?stagnation_window ?divergence_factor ?pool ?rungs ?shape
+let solve_exn ?tol ?max_iter ?x0 ?stagnation_window ?pool ?rungs ?shape
     ?budget a b =
   match
-    solve ?tol ?max_iter ?x0 ?stagnation_window ?divergence_factor ?pool ?rungs ?shape ?budget
+    solve ?tol ?max_iter ?x0 ?stagnation_window ?pool ?rungs ?shape ?budget
       a b
   with
   | Ok r -> r

@@ -59,7 +59,6 @@ val solve :
   ?max_iter:int ->
   ?x0:Ttsv_numerics.Vec.t ->
   ?stagnation_window:int ->
-  ?divergence_factor:float ->
   ?pool:Ttsv_parallel.Pool.t ->
   ?rungs:Diagnostics.rung list ->
   ?shape:int array ->
@@ -91,12 +90,12 @@ val solve :
     expired budget.  That answer is [x0] itself (physically equal, not
     a copy), so a caller that writes into the returned vector writes
     into its [x0]; every other answer is a fresh vector, and [x0] is
-    never written by the ladder.  [stagnation_window] and
-    [divergence_factor] are passed through to
-    {!Ttsv_numerics.Iterative.cg} for every iterative rung.  The direct rung builds a pivotless banded LU
-    when the bandwidth is narrow, retries with dense partial-pivoting LU
-    when the band factorization hits a zero pivot, and accepts the result
-    at [max tol 1e-8] (it is the last resort).  [pool] is threaded to the
+    never written by the ladder.  [stagnation_window] is passed
+    through to {!Ttsv_numerics.Iterative.cg} for every iterative rung.
+    The direct rung builds a pivotless banded LU when the bandwidth is
+    narrow, retries with dense partial-pivoting LU when the band
+    factorization hits a zero pivot, and accepts the result at
+    [max tol 1e-8] (it is the last resort).  [pool] is threaded to the
     iterative rungs' matvec and BLAS-1 kernels; their reductions are
     chunk-deterministic, so pooled and sequential climbs take identical
     paths through the ladder.  Matrices of order beyond
@@ -124,7 +123,6 @@ val solve_exn :
   ?max_iter:int ->
   ?x0:Ttsv_numerics.Vec.t ->
   ?stagnation_window:int ->
-  ?divergence_factor:float ->
   ?pool:Ttsv_parallel.Pool.t ->
   ?rungs:Diagnostics.rung list ->
   ?shape:int array ->

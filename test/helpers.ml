@@ -132,3 +132,20 @@ let gen_spd n =
     Ttsv_numerics.Sparse.add b i i anchors.(i)
   done;
   return (Ttsv_numerics.Sparse.finalize b)
+
+(* --- Model A's walk through the generic circuit ------------------------- *)
+
+(* The eq. 1-6 walk fed to a Circuit: one circuit node per ladder node, in
+   the walk's numbering, and [qs] injected at the bulk nodes. *)
+let walk_circuit (rs : Ttsv_core.Resistances.t) qs =
+  let module Circuit = Ttsv_network.Circuit in
+  let c = Circuit.create () in
+  let nodes =
+    Array.init
+      (2 * Array.length rs.Ttsv_core.Resistances.triples)
+      (fun k -> Circuit.add_node c (string_of_int k))
+  in
+  let node k = if k < 0 then Circuit.ground c else nodes.(k) in
+  Ttsv_core.Model_a.walk rs ~resistor:(fun i j r -> Circuit.add_resistor c (node i) (node j) r);
+  Array.iteri (fun i q -> Circuit.add_heat_source c nodes.((2 * i) + 1) q) qs;
+  (c, nodes)

@@ -8,7 +8,21 @@ module Model_a = Ttsv_core.Model_a
 module Closed_form = Ttsv_core.Closed_form
 module Stack = Ttsv_geometry.Stack
 module Tsv = Ttsv_geometry.Tsv
+module Circuit = Ttsv_network.Circuit
 open Helpers
+
+(* one plane on a 500 um substrate: its only TTSV branch, filler + liner,
+   runs from T0 to the bulk node beside R1 *)
+let single_plane () =
+  let tsv = Tsv.make ~radius:(Units.um 5.) ~liner_thickness:(Units.um 1.)
+      ~extension:(Units.um 1.) ()
+  in
+  let plane =
+    Ttsv_geometry.Plane.make ~t_substrate:(Units.um 500.) ~t_ild:(Units.um 4.)
+      ~t_bond:0. ~t_device:(Units.um 1.)
+      ~device_power_density:(Units.w_per_mm3 700.) ()
+  in
+  Stack.make ~footprint:1e-8 ~planes:[ plane ] ~tsv ()
 
 let unit_tests =
   [
@@ -42,18 +56,31 @@ let unit_tests =
         in
         Alcotest.(check bool) "cooler" true (fitted < base));
     test "single-plane stack is solvable" (fun () ->
-        let tsv = Tsv.make ~radius:(Units.um 5.) ~liner_thickness:(Units.um 1.)
-            ~extension:(Units.um 1.) ()
-        in
-        let plane =
-          Ttsv_geometry.Plane.make ~t_substrate:(Units.um 500.) ~t_ild:(Units.um 4.)
-            ~t_bond:0. ~t_device:(Units.um 1.)
-            ~device_power_density:(Units.w_per_mm3 700.) ()
-        in
-        let stack = Stack.make ~footprint:1e-8 ~planes:[ plane ] ~tsv () in
+        let stack = single_plane () in
         let r = Model_a.solve stack in
         Alcotest.(check bool) "positive" true (Model_a.max_rise r > 0.);
         close_rel ~tol:1e-9 "conservation" (Stack.total_heat stack) (Model_a.sink_path_heat r));
+    test "single-plane tsv_heat is the flow down filler + liner, not R1's too" (fun () ->
+        (* R1 and the TTSV branch both join T0 to the bulk node; summing
+           every resistor between the two reported all the injected heat *)
+        let stack = single_plane () in
+        let r = Model_a.solve stack in
+        let foot = r.Model_a.resistances.Resistances.triples.(0) in
+        close_rel ~tol:1e-12 "branch flow"
+          ((r.Model_a.bulk.(0) -. r.Model_a.t0) /. (foot.Resistances.tsv +. foot.Resistances.liner))
+          r.Model_a.tsv_heat;
+        Alcotest.(check bool) "a share of the heat" true
+          (r.Model_a.tsv_heat > 0. && r.Model_a.tsv_heat < 0.5 *. Stack.total_heat stack));
+    test "a Model A solve on the block allocates at most 400 minor words" (fun () ->
+        (* the eq. 1-6 network stamped through Circuit (a name per node, a
+           table of sources, a resistor list, a reachability search and
+           dense LU) cost 1,904 minor words a solve; the flat band ~205 *)
+        let stack = Params.block () in
+        ignore (Model_a.solve stack);
+        let before = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Model_a.solve stack));
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check bool) (Printf.sprintf "%.0f minor words <= 400" words) true (words <= 400.));
     test "more planes run hotter (same per-plane power)" (fun () ->
         let build n =
           let tsv = Tsv.make ~radius:(Units.um 5.) ~liner_thickness:(Units.um 1.)
@@ -99,8 +126,53 @@ let closed_form_matches_network (stack, qs) =
   && ok cf.Closed_form.t4 net.Model_a.tsv.(1)
   && ok (Closed_form.max_rise cf) (Model_a.max_rise net)
 
+(* 1-8 planes, every resistance 1 to 1e5 K/W, heats 1-100 mW *)
+let gen_network =
+  let open QCheck2.Gen in
+  let r = map (fun e -> 10. ** e) (float_range 0. 5.) in
+  let triple = map3 (fun bulk tsv liner -> { Resistances.bulk; tsv; liner }) r r r in
+  let* n = int_range 1 8 in
+  let* triples = array_size (return n) triple in
+  let* r_sink = r in
+  let* qs = array_size (return n) (float_range 1e-3 0.1) in
+  return ({ Resistances.triples; r_sink }, qs)
+
+(* the band solve against the same walk through the generic circuit, as
+   Model_b.solve_via_circuit checks Model B's ladder *)
+let band_matches_circuit (rs, qs) =
+  let r = Model_a.solve_triples rs qs in
+  let c, nodes = walk_circuit rs qs in
+  let sol = Circuit.solve c in
+  let t k = Circuit.temperature sol nodes.(k) in
+  let ok a b = Float.abs (a -. b) <= 1e-12 *. Float.abs b in
+  let n = Array.length qs and foot = rs.Resistances.triples.(0) in
+  let tsv_heat =
+    if n = 1 then (t 1 -. t 0) /. (foot.Resistances.tsv +. foot.Resistances.liner)
+    else (t 2 -. t 0) /. foot.Resistances.tsv
+  in
+  ok r.Model_a.t0 (t 0)
+  && Array.length r.Model_a.bulk = n
+  && Array.length r.Model_a.tsv = n - 1
+  && Array.for_all Fun.id (Array.mapi (fun i x -> ok x (t ((2 * i) + 1))) r.Model_a.bulk)
+  && Array.for_all Fun.id (Array.mapi (fun i x -> ok x (t ((2 * i) + 2))) r.Model_a.tsv)
+  && ok r.Model_a.tsv_heat tsv_heat
+
+let print_network ((rs : Resistances.t), qs) =
+  let f = Printf.sprintf "%h" in
+  Printf.sprintf "r_sink=%s triples=[%s] qs=[%s]" (f rs.Resistances.r_sink)
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (tr : Resistances.triple) ->
+               Printf.sprintf "%s,%s,%s" (f tr.Resistances.bulk) (f tr.Resistances.tsv)
+                 (f tr.Resistances.liner))
+             rs.Resistances.triples)))
+    (String.concat "; " (Array.to_list (Array.map f qs)))
+
 let property_tests =
   [
+    qtest ~count:200 ~print:print_network "band solve equals the walk through Circuit, 1-8 planes"
+      gen_network band_matches_circuit;
     qtest ~count:80 "closed form equals the network solve"
       QCheck2.Gen.(pair gen_stack3 gen_heats3)
       closed_form_matches_network;

@@ -57,19 +57,12 @@ let circuit_tests =
         let c1 = Circuit.create () and c2 = Circuit.create () in
         let n1 = Circuit.add_node c1 "a" and n2 = Circuit.add_node c2 "b" in
         check_raises_invalid "foreign" (fun () -> Circuit.add_resistor c1 n1 n2 1.));
-    test "branch heat flow and conservation" (fun () ->
-        let c, mid, top = divider 3. 7. 2. in
-        let s = Circuit.solve c in
-        close_rel "through r1" 2. (Circuit.branch_heat_flow s top mid);
-        close_rel "through r2" 2. (Circuit.branch_heat_flow s mid (Circuit.ground c));
-        close_rel "antisymmetry" (-2.) (Circuit.branch_heat_flow s mid top));
     test "sources accumulate" (fun () ->
         let c = Circuit.create () in
         let n = Circuit.add_node c "n" in
         Circuit.add_resistor c n (Circuit.ground c) 2.;
         Circuit.add_heat_source c n 1.;
         Circuit.add_heat_source c n 0.5;
-        close "total" 1.5 (Circuit.total_injected c);
         let s = Circuit.solve c in
         close_rel "temp" 3. (Circuit.temperature s n));
     test "negative source extracts heat" (fun () ->

@@ -127,15 +127,13 @@ let thevenin_tests =
            bulk resistances alone *)
         let stack = Params.block () in
         let rs = Ttsv_core.Resistances.of_stack stack in
-        let net = Model_a.build_network rs (Stack.heat_inputs stack) in
+        let c, nodes = walk_circuit rs (Stack.heat_inputs stack) in
         let series_bulk =
           Array.fold_left (fun acc (t : Ttsv_core.Resistances.triple) -> acc +. t.Ttsv_core.Resistances.bulk) 0.
             rs.Ttsv_core.Resistances.triples
         in
-        let eq =
-          Circuit.equivalent_resistance net.Model_a.circuit net.Model_a.t0_node
-            net.Model_a.bulk_nodes.(2)
-        in
+        (* T0 is node 0 and the top bulk node 2 * 2 + 1 *)
+        let eq = Circuit.equivalent_resistance c nodes.(0) nodes.(5) in
         Alcotest.(check bool)
           (Printf.sprintf "eq %.1f < series %.1f" eq series_bulk)
           true (eq < series_bulk));
